@@ -6,9 +6,7 @@ use vpd_units::{Amps, Farads, Henries, Hertz, Ohms, Seconds, Volts};
 /// A node handle within one [`Netlist`].
 ///
 /// Node 0 is always ground; use [`Netlist::ground`].
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub(crate) usize);
 
 impl NodeId {
@@ -20,9 +18,7 @@ impl NodeId {
 }
 
 /// An element handle within one [`Netlist`].
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ElementId(pub(crate) usize);
 
 impl ElementId {
@@ -34,9 +30,7 @@ impl ElementId {
 }
 
 /// On/off state of an ideal switch.
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, Debug, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum SwitchState {
     /// Conducting (`r_on`).
     On,
@@ -52,13 +46,12 @@ pub enum SwitchState {
 /// optional phase offset in `[0, 1)` of a period. When `off_at` is set,
 /// the drive is forced [`SwitchState::Off`] for every `t ≥ off_at` —
 /// the "VR dies mid-run" stimulus of dynamic fault studies.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct PwmSchedule {
     frequency: Hertz,
     duty: f64,
     phase: f64,
     complement: bool,
-    #[serde(default)]
     off_at: Option<f64>,
 }
 
@@ -161,7 +154,7 @@ impl PwmSchedule {
 }
 
 /// What an element is, with its value(s).
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 #[non_exhaustive]
 pub enum ElementKind {
     /// Linear resistor.
@@ -234,7 +227,7 @@ pub enum ElementKind {
 }
 
 /// One placed element: kind + terminals + label.
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Element {
     /// What the element is.
     pub kind: ElementKind,
@@ -253,7 +246,7 @@ pub struct Element {
 /// ([C-VALIDATE]) and returns an [`ElementId`] usable to query branch
 /// results after a solve. A full build-and-solve round trip is shown on
 /// [`Netlist::voltage_source`].
-#[derive(Clone, PartialEq, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct Netlist {
     node_labels: Vec<String>,
     elements: Vec<Element>,

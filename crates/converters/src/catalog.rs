@@ -4,7 +4,7 @@
 use vpd_units::{Amps, Efficiency, Farads, Henries, SquareMeters};
 
 /// The three reviewed hybrid topologies (§III).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum VrTopologyKind {
     /// Dual-phase multi-inductor hybrid (\[9\], Das & Le) — SC-derived,
     /// soft-switching, highest current capability, largest footprint.
@@ -39,7 +39,7 @@ impl std::fmt::Display for VrTopologyKind {
 }
 
 /// One column of Table II.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct TopologyCharacteristics {
     /// Which topology.
     pub kind: VrTopologyKind,

@@ -21,7 +21,7 @@ use crate::ConverterError;
 use vpd_units::{Amps, Efficiency, Volts, Watts};
 
 /// Published operating points a curve is fitted to.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct CurveAnchors {
     /// Output voltage the published numbers refer to.
     pub v_out: Volts,
@@ -55,7 +55,7 @@ pub struct CurveAnchors {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct EfficiencyCurve {
     v_out: Volts,
     i_max: Amps,

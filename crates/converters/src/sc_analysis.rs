@@ -21,7 +21,7 @@ use crate::ConverterError;
 use vpd_units::{Amps, Efficiency, Farads, Hertz, Ohms, Volts};
 
 /// A two-phase SC converter reduced to its charge-multiplier vectors.
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ScConverterModel {
     /// Ideal step-down ratio `n` (output = `V_in / n`).
     ratio: usize,

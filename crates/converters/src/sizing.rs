@@ -13,7 +13,7 @@ use vpd_devices::InductorKind;
 use vpd_units::{Amps, Farads, Henries, Hertz, SquareMeters, Volts};
 
 /// Ripple requirements at the converter output.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct RippleSpec {
     /// Peak-to-peak inductor-current ripple as a fraction of the phase
     /// current (typical designs target 0.3–0.5).
@@ -34,7 +34,7 @@ impl RippleSpec {
 }
 
 /// A sized passive set for one buck-derived phase.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct PassiveSizing {
     /// Per-phase inductance.
     pub inductance_per_phase: Henries,

@@ -20,7 +20,7 @@ use vpd_units::{Amps, Efficiency, SquareMeters, Volts, Watts};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Converter {
     name: String,
     v_in: Volts,
@@ -385,7 +385,7 @@ impl Converter {
 }
 
 /// A chain of converters sharing one current path (per-module view).
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct MultiStageConverter {
     stages: Vec<Converter>,
 }

@@ -13,7 +13,7 @@ use vpd_package::{required_platform_area, InterconnectTech, ViaAllocation};
 use vpd_units::{Amps, SquareMeters, Volts, Watts};
 
 /// A power-delivery architecture from the paper's §II.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 #[non_exhaustive]
 pub enum Architecture {
     /// A0 — 48 V→1 V conversion at the PCB (transformer + multiphase

@@ -16,7 +16,7 @@ use crate::{CoreError, PowerMap};
 use vpd_units::Ohms;
 
 /// Free parameters of the PCB-to-POL loss model.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Calibration {
     /// Lateral PCB + package routing resistance at POL voltage for the
     /// reference architecture (converter output to package entry).

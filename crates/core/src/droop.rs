@@ -13,7 +13,7 @@ use vpd_circuit::{ElementId, NodeId, TransientPlan, TransientResult, TransientSe
 use vpd_units::{Amps, Ohms, Seconds, Volts};
 
 /// A load-step stimulus.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct LoadStep {
     /// Quiescent load before the step.
     pub base: Amps,

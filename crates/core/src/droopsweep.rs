@@ -298,7 +298,7 @@ impl DroopSweep {
 }
 
 /// A full droop-sweep report: the swept grid plus derived worst cases.
-/// Renders as text or JSON via [`vpd_report::Render`].
+/// Renders as JSON via [`vpd_report::Render`].
 #[derive(Clone, PartialEq, Debug)]
 pub struct DroopSweepReport {
     /// What was swept (architecture name or a caller label).

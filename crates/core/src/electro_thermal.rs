@@ -43,8 +43,7 @@ impl Default for ElectroThermalSettings {
 /// under which the reported state is an actual fixed point; the other
 /// two return the last iterate together with how far it still moved,
 /// so callers can distinguish "almost there" from "meaningless".
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum FixedPointTermination {
     /// The iterate's change fell below tolerance.
     Converged {

@@ -153,7 +153,7 @@ pub fn faulted_pdn_model(
 }
 
 /// One scenario's degraded impedance profile, summarized.
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct FaultImpedanceOutcome {
     /// Scenario name.
     pub name: String,
@@ -172,7 +172,7 @@ pub struct FaultImpedanceOutcome {
 
 /// Aggregate of a [`FaultImpedanceSweep::run`]: per-scenario degraded
 /// profiles judged against the target impedance.
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct FaultImpedanceReport {
     /// Swept architecture.
     pub architecture: Architecture,
@@ -422,7 +422,7 @@ impl FaultImpedanceSweep {
 
 /// One mid-run VR-failure stimulus: the bank dies at `fail_at`
 /// (`None` = never — the healthy baseline).
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct VrFailureScenario {
     /// Display name (`"nominal"`, `"fail@8.0us"`, …).
     pub name: String,
@@ -451,7 +451,7 @@ impl VrFailureScenario {
 }
 
 /// The rail's response to one VR-failure scenario.
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct FaultTransientOutcome {
     /// Scenario name.
     pub name: String,
@@ -471,7 +471,7 @@ pub struct FaultTransientOutcome {
 }
 
 /// Aggregate of a [`FaultTransientSweep::run`].
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct FaultTransientReport {
     /// Swept architecture.
     pub architecture: Architecture,
@@ -689,7 +689,7 @@ impl Default for CascadeSettings {
 }
 
 /// One scenario's electro-thermal cascade result.
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct CascadeOutcome {
     /// Scenario name.
     pub name: String,
@@ -713,7 +713,7 @@ pub struct CascadeOutcome {
 
 /// Per-architecture rollup of the cascade outcomes: does the
 /// architecture survive its contingency set?
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct SurvivalEnvelope {
     /// Judged architecture.
     pub architecture: Architecture,
@@ -1055,24 +1055,6 @@ impl CascadeLadder {
             within_rating: self.derating.within_rating(worst_module),
         })
     }
-}
-
-/// Convenience: the architecture's survival envelope over its full N-1
-/// contingency set.
-///
-/// # Errors
-///
-/// Propagates engine-construction and evaluation failures.
-pub fn survival_envelope(
-    architecture: Architecture,
-    topology: VrTopologyKind,
-    spec: &SystemSpec,
-    calib: &Calibration,
-    settings: &CascadeSettings,
-    threads: usize,
-) -> Result<SurvivalEnvelope, CoreError> {
-    let ladder = CascadeLadder::new(architecture, topology, spec, calib, settings)?;
-    ladder.run(&FaultScenario::n_minus_1(ladder.vr_count()), threads)
 }
 
 #[cfg(test)]

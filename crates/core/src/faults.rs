@@ -38,7 +38,7 @@ pub const OPEN_RESISTANCE: Ohms = Ohms::new(1e9);
 
 /// One injectable defect. Indices are regulator site indices; mesh
 /// coordinates are grid node coordinates.
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 #[non_exhaustive]
 pub enum Fault {
     /// Module `index` fails open (carries no current).
@@ -85,7 +85,7 @@ pub enum Fault {
 }
 
 /// A named set of simultaneous faults evaluated as one operating point.
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct FaultScenario {
     /// Display name (`"n-1/vr07"`, `"random-3/012"`, …).
     pub name: String,
@@ -175,7 +175,7 @@ fn random_fault(rng: &mut impl Rng, n_vrs: usize, grid_side: usize) -> Fault {
 }
 
 /// The solved electrical state under one fault scenario.
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ScenarioOutcome {
     /// Scenario name.
     pub name: String,
@@ -205,7 +205,7 @@ pub struct ScenarioOutcome {
 }
 
 /// Aggregate of a [`FaultSweep::run`] over a scenario set.
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct FaultSweepReport {
     /// Swept architecture.
     pub architecture: Architecture,

@@ -34,7 +34,7 @@ pub struct PdnElements {
 
 /// A three-stage PDN ladder: regulator → (board/interposer) → package →
 /// die, with a decoupling capacitor at each stage.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct PdnModel {
     /// Regulator output inductance (loop from the converter output to
     /// the first distribution node).

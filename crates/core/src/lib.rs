@@ -79,9 +79,9 @@ pub use explore::{
     sweep_current_density, sweep_pol_power, MatrixEntry,
 };
 pub use faultdyn::{
-    faulted_pdn_model, survival_envelope, CascadeLadder, CascadeOutcome, CascadeSettings,
-    FaultImpedanceOutcome, FaultImpedanceReport, FaultImpedanceSweep, FaultTransientOutcome,
-    FaultTransientReport, FaultTransientSweep, SurvivalEnvelope, VrFailureScenario,
+    faulted_pdn_model, CascadeLadder, CascadeOutcome, CascadeSettings, FaultImpedanceOutcome,
+    FaultImpedanceReport, FaultImpedanceSweep, FaultTransientOutcome, FaultTransientReport,
+    FaultTransientSweep, SurvivalEnvelope, VrFailureScenario,
 };
 pub use faults::{
     n_minus_1_comparison, Fault, FaultScenario, FaultSweep, FaultSweepReport, ScenarioOutcome,

@@ -3,7 +3,7 @@
 use vpd_units::{Efficiency, Watts};
 
 /// What a loss segment physically is.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum LossKind {
     /// Power-conversion loss (switching, conduction, passives, droop) of
     /// one stage (1-indexed; single-stage architectures use stage 1).
@@ -20,7 +20,7 @@ pub enum LossKind {
 }
 
 /// One named loss contribution.
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct LossSegment {
     /// Display name (e.g. `"C4"`, `"VR stage 2"`).
     pub name: String,
@@ -45,7 +45,7 @@ pub struct LossSegment {
 /// assert!((b.total().value() - 280.0).abs() < 1e-12);
 /// assert!((b.percent_of_pol_power(b.total()) - 28.0).abs() < 1e-12);
 /// ```
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct LossBreakdown {
     pol_power: Watts,
     segments: Vec<LossSegment>,

@@ -10,7 +10,7 @@ use vpd_converters::TopologyCharacteristics;
 use vpd_units::{Amps, SquareMeters};
 
 /// Where a regulator bank sits relative to the die.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum VrPlacement {
     /// On the interposer, ringing the die periphery.
     Periphery,

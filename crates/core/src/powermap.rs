@@ -11,7 +11,7 @@ use vpd_units::Amps;
 use crate::CoreError;
 
 /// A spatial current-draw profile over the die.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 #[non_exhaustive]
 pub enum PowerMap {
     /// Every node draws the same current.

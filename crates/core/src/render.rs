@@ -1,7 +1,7 @@
-//! [`Render`] implementations for the crate's report types: one text
-//! and one JSON rendering per report, shared by every front end (the
-//! `vpd` CLI wraps these with invocation context instead of formatting
-//! reports inline).
+//! [`Render`] implementations for the crate's report types: one JSON
+//! rendering per report, shared by every front end. Result documents
+//! wrap these with invocation context; text output is the view of the
+//! finished document ([`Json::to_text`]).
 
 use crate::droop::DroopReport;
 use crate::droopsweep::{DroopSweepComparison, DroopSweepPoint, DroopSweepReport};
@@ -14,18 +14,6 @@ use crate::zsweep::{ImpedanceComparison, ImpedanceProfile};
 use vpd_report::{Json, Render};
 
 impl Render for SharingReport {
-    fn render_text(&self) -> String {
-        format!(
-            "{:.1} – {:.1} A (mean {:.1} A), grid loss {}, droop loss {}, worst drop {}\n",
-            self.min().value(),
-            self.max().value(),
-            self.mean().value(),
-            self.grid_loss(),
-            self.droop_loss(),
-            self.worst_drop(),
-        )
-    }
-
     fn render_json(&self) -> Json {
         Json::obj([
             ("modules", Json::from(self.per_vr().len())),
@@ -44,13 +32,6 @@ impl Render for SharingReport {
 }
 
 impl Render for DroopReport {
-    fn render_text(&self) -> String {
-        format!(
-            "rail drops by {} from {} to {} (bound ΔI·|Z|max = {})\n",
-            self.droop, self.v_before, self.v_min, self.impedance_bound,
-        )
-    }
-
     fn render_json(&self) -> Json {
         Json::obj([
             ("v_before_v", Json::from(self.v_before.value())),
@@ -77,57 +58,6 @@ fn sweep_point_json(p: &DroopSweepPoint) -> Json {
 }
 
 impl Render for DroopSweepReport {
-    fn render_text(&self) -> String {
-        let mut out = format!(
-            "{}: {} points (base {:.0} A, transient at {}, budget {})\n",
-            self.label,
-            self.points.len(),
-            self.base.value(),
-            self.at,
-            self.budget,
-        );
-        if let Some(w) = self.worst_droop() {
-            out.push_str(&format!(
-                "  worst droop:  {} at {:.0} A / rise {}\n",
-                w.droop,
-                w.after.value(),
-                w.rise,
-            ));
-        }
-        if let Some(w) = self.worst_settle() {
-            out.push_str(&format!(
-                "  worst settle: {} at {:.0} A / rise {}\n",
-                w.settle,
-                w.after.value(),
-                w.rise,
-            ));
-        }
-        match self.first_violation() {
-            None => out.push_str("  verdict:      meets budget at every point\n"),
-            Some(v) => out.push_str(&format!(
-                "  verdict:      VIOLATES budget from {:.0} A / rise {} (droop {})\n",
-                v.after.value(),
-                v.rise,
-                v.droop,
-            )),
-        }
-        out.push_str(&format!(
-            "  {:>10}  {:>12}  {:>12}  {:>12}  {}\n",
-            "after (A)", "rise", "droop (V)", "settle", "budget"
-        ));
-        for p in &self.points {
-            out.push_str(&format!(
-                "  {:>10.0}  {:>12}  {:>12.6}  {:>12}  {}\n",
-                p.after.value(),
-                p.rise.to_string(),
-                p.droop.value(),
-                p.settle.to_string(),
-                if p.violates { "violates" } else { "meets" },
-            ));
-        }
-        out
-    }
-
     fn render_json(&self) -> Json {
         Json::obj([
             ("label", Json::from(self.label.as_str())),
@@ -161,30 +91,6 @@ impl Render for DroopSweepReport {
 }
 
 impl Render for DroopSweepComparison {
-    fn render_text(&self) -> String {
-        let mut out = format!(
-            "  {:<6} {:>12} {:>14} {:>10} {}\n",
-            "arch", "worst droop", "worst settle", "budget", "verdict"
-        );
-        for r in &self.reports {
-            out.push_str(&format!(
-                "  {:<6} {:>12} {:>14} {:>10} {}\n",
-                r.label,
-                r.worst_droop()
-                    .map_or_else(|| "n/a".into(), |p| p.droop.to_string()),
-                r.worst_settle()
-                    .map_or_else(|| "n/a".into(), |p| p.settle.to_string()),
-                r.budget.to_string(),
-                if r.meets_budget() {
-                    "meets"
-                } else {
-                    "violates"
-                },
-            ));
-        }
-        out
-    }
-
     fn render_json(&self) -> Json {
         Json::obj([(
             "architectures",
@@ -194,24 +100,6 @@ impl Render for DroopSweepComparison {
 }
 
 impl Render for LossBreakdown {
-    fn render_text(&self) -> String {
-        let mut out = String::new();
-        for s in self.segments() {
-            out.push_str(&format!(
-                "  {:<28} {:>9.2} W ({:>5.2}%)\n",
-                s.name,
-                s.power.value(),
-                self.percent_of_pol_power(s.power)
-            ));
-        }
-        out.push_str(&format!(
-            "  total {:.1}% of POL power — efficiency {}\n",
-            self.percent_of_pol_power(self.total()),
-            self.end_to_end_efficiency()
-        ));
-        out
-    }
-
     fn render_json(&self) -> Json {
         Json::obj([
             ("pol_power_w", Json::from(self.pol_power().value())),
@@ -239,13 +127,6 @@ impl Render for LossBreakdown {
 }
 
 impl Render for McSummary {
-    fn render_text(&self) -> String {
-        format!(
-            "loss {:.2}% ± {:.2}% (min {:.2}%, p5 {:.2}%, p95 {:.2}%, max {:.2}%)\n",
-            self.mean, self.std_dev, self.min, self.p5, self.p95, self.max,
-        )
-    }
-
     fn render_json(&self) -> Json {
         Json::obj([
             ("mean_percent", Json::from(self.mean)),
@@ -259,33 +140,6 @@ impl Render for McSummary {
 }
 
 impl Render for FaultSweepReport {
-    fn render_text(&self) -> String {
-        let mut out = format!(
-            "  faulted:  worst drop {} ({}), max spread {:.2}x, worst surviving module {:.1} A\n",
-            self.worst_drop,
-            self.worst_scenario,
-            self.max_spread,
-            self.worst_surviving_current.value(),
-        );
-        match (self.rating, self.margin()) {
-            (Some(rating), Some(margin)) => out.push_str(&format!(
-                "  rating:   {:.0} A per module → margin {:+.1}% ({} / {} scenarios overloaded)\n",
-                rating.value(),
-                100.0 * margin,
-                self.overloaded_scenarios,
-                self.outcomes.len(),
-            )),
-            _ => out.push_str("  rating:   n/a (passive entry clusters)\n"),
-        }
-        out.push_str(&format!(
-            "  solver:   {} / {} scenarios needed a fallback, {} stagnated\n",
-            self.fallback_count,
-            self.outcomes.len(),
-            self.stagnation_count,
-        ));
-        out
-    }
-
     fn render_json(&self) -> Json {
         Json::obj([
             ("architecture", Json::from(self.architecture.name())),
@@ -313,47 +167,6 @@ impl Render for FaultSweepReport {
 }
 
 impl Render for ImpedanceProfile {
-    fn render_text(&self) -> String {
-        let mut out = format!(
-            "{}: {} points, peak {} at {}, target {} → ",
-            self.label,
-            self.points.len(),
-            self.peak,
-            self.peak_frequency,
-            self.target,
-        );
-        let margin = self
-            .margin()
-            .map_or_else(|| "n/a".to_owned(), |m| format!("{:+.1}%", 100.0 * m));
-        match self.first_violation {
-            None => out.push_str(&format!("meets target (margin {margin})\n")),
-            Some(f) => out.push_str(&format!("VIOLATES target from {f} (margin {margin})\n")),
-        }
-        if !self.antiresonances.is_empty() {
-            out.push_str("  antiresonant peaks:\n");
-            for p in &self.antiresonances {
-                out.push_str(&format!(
-                    "    {:>14}  |Z| {:>12.6e} Ω\n",
-                    p.frequency.to_string(),
-                    p.magnitude()
-                ));
-            }
-        }
-        out.push_str(&format!(
-            "  {:>14}  {:>12}  {:>8}\n",
-            "frequency", "|Z| (Ω)", "∠Z (°)"
-        ));
-        for p in &self.points {
-            out.push_str(&format!(
-                "  {:>14}  {:>12.6e}  {:>8.2}\n",
-                p.frequency.to_string(),
-                p.magnitude(),
-                p.phase_degrees()
-            ));
-        }
-        out
-    }
-
     fn render_json(&self) -> Json {
         Json::obj([
             ("label", Json::from(self.label.as_str())),
@@ -392,30 +205,6 @@ impl Render for ImpedanceProfile {
 }
 
 impl Render for ImpedanceComparison {
-    fn render_text(&self) -> String {
-        let mut out = format!(
-            "  {:<6} {:>14} {:>16} {:>12} {:>9} {}\n",
-            "arch", "peak |Z| (Ω)", "at", "target (Ω)", "margin", "verdict"
-        );
-        for p in &self.profiles {
-            out.push_str(&format!(
-                "  {:<6} {:>14.6e} {:>16} {:>12.6e} {:>8}% {}\n",
-                p.label,
-                p.peak.value(),
-                p.peak_frequency.to_string(),
-                p.target.value(),
-                p.margin()
-                    .map_or_else(|| "n/a".to_owned(), |m| format!("{:.1}", 100.0 * m)),
-                if p.meets_target() {
-                    "meets"
-                } else {
-                    "violates"
-                },
-            ));
-        }
-        out
-    }
-
     fn render_json(&self) -> Json {
         Json::obj([(
             "architectures",
@@ -439,34 +228,6 @@ impl Render for ImpedanceComparison {
 }
 
 impl Render for FaultImpedanceReport {
-    fn render_text(&self) -> String {
-        let mut out = format!(
-            "{}: target {}, nominal peak {}, worst faulted peak {} ({}) → {} / {} scenarios over target\n",
-            self.architecture.name(),
-            self.target,
-            self.nominal_peak,
-            self.worst_peak,
-            self.worst_scenario,
-            self.violating_scenarios,
-            self.outcomes.len(),
-        );
-        out.push_str(&format!(
-            "  {:<14} {:>14} {:>16} {:>9} {}\n",
-            "scenario", "peak |Z| (Ω)", "at", "excess", "verdict"
-        ));
-        for o in &self.outcomes {
-            out.push_str(&format!(
-                "  {:<14} {:>14.6e} {:>16} {:>+8.1}% {}\n",
-                o.name,
-                o.peak.value(),
-                o.peak_frequency.to_string(),
-                100.0 * o.excess,
-                if o.over_target { "VIOLATES" } else { "meets" },
-            ));
-        }
-        out
-    }
-
     fn render_json(&self) -> Json {
         Json::obj([
             ("architecture", Json::from(self.architecture.name())),
@@ -498,35 +259,6 @@ impl Render for FaultImpedanceReport {
 }
 
 impl Render for FaultTransientReport {
-    fn render_text(&self) -> String {
-        let mut out = format!(
-            "{}: worst droop {} ({}), {} / {} scenarios collapsed the rail\n",
-            self.architecture.name(),
-            self.worst_droop,
-            self.worst_scenario,
-            self.collapsed_scenarios,
-            self.outcomes.len(),
-        );
-        out.push_str(&format!(
-            "  {:<14} {:>12} {:>10} {:>10} {:>10} {:>10} {}\n",
-            "scenario", "fail at", "v_before", "v_min", "droop", "v_end", "verdict"
-        ));
-        for o in &self.outcomes {
-            out.push_str(&format!(
-                "  {:<14} {:>12} {:>9.4}V {:>9.4}V {:>9.4}V {:>9.4}V {}\n",
-                o.name,
-                o.fail_at
-                    .map_or_else(|| "never".to_owned(), |f| f.to_string()),
-                o.v_before.value(),
-                o.v_min.value(),
-                o.droop.value(),
-                o.v_end.value(),
-                if o.collapsed { "COLLAPSED" } else { "held" },
-            ));
-        }
-        out
-    }
-
     fn render_json(&self) -> Json {
         Json::obj([
             ("architecture", Json::from(self.architecture.name())),
@@ -555,48 +287,6 @@ impl Render for FaultTransientReport {
 }
 
 impl Render for SurvivalEnvelope {
-    fn render_text(&self) -> String {
-        let mut out = format!(
-            "{}: {} — {} converged / {} capped / {} diverged over {} scenarios\n",
-            self.architecture.name(),
-            if self.survives {
-                "SURVIVES its contingency set"
-            } else {
-                "does NOT survive its contingency set"
-            },
-            self.converged,
-            self.capped,
-            self.diverged,
-            self.outcomes.len(),
-        );
-        out.push_str(&format!(
-            "  worst drop {} ({}) against budget {}, peak {} ({})\n",
-            self.worst_drop,
-            self.worst_drop_scenario,
-            self.droop_budget,
-            self.peak_temperature,
-            self.peak_temperature_scenario,
-        ));
-        out.push_str(&format!(
-            "  {:<14} {:>5} {:>10} {:>9} {:>9} {:>8} {:>7} {}\n",
-            "scenario", "iters", "drop", "peak", "module", "derated", "rating", "verdict"
-        ));
-        for o in &self.outcomes {
-            out.push_str(&format!(
-                "  {:<14} {:>5} {:>9.4}V {:>8.1}°C {:>8.1}°C {:>8} {:>7} {}\n",
-                o.name,
-                o.iterations,
-                o.worst_drop.value(),
-                o.peak_temperature.value(),
-                o.worst_module_temperature.value(),
-                o.derated_modules,
-                if o.within_rating { "ok" } else { "OVER" },
-                o.termination,
-            ));
-        }
-        out
-    }
-
     fn render_json(&self) -> Json {
         Json::obj([
             ("architecture", Json::from(self.architecture.name())),
@@ -652,10 +342,9 @@ impl Render for SurvivalEnvelope {
 mod tests {
     use super::*;
     use crate::{solve_sharing, Calibration, SystemSpec, VrPlacement};
-    use vpd_report::RenderFormat;
 
     #[test]
-    fn sharing_report_renders_both_formats() {
+    fn sharing_report_renders_json() {
         let rep = solve_sharing(
             &SystemSpec::paper_default(),
             &Calibration::paper_default(),
@@ -663,9 +352,7 @@ mod tests {
             48,
         )
         .unwrap();
-        let text = rep.render(RenderFormat::Text);
-        assert!(text.contains("mean"), "{text}");
-        let json = rep.render(RenderFormat::Json);
+        let json = rep.render_json().to_string();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"per_vr_a\":["), "{json}");
         match rep.render_json() {
@@ -698,7 +385,6 @@ mod tests {
         ] {
             assert!(json.contains(key), "{json} missing {key}");
         }
-        assert!(s.render_text().contains("20.00%"));
     }
 
     #[test]
@@ -715,39 +401,31 @@ mod tests {
         )
         .unwrap();
         let a0 = &cmp.reports[0];
-        let text = a0.render(RenderFormat::Text);
-        assert!(text.contains("worst droop"), "{text}");
-        assert!(text.contains("VIOLATES budget"), "{text}");
-        assert_eq!(
-            text.lines().count(),
-            // header + worst droop + worst settle + verdict + column
-            // header + one row per point
-            5 + a0.points.len(),
-            "{text}"
-        );
-        let json = a0.render(RenderFormat::Json);
+        let json = a0.render_json();
+        let Some(Json::Array(grid)) = json.get("grid") else {
+            panic!("grid array: {json}");
+        };
+        assert_eq!(grid.len(), a0.points.len());
+        let json = json.to_string();
         assert!(json.contains("\"meets_budget\":false"), "{json}");
-        assert!(json.contains("\"grid\":["), "{json}");
         assert!(json.contains("\"worst_droop\":{"), "{json}");
 
         let a2 = &cmp.reports[1];
-        assert!(a2.render_text().contains("meets budget"));
         assert!(a2
             .render_json()
             .to_string()
             .contains("\"first_violation\":null"));
 
-        let cmp_text = cmp.render(RenderFormat::Text);
-        assert!(
-            cmp_text.contains("A0") && cmp_text.contains("A2"),
-            "{cmp_text}"
-        );
-        let cmp_json = cmp.render(RenderFormat::Json);
+        let cmp_json = cmp.render_json().to_string();
         assert!(cmp_json.contains("\"architectures\":["), "{cmp_json}");
+        assert!(
+            cmp_json.contains("\"A0\"") && cmp_json.contains("\"A2\""),
+            "{cmp_json}"
+        );
     }
 
     #[test]
-    fn fault_dynamic_reports_render_both_formats() {
+    fn fault_dynamic_reports_render_json() {
         use crate::faultdyn::{
             CascadeOutcome, FaultImpedanceOutcome, FaultImpedanceReport, FaultTransientOutcome,
             FaultTransientReport, SurvivalEnvelope,
@@ -781,13 +459,7 @@ mod tests {
             worst_scenario: "n-1/000".into(),
             violating_scenarios: 1,
         };
-        let text = imp.render(RenderFormat::Text);
-        assert!(text.contains("1 / 2 scenarios over target"), "{text}");
-        assert!(
-            text.contains("VIOLATES") && text.contains("meets"),
-            "{text}"
-        );
-        let json = imp.render(RenderFormat::Json);
+        let json = imp.render_json().to_string();
         assert!(json.contains("\"violating_scenarios\":1"), "{json}");
         assert!(json.contains("\"first_violation_hz\":null"), "{json}");
         assert!(json.contains("\"worst_scenario\":\"n-1/000\""), "{json}");
@@ -819,14 +491,7 @@ mod tests {
             worst_scenario: "fail@4.00us".into(),
             collapsed_scenarios: 1,
         };
-        let text = tr.render(RenderFormat::Text);
-        assert!(text.contains("1 / 2 scenarios collapsed"), "{text}");
-        assert!(
-            text.contains("COLLAPSED") && text.contains("held"),
-            "{text}"
-        );
-        assert!(text.contains("never"), "{text}");
-        let json = tr.render(RenderFormat::Json);
+        let json = tr.render_json().to_string();
         assert!(json.contains("\"fail_at_s\":null"), "{json}");
         assert!(json.contains("\"collapsed_scenarios\":1"), "{json}");
 
@@ -867,33 +532,11 @@ mod tests {
             overloaded_scenarios: 1,
             survives: false,
         };
-        let text = env.render(RenderFormat::Text);
-        assert!(text.contains("does NOT survive"), "{text}");
-        assert!(
-            text.contains("1 converged / 1 capped / 0 diverged"),
-            "{text}"
-        );
-        assert!(text.contains("iteration cap"), "{text}");
-        let json = env.render(RenderFormat::Json);
+        let json = env.render_json().to_string();
         assert!(json.contains("\"survives\":false"), "{json}");
         assert!(json.contains("\"converged\":1"), "{json}");
         assert!(json.contains("\"overloaded_scenarios\":1"), "{json}");
-
-        let survives = SurvivalEnvelope {
-            outcomes: vec![env.outcomes[0].clone()],
-            converged: 1,
-            capped: 0,
-            worst_drop: Volts::new(0.02),
-            worst_drop_scenario: "n-1/000".into(),
-            peak_temperature: Celsius::new(96.0),
-            peak_temperature_scenario: "n-1/000".into(),
-            overloaded_scenarios: 0,
-            survives: true,
-            ..env
-        };
-        assert!(survives
-            .render_text()
-            .contains("SURVIVES its contingency set"));
+        assert!(json.contains("\"termination\":\"iteration cap"), "{json}");
     }
 
     #[test]
@@ -911,33 +554,26 @@ mod tests {
         )
         .unwrap();
         let a0 = &cmp.profiles[0];
-        let text = a0.render(RenderFormat::Text);
-        assert!(text.contains("VIOLATES target"), "{text}");
-        assert!(text.contains("frequency"), "{text}");
-        assert_eq!(
-            text.lines().count(),
-            // header + antiresonance block + column header + one row per point
-            2 + a0.antiresonances.len() + 1 + a0.points.len(),
-            "{text}"
+        let json = a0.render_json();
+        let Some(Json::Array(profile)) = json.get("profile") else {
+            panic!("profile array: {json}");
+        };
+        assert_eq!(profile.len(), a0.points.len());
+        assert!(
+            json.to_string().contains("\"meets_target\":false"),
+            "{json}"
         );
-        let json = a0.render(RenderFormat::Json);
-        assert!(json.contains("\"meets_target\":false"), "{json}");
-        assert!(json.contains("\"profile\":["), "{json}");
 
         let a2 = &cmp.profiles[1];
-        assert!(a2.render_text().contains("meets target"));
-        assert!(a2
-            .render_json()
-            .to_string()
-            .contains("\"first_violation_hz\":null"));
+        let json = a2.render_json().to_string();
+        assert!(json.contains("\"meets_target\":true"), "{json}");
+        assert!(json.contains("\"first_violation_hz\":null"), "{json}");
 
-        let cmp_text = cmp.render(RenderFormat::Text);
-        assert!(
-            cmp_text.contains("A0") && cmp_text.contains("A2"),
-            "{cmp_text}"
-        );
-        assert!(cmp_text.contains("violates") && cmp_text.contains("meets"));
-        let cmp_json = cmp.render(RenderFormat::Json);
+        let cmp_json = cmp.render_json().to_string();
         assert!(cmp_json.contains("\"architectures\":["), "{cmp_json}");
+        assert!(
+            cmp_json.contains("\"A0\"") && cmp_json.contains("\"A2\""),
+            "{cmp_json}"
+        );
     }
 }

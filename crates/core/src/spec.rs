@@ -17,7 +17,7 @@ use vpd_units::{Amps, CurrentDensity, SquareMeters, Volts, Watts};
 /// assert!((spec.die_area().as_square_millimeters() - 500.0).abs() < 1e-9);
 /// assert!((spec.pol_current().value() - 1000.0).abs() < 1e-9);
 /// ```
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct SystemSpec {
     pcb_voltage: Volts,
     pol_voltage: Volts,

@@ -11,7 +11,7 @@
 use vpd_units::{Amps, CurrentDensity, SquareMeters, Watts};
 
 /// Chip or system-level data point for Figure 1.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct HpcDataPoint {
     /// Product name.
     pub name: &'static str,
@@ -29,7 +29,7 @@ pub struct HpcDataPoint {
 }
 
 /// Category of a Figure 1 data point.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum HpcKind {
     /// Individual accelerator chip.
     Chip,
@@ -145,7 +145,7 @@ pub fn figure1_dataset() -> Vec<HpcDataPoint> {
 }
 
 /// One year of the Figure 2 trend.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct TrendPoint {
     /// Year.
     pub year: u32,

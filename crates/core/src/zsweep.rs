@@ -158,7 +158,7 @@ impl ImpedanceSweep {
 }
 
 /// A full impedance-profile report: the swept points plus the derived
-/// target-impedance verdict. Renders as text or JSON via
+/// target-impedance verdict. Renders as JSON via
 /// [`vpd_report::Render`].
 #[derive(Clone, PartialEq, Debug)]
 pub struct ImpedanceProfile {

@@ -6,7 +6,7 @@ use vpd_units::{Amps, CurrentDensity, Farads, Henries, Hertz, Ohms, SquareMeters
 /// Where an inductor is realized. Embedded (in-interposer / in-package)
 /// inductors are area-efficient but current-limited; the paper cites
 /// state-of-the-art embedded inductors supporting only ~1 A/mm² (\[14\]).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum InductorKind {
     /// Embedded in the interposer, RDL, or package substrate.
     Embedded,
@@ -27,7 +27,7 @@ impl InductorKind {
 
 /// A power inductor with DC resistance and an AC (core + winding
 /// proximity) loss coefficient.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Inductor {
     l: Henries,
     dcr: Ohms,
@@ -120,7 +120,7 @@ impl Inductor {
 }
 
 /// A (flying or output) capacitor with equivalent series resistance.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Capacitor {
     c: Farads,
     esr: Ohms,

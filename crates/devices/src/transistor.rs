@@ -12,7 +12,7 @@ use crate::DeviceError;
 use vpd_units::{Amps, Coulombs, Hertz, Joules, Ohms, SquareMeters, Volts, Watts};
 
 /// Transistor semiconductor technology.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Semiconductor {
     /// Silicon power MOSFET.
     Si,
@@ -98,7 +98,7 @@ impl std::fmt::Display for Semiconductor {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct PowerTransistor {
     material: Semiconductor,
     v_rating: Volts,

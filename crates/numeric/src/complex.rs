@@ -5,7 +5,7 @@ use crate::NumericError;
 
 /// A complex number (double precision), written from scratch because
 //  the workspace carries no external numerics dependency.
-#[derive(Clone, Copy, PartialEq, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

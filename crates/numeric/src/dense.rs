@@ -14,7 +14,7 @@ use crate::NumericError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,

@@ -1,8 +1,7 @@
 //! Point-in-time metric snapshots and their NDJSON serialization.
 //!
-//! The repo has no real serde (the compat stand-in is marker-only), so
-//! the JSON here is hand-emitted: one object per snapshot, one line per
-//! object in the NDJSON sink. Schema:
+//! The workspace is std-only, so the JSON here is hand-emitted: one
+//! object per snapshot, one line per object in the NDJSON sink. Schema:
 //!
 //! ```json
 //! {"label":"mc","counters":{"cg.iterations":1234,...},

@@ -63,7 +63,7 @@ pub fn plane_spreading_resistance(
 /// paralleled planes of `thickness` copper, spreading from the
 /// converter's via field (`r_inner`) out to the package footprint
 /// (`r_outer`), plus an escape-trace section.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct BoardLateralModel {
     /// Paralleled copper planes dedicated to this rail.
     pub layers: usize,

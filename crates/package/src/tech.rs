@@ -14,7 +14,7 @@ use crate::error::PackageError;
 /// literature. With exactly these two limits, the paper's "1% of BGAs,
 /// 2% of C4s, 10% of TSVs, <20% of Cu pads" and the 1,200 mm² reference
 /// die all reproduce (see `vpd-bench --bin claims`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ViaMaterial {
     /// SAC-class solder (BGA balls, C4 bumps, µ-bumps).
     Solder,
@@ -54,7 +54,7 @@ impl std::fmt::Display for ViaMaterial {
 }
 
 /// One vertical-interconnect technology — a row of the paper's Table I.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct InterconnectTech {
     /// Short name (`"BGA"`, `"C4"`, ...).
     pub name: &'static str,

@@ -1,16 +1,17 @@
 //! A minimal JSON document model with a `Display` serializer and a
 //! strict parser.
 //!
-//! The workspace is std-only (the `serde` dependency is a marker-trait
-//! stand-in with no serializer behind it), so machine-readable output is
-//! built by hand. [`Json`] keeps that honest: values compose as a tree
-//! and the `Display` impl guarantees well-formed output — escaping,
+//! The workspace is std-only, so machine-readable output is built by
+//! hand. [`Json`] keeps that honest: values compose as a tree and the
+//! `Display` impl guarantees well-formed output — escaping,
 //! `null` for non-finite floats, no trailing commas — instead of every
 //! call site string-formatting its own braces. [`Json::parse`] is the
 //! inverse, grown for the `vpd-serve` NDJSON protocol: one complete
 //! document per line, typed errors with byte offsets instead of panics.
 
 use std::fmt;
+
+use crate::table::Table;
 
 /// A JSON value. Build with the constructors/`From` impls and the
 /// [`Json::obj`] helper; serialize with `to_string()` / `{}`.
@@ -136,6 +137,143 @@ impl Json {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
+        }
+    }
+
+    /// The text view of a document: the CLI's `--format text` output
+    /// for every result document.
+    ///
+    /// Scalars print as `key: value` in their JSON spelling, strings
+    /// unquoted; objects become indented blocks; arrays of scalars stay
+    /// on one line; arrays of objects become one [`Table`] whose columns
+    /// are the union of the objects' scalar keys, with any nested values
+    /// following as `key[i].field` blocks.
+    ///
+    /// ```
+    /// use vpd_report::Json;
+    ///
+    /// let doc = Json::obj([
+    ///     ("architecture", Json::from("A1")),
+    ///     ("loss", Json::obj([("percent", Json::from(18.5))])),
+    ///     ("per_vr_a", Json::array([Json::from(20.5), Json::from(21.0)])),
+    /// ]);
+    /// assert_eq!(
+    ///     doc.to_text(),
+    ///     "architecture: A1\nloss:\n  percent: 18.5\nper_vr_a: [20.5, 21]\n"
+    /// );
+    /// ```
+    #[must_use]
+    pub fn to_text(&self) -> String {
+        let mut out = String::new();
+        match self {
+            Json::Object(pairs) => {
+                for (key, value) in pairs {
+                    write_entry(&mut out, 0, key, value);
+                }
+            }
+            other => write_entry(&mut out, 0, "", other),
+        }
+        out
+    }
+}
+
+/// A scalar's text: its JSON spelling, strings unquoted. `None` for
+/// arrays and objects.
+fn scalar_text(value: &Json) -> Option<String> {
+    match value {
+        Json::Str(s) => Some(s.clone()),
+        Json::Array(_) | Json::Object(_) => None,
+        other => Some(other.to_string()),
+    }
+}
+
+/// Appends one entry of the text view at `pad` spaces of indentation:
+/// `key: value` on one line, or a `key:` block. The root of a
+/// non-object document has an empty key and no label.
+fn write_entry(out: &mut String, pad: usize, key: &str, value: &Json) {
+    let indent = " ".repeat(pad);
+    let one_line = match value {
+        Json::Object(_) => None,
+        Json::Array(items) => items
+            .iter()
+            .map(scalar_text)
+            .collect::<Option<Vec<_>>>()
+            .map(|cells| format!("[{}]", cells.join(", "))),
+        scalar => scalar_text(scalar),
+    };
+    if let Some(text) = one_line {
+        let head = if key.is_empty() {
+            String::new()
+        } else {
+            format!("{key}: ")
+        };
+        out.push_str(&format!("{indent}{head}{text}\n"));
+        return;
+    }
+    if !key.is_empty() {
+        out.push_str(&format!("{indent}{key}:\n"));
+    }
+    match value {
+        Json::Object(pairs) => {
+            for (k, v) in pairs {
+                write_entry(out, pad + 2, k, v);
+            }
+        }
+        Json::Array(items) => {
+            let objects = items.iter().map(|item| match item {
+                Json::Object(pairs) => Some(pairs.as_slice()),
+                _ => None,
+            });
+            match objects.collect::<Option<Vec<_>>>() {
+                Some(rows) => write_table(out, pad + 2, key, &rows),
+                None => {
+                    for (i, item) in items.iter().enumerate() {
+                        write_entry(out, pad + 2, &format!("[{i}]"), item);
+                    }
+                }
+            }
+        }
+        _ => unreachable!("scalars print on one line"),
+    }
+}
+
+/// Appends an array of objects as one table over the union of their
+/// scalar keys, then each nested value as a `key[i].field` block.
+fn write_table(out: &mut String, pad: usize, key: &str, rows: &[&[(String, Json)]]) {
+    let mut columns: Vec<&str> = Vec::new();
+    for (k, v) in rows.iter().copied().flatten() {
+        if scalar_text(v).is_some() && !columns.contains(&k.as_str()) {
+            columns.push(k);
+        }
+    }
+    if !columns.is_empty() {
+        let mut table = Table::new(columns.clone());
+        for row in rows {
+            let cell = |c: &str| {
+                row.iter()
+                    .find(|(k, _)| k == c)
+                    .and_then(|(_, v)| scalar_text(v))
+            };
+            table.row(
+                columns
+                    .iter()
+                    .map(|c| cell(c).unwrap_or_default())
+                    .collect(),
+            );
+        }
+        // `split_inclusive`, not `lines`: a cell may hold a verbatim
+        // `\r\n` that must survive.
+        let indent = " ".repeat(pad);
+        for line in table.render().split_inclusive('\n') {
+            out.push_str(&indent);
+            out.push_str(line);
+        }
+    }
+    for (i, row) in rows.iter().enumerate() {
+        for (k, v) in row.iter() {
+            if scalar_text(v).is_none() {
+                write_entry(out, pad, &format!("{key}[{i}].{k}"), v);
+            }
         }
     }
 }
@@ -654,6 +792,45 @@ mod tests {
     }
 
     #[test]
+    fn text_view_tabulates_arrays_of_objects() {
+        let doc = Json::obj([
+            ("command", Json::from("matrix")),
+            (
+                "entries",
+                Json::array([
+                    Json::obj([("arch", Json::from("A0")), ("loss", Json::from(43.3))]),
+                    Json::obj([
+                        ("arch", Json::from("A3")),
+                        ("excluded", Json::from("over rating")),
+                        ("detail", Json::obj([("ok", Json::from(false))])),
+                    ]),
+                ]),
+            ),
+            ("empty", Json::array([])),
+            ("nothing", Json::Null),
+        ]);
+        assert_eq!(
+            doc.to_text(),
+            "command: matrix\n\
+             entries:\n\
+             \x20 +------+------+-------------+\n\
+             \x20 | arch | loss | excluded    |\n\
+             \x20 +------+------+-------------+\n\
+             \x20 | A0   | 43.3 |             |\n\
+             \x20 | A3   |      | over rating |\n\
+             \x20 +------+------+-------------+\n\
+             \x20 entries[1].detail:\n\
+             \x20   ok: false\n\
+             empty: []\n\
+             nothing: null\n"
+        );
+        // Non-object roots and mixed arrays render without panicking.
+        assert_eq!(Json::from(2.5).to_text(), "2.5\n");
+        let mixed = Json::array([Json::from(1_i64), Json::array([Json::from("x")])]);
+        assert_eq!(mixed.to_text(), "  [0]: 1\n  [1]: [x]\n");
+    }
+
+    #[test]
     fn accessors_read_parsed_documents() {
         let doc = Json::parse(r#"{"s":"x","i":3,"f":1.5,"b":false}"#).unwrap();
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("x"));
@@ -764,8 +941,35 @@ mod proptests {
         }
     }
 
+    /// Every scalar leaf the text view must show: numbers and booleans
+    /// in their JSON spelling, strings verbatim (`null` carries no data).
+    fn leaves(v: &Json, out: &mut Vec<String>) {
+        match v {
+            Json::Null => {}
+            Json::Str(s) => out.push(s.clone()),
+            Json::Array(items) => items.iter().for_each(|item| leaves(item, out)),
+            Json::Object(pairs) => pairs.iter().for_each(|(_, value)| leaves(value, out)),
+            other => out.push(other.to_string()),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The text view never panics and shows every number and boolean
+        /// in its JSON spelling and every string verbatim.
+        #[test]
+        fn prop_text_view_shows_every_scalar(
+            draws in proptest::collection::vec(0_u32..1_000_000_000, 1..40),
+        ) {
+            let doc = sample_json(&mut draws.iter(), 0);
+            let text = doc.to_text();
+            let mut want = Vec::new();
+            leaves(&doc, &mut want);
+            for leaf in want {
+                prop_assert!(text.contains(&leaf), "{leaf:?} missing from\n{text}");
+            }
+        }
 
         /// Any string — escapes, control bytes, astral planes — survives
         /// a serialize/parse round trip byte-for-byte.

@@ -1,6 +1,7 @@
 //! The unified report-rendering contract behind the CLI's `--format`
-//! flag: every report type renders itself as human text or as a
-//! machine-readable [`Json`] document, and callers pick per invocation.
+//! flag: every report type renders itself as one [`Json`] document, and
+//! text is the view of that document ([`Json::to_text`]), so the two
+//! formats cannot disagree.
 
 use crate::json::Json;
 use std::str::FromStr;
@@ -8,7 +9,7 @@ use std::str::FromStr;
 /// Output format selector (the CLI's global `--format` flag).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum RenderFormat {
-    /// Human-readable text (the default).
+    /// The text view of the document (the default).
     #[default]
     Text,
     /// One machine-readable JSON document.
@@ -27,44 +28,18 @@ impl FromStr for RenderFormat {
     }
 }
 
-/// A report that can render itself for people and for machines.
-///
-/// `render_text` is the CLI's default presentation; `render_json`
-/// returns a [`Json`] tree so callers can embed the report in a larger
-/// document (the CLI wraps every report with command/architecture
-/// context) before serializing.
+/// A report that renders itself as a JSON tree, so callers can embed it
+/// in a larger document (every result document wraps its reports with
+/// command and architecture context) before serializing or viewing it
+/// as text.
 pub trait Render {
-    /// Human-readable rendering, newline-terminated lines.
-    fn render_text(&self) -> String;
-
     /// Machine-readable rendering as a JSON value.
     fn render_json(&self) -> Json;
-
-    /// Renders in the requested format: text verbatim, or the compact
-    /// single-document JSON serialization.
-    fn render(&self, format: RenderFormat) -> String {
-        match format {
-            RenderFormat::Text => self.render_text(),
-            RenderFormat::Json => self.render_json().to_string(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct Fixed;
-
-    impl Render for Fixed {
-        fn render_text(&self) -> String {
-            "answer: 42\n".to_owned()
-        }
-
-        fn render_json(&self) -> Json {
-            Json::obj([("answer", Json::from(42_i64))])
-        }
-    }
 
     #[test]
     fn format_parses_and_defaults() {
@@ -72,11 +47,5 @@ mod tests {
         assert_eq!("json".parse::<RenderFormat>().unwrap(), RenderFormat::Json);
         assert!("yaml".parse::<RenderFormat>().is_err());
         assert_eq!(RenderFormat::default(), RenderFormat::Text);
-    }
-
-    #[test]
-    fn render_dispatches_on_format() {
-        assert_eq!(Fixed.render(RenderFormat::Text), "answer: 42\n");
-        assert_eq!(Fixed.render(RenderFormat::Json), r#"{"answer":42}"#);
     }
 }

@@ -25,8 +25,9 @@
 //!   listing the spec's accepted names),
 //! * the machine-readable catalog served by the `kinds` request
 //!   ([`kind_catalog`]), and
-//! * the CLI defaults (via [`wire_default_f64`] and friends), so serve
-//!   defaults and `vpd` flag defaults cannot drift.
+//! * the `vpd` CLI, which reads a served kind's flags by walking the
+//!   same rows and builds its [`Work`] through [`Work::from_params`], so
+//!   serve and the one-shot CLI share every default and range check.
 
 use std::sync::OnceLock;
 
@@ -253,6 +254,20 @@ pub enum Work {
 }
 
 impl Work {
+    /// Builds the work for `kind` from a request's `params` object: the
+    /// same [`KindSpec`] walk a request line goes through, so unknown
+    /// names, type and range checks, and defaults are the wire's own.
+    /// The `vpd` CLI builds every served subcommand through this.
+    ///
+    /// # Errors
+    ///
+    /// The typed `(code, message)` pair a request line would be rejected
+    /// with: [`ErrorCode::Unsupported`] for an unknown kind,
+    /// [`ErrorCode::BadRequest`] for invalid params.
+    pub fn from_params(kind: &str, params: &Json) -> Result<Self, (ErrorCode, String)> {
+        parse_work(kind, &Params { doc: Some(params) })
+    }
+
     /// The wire `kind` tag.
     #[must_use]
     pub fn kind(&self) -> &'static str {
@@ -422,7 +437,7 @@ fn field(name: &'static str, ty: FieldType, default: FieldDefault, doc: &'static
 /// The table itself. Built once; defaults that mirror engine settings
 /// (the impedance sweep grid) are read from the engine defaults so the
 /// three consumers — serve parsing, the CLI, and the catalog — cannot
-/// drift from each other or from the one-shot code path.
+/// drift from each other or from the engines.
 #[must_use]
 pub fn kind_specs() -> &'static [KindSpec] {
     static SPECS: OnceLock<Vec<KindSpec>> = OnceLock::new();
@@ -804,57 +819,6 @@ pub fn kind_catalog() -> Json {
         })
         .collect();
     Json::Array(kinds)
-}
-
-fn table_default<T>(kind: &str, name: &str, pick: impl Fn(&FieldDefault) -> Option<T>) -> T {
-    let spec = kind_spec(kind).unwrap_or_else(|| panic!("unknown kind `{kind}` in spec table"));
-    let f = spec
-        .fields
-        .iter()
-        .find(|f| f.name == name)
-        .unwrap_or_else(|| panic!("kind `{kind}` has no param `{name}`"));
-    pick(&f.default).unwrap_or_else(|| panic!("param `{kind}.{name}` has no default of that type"))
-}
-
-/// The table's default for a numeric parameter — the CLI reads its flag
-/// defaults through these so `vpd` and serve cannot drift.
-///
-/// # Panics
-///
-/// On a kind/param name not in the table (a programmer error, caught by
-/// the CLI's own parse tests).
-#[must_use]
-pub fn wire_default_f64(kind: &str, name: &str) -> f64 {
-    table_default(kind, name, |d| match d {
-        FieldDefault::F64(v) => Some(*v),
-        _ => None,
-    })
-}
-
-/// The table's default for a count parameter (see [`wire_default_f64`]).
-///
-/// # Panics
-///
-/// On a kind/param name not in the table.
-#[must_use]
-pub fn wire_default_count(kind: &str, name: &str) -> usize {
-    table_default(kind, name, |d| match d {
-        FieldDefault::Count(v) => Some(*v),
-        _ => None,
-    })
-}
-
-/// The table's default for a seed parameter (see [`wire_default_f64`]).
-///
-/// # Panics
-///
-/// On a kind/param name not in the table.
-#[must_use]
-pub fn wire_default_seed(kind: &str, name: &str) -> u64 {
-    table_default(kind, name, |d| match d {
-        FieldDefault::Seed(v) => Some(*v),
-        _ => None,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -1491,11 +1455,15 @@ mod tests {
         );
     }
 
+    /// A `params` object holding only `arch`, the one required param.
+    fn arch_only(arch: &str) -> Json {
+        Json::obj([("arch", Json::from(arch))])
+    }
+
     #[test]
     fn defaults_mirror_the_cli() {
-        let req = Request::parse_line(r#"{"kind":"analyze","params":{"arch":"a1"}}"#).unwrap();
         assert_eq!(
-            req.work,
+            Work::from_params("analyze", &arch_only("a1")).unwrap(),
             Work::Analyze {
                 arch: Architecture::InterposerPeriphery,
                 topology: VrTopologyKind::Dsch,
@@ -1503,17 +1471,15 @@ mod tests {
                 density: 2.0,
             }
         );
-        let req = Request::parse_line(r#"{"kind":"sharing"}"#).unwrap();
         assert_eq!(
-            req.work,
+            Work::from_params("sharing", &Json::obj::<&str>([])).unwrap(),
             Work::Sharing {
                 placement: VrPlacement::Periphery,
                 modules: 48,
             }
         );
-        let req = Request::parse_line(r#"{"kind":"mc","params":{"arch":"a0"}}"#).unwrap();
         assert_eq!(
-            req.work,
+            Work::from_params("mc", &arch_only("a0")).unwrap(),
             Work::Mc {
                 arch: Architecture::Reference,
                 topology: VrTopologyKind::Dsch,
@@ -1522,9 +1488,8 @@ mod tests {
                 threads: 0,
             }
         );
-        let req = Request::parse_line(r#"{"kind":"faults","params":{"arch":"a2"}}"#).unwrap();
         assert_eq!(
-            req.work,
+            Work::from_params("faults", &arch_only("a2")).unwrap(),
             Work::Faults {
                 arch: Architecture::InterposerEmbedded,
                 topology: VrTopologyKind::Dsch,
@@ -1533,21 +1498,45 @@ mod tests {
                 seed: 64023,
             }
         );
+        // A request line with the same params builds the same work.
+        let req = Request::parse_line(r#"{"kind":"faults","params":{"arch":"a2"}}"#).unwrap();
+        assert_eq!(
+            req.work,
+            Work::from_params("faults", &arch_only("a2")).unwrap()
+        );
     }
 
     #[test]
     fn table_defaults_are_reachable_by_name() {
-        assert_eq!(wire_default_f64("analyze", "power_w"), 1000.0);
-        assert_eq!(wire_default_f64("analyze", "density"), 2.0);
-        assert_eq!(wire_default_count("sharing", "modules"), 48);
-        assert_eq!(wire_default_count("mc", "samples"), 200);
-        assert_eq!(wire_default_seed("mc", "seed"), 0x5eed);
-        assert_eq!(wire_default_count("faults", "count"), 32);
-        assert_eq!(wire_default_seed("faults", "seed"), 64023);
         let z = vpd_core::ImpedanceSweepSettings::default();
-        assert_eq!(wire_default_f64("impedance", "fmin_hz"), z.fmin.value());
-        assert_eq!(wire_default_f64("impedance", "fmax_hz"), z.fmax.value());
-        assert_eq!(wire_default_count("impedance", "points"), z.points);
+        assert_eq!(
+            Work::from_params("impedance", &arch_only("a1")).unwrap(),
+            Work::Impedance {
+                arch: Architecture::InterposerPeriphery,
+                fmin_hz: z.fmin.value(),
+                fmax_hz: z.fmax.value(),
+                points: z.points,
+                profile: false,
+            }
+        );
+        assert_eq!(
+            Work::from_params("fault_transient", &arch_only("a2")).unwrap(),
+            Work::FaultTransient {
+                arch: Architecture::InterposerEmbedded,
+                count: 4,
+            }
+        );
+        assert_eq!(
+            Work::from_params("droop", &arch_only("a0")).unwrap(),
+            Work::Droop {
+                arch: Architecture::Reference,
+            }
+        );
+        let e = Work::from_params("mc", &Json::obj::<&str>([])).unwrap_err();
+        assert_eq!(e.0, ErrorCode::BadRequest);
+        assert!(e.1.contains("`arch` is required"), "{e:?}");
+        let e = Work::from_params("frobnicate", &Json::obj::<&str>([])).unwrap_err();
+        assert_eq!(e.0, ErrorCode::Unsupported);
     }
 
     #[test]

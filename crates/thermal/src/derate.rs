@@ -11,7 +11,7 @@ use vpd_units::Celsius;
 /// Device technology for derating (kept separate from
 /// `vpd_devices::Semiconductor` so the thermal crate stays a leaf
 /// substrate).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum DeviceTechnology {
     /// Silicon MOSFET.
     Si,
@@ -20,7 +20,7 @@ pub enum DeviceTechnology {
 }
 
 /// A linear conduction-loss derating model.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct DeratingModel {
     /// Fractional R_on increase per kelvin above the 25 °C reference.
     alpha_per_k: f64,

@@ -10,7 +10,7 @@ use vpd_numeric::{conjugate_gradient, CgSettings, CooMatrix};
 use vpd_units::{Celsius, Watts};
 
 /// A rectangular thermal mesh.
-#[derive(Clone, Copy, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ThermalMesh {
     nx: usize,
     ny: usize,

@@ -37,8 +37,7 @@ impl std::error::Error for EfficiencyError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Copy, PartialEq, PartialOrd, Debug, serde::Serialize, serde::Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Debug)]
 pub struct Efficiency(f64);
 
 impl Efficiency {

@@ -283,16 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_transparent_round_trip() {
-        let json = serde_json_like(Amps::new(12.5));
-        assert_eq!(json, "12.5");
-    }
-
-    /// Minimal serde check without a JSON dependency: serialize through
-    /// `serde`'s `Display`-free path via `serde::Serialize` into a string
-    /// using the `serde_test`-style token approach is unavailable offline,
-    /// so we just verify the transparent repr via `f64::from`.
-    fn serde_json_like(a: Amps) -> String {
-        format!("{}", f64::from(a))
+    fn f64_from_returns_the_si_value() {
+        assert_eq!(f64::from(Amps::new(12.5)), 12.5);
     }
 }

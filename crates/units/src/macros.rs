@@ -2,7 +2,7 @@
 
 /// Defines a physical-quantity newtype over `f64` with the shared trait
 /// surface: `Clone`, `Copy`, `PartialEq`, `PartialOrd`, `Debug`, `Default`,
-/// serde, ordering helpers, same-dimension arithmetic (`Add`, `Sub`, `Neg`),
+/// ordering helpers, same-dimension arithmetic (`Add`, `Sub`, `Neg`),
 /// scalar scaling (`Mul<f64>`, `Div<f64>`, `f64 * Self`), the dimensionless
 /// ratio `Self / Self -> f64`, `Sum`, and engineering-notation `Display`.
 macro_rules! quantity {
@@ -11,8 +11,7 @@ macro_rules! quantity {
         $name:ident, symbol: $symbol:expr
     ) => {
         $(#[$meta])*
-        #[derive(Clone, Copy, PartialEq, PartialOrd, Debug, Default, serde::Serialize, serde::Deserialize)]
-        #[serde(transparent)]
+        #[derive(Clone, Copy, PartialEq, PartialOrd, Debug, Default)]
         pub struct $name(f64);
 
         impl $name {

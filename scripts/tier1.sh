@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, full test suite, lint, and format check.
 #
-# Dev-dependencies (criterion, proptest) are vendored under compat/ for
-# offline use, but if resolving them ever fails — e.g. on a host without
-# the [patch] entries — the test step degrades to the workspace minus
-# vpd-bench, whose criterion benches are the only hard dev-dep consumer.
+# The workspace's `default-members` lists every package, so the plain
+# `cargo test` below runs the whole workspace suite. Third-party
+# dev-dependencies (criterion, proptest, rand) are offline stand-ins
+# under compat/.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,10 +18,7 @@ step "cargo build --release"
 cargo build --release || fail=1
 
 step "cargo test -q --release"
-if ! cargo test -q --release; then
-    step "full test run failed to resolve; retrying without vpd-bench"
-    cargo test -q --release --workspace --exclude vpd-bench || fail=1
-fi
+cargo test -q --release || fail=1
 
 step "fault-sweep smoke (8 scenarios, finiteness-checked)"
 cargo run --release -p vpd-bench --bin faults -- --samples 8 || fail=1
@@ -131,6 +128,37 @@ EOF
 else
     fail=1
 fi
+
+step "CLI smoke: the text view shows every number of the JSON document"
+for args in "analyze --arch a1" \
+    "faults --arch a2 --random-k 2 --count 4 --seed 7" \
+    "impedance --arch all --points 24"; do
+    # Word splitting of $args is intended: each entry is one argv.
+    # shellcheck disable=SC2086
+    if ./target/release/vpd $args >target/tier1-view.txt &&
+        ./target/release/vpd --format json $args >target/tier1-view.json; then
+        python3 - target/tier1-view.json target/tier1-view.txt "$args" <<'EOF' || fail=1
+import json, sys
+
+# Keep every number exactly as the JSON spells it.
+spellings = []
+def keep(token):
+    spellings.append(token)
+    return token
+
+with open(sys.argv[1]) as f:
+    json.load(f, parse_int=keep, parse_float=keep)
+with open(sys.argv[2]) as f:
+    view = f.read()
+missing = [t for t in spellings if t not in view]
+assert spellings, f"vpd {sys.argv[3]}: JSON document has no numbers"
+assert not missing, f"vpd {sys.argv[3]}: text view lacks {missing[:5]}"
+print(f"text view OK: vpd {sys.argv[3]} shows all {len(spellings)} numbers")
+EOF
+    else
+        fail=1
+    fi
+done
 
 step "CLI smoke: --format json + --metrics NDJSON round-trip"
 metrics_file="target/tier1-metrics.ndjson"

@@ -13,26 +13,26 @@
 //! vpd faults --arch a2 --n-minus-1
 //! vpd --format json --metrics metrics.ndjson mc --arch a1
 //! ```
+//!
+//! Every subcommand with a served kind is a [`Dispatcher`] client: it
+//! reads its flags by walking the kind's `KindSpec` rows, builds the
+//! [`Work`] through [`Work::from_params`], and dispatches it on a
+//! cache-less dispatcher, so its JSON document is the served `result`
+//! by construction. Every analysis command prints that document, or
+//! with `--format text` its [`Json::to_text`] view.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use vertical_power_delivery::core::{
     compare_architectures, compare_droop_architectures, electro_thermal, explore_matrix, recommend,
-    run_tolerance, simulate_droop, solve_sharing, survival_envelope, CascadeSettings, DroopSweep,
-    DroopSweepSettings, ElectroThermalSettings, FaultImpedanceSweep, FaultScenario, FaultSweep,
-    FaultTransientSweep, ImpedanceSweep, ImpedanceSweepSettings, LoadStep, McSettings, PdnModel,
-    VrFailureScenario,
+    DroopSweep, DroopSweepSettings, ElectroThermalSettings, ImpedanceSweepSettings,
 };
 use vertical_power_delivery::obs;
 use vertical_power_delivery::prelude::*;
 use vertical_power_delivery::report::Json;
 use vertical_power_delivery::scenario::ScenarioDoc;
-use vertical_power_delivery::serve::proto::{
-    parse_architecture, parse_topology, wire_default_count, wire_default_f64, wire_default_seed,
-};
-use vertical_power_delivery::serve::{
-    self, ServeConfig, FAULT_TRANSIENT_DT_NS, FAULT_TRANSIENT_SIM_US, FAULT_TRANSIENT_WINDOW_US,
-};
+use vertical_power_delivery::serve::proto::{kind_spec, parse_architecture, FieldType};
+use vertical_power_delivery::serve::{self, Dispatcher, ServeConfig, Work};
 use vertical_power_delivery::thermal::DeviceTechnology;
 use vpd_units::Seconds;
 
@@ -72,7 +72,8 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage: vpd [--format <text|json>] [--metrics <path>] <command> [options]
 
 global options:
-  --format <text|json>  output format (default: text)
+  --format <text|json>  output format (default: text, a view of the
+                        JSON document every analysis command emits)
   --metrics <path>      record solver metrics and append one NDJSON
                         snapshot line per invocation to <path>
 
@@ -120,7 +121,11 @@ commands:
               prints the canonical text (the content-hash input), `run`
               compiles and analyzes — `--format json` output is
               byte-identical to the served `scenario` request
-  help        print this message";
+  help        print this message
+
+The analyze, sharing, mc, impedance, droop and faults commands run
+through the serve dispatcher: their `--format json` output is the
+served result for the same parameters.";
 
 /// A full CLI invocation: global flags plus the subcommand.
 #[derive(Clone, Debug, PartialEq)]
@@ -162,37 +167,27 @@ impl Invocation {
 /// A parsed CLI invocation.
 #[derive(Clone, Debug, PartialEq)]
 enum Command {
-    Analyze {
-        arch: Architecture,
-        topology: VrTopologyKind,
-        power_w: f64,
-        density: f64,
+    /// A subcommand with a served kind, run as one dispatch.
+    Dispatch(Work),
+    /// `faults --dynamic`: the served `fault_impedance`,
+    /// `fault_transient` and `survival` kinds, reported as one document.
+    FaultsDynamic {
+        impedance: Work,
+        transient: Work,
+        survival: Work,
     },
     Matrix,
     Recommend,
-    Sharing {
-        placement: VrPlacement,
-        modules: usize,
-    },
-    Mc {
-        arch: Architecture,
-        topology: VrTopologyKind,
-        samples: usize,
-        seed: u64,
-        threads: usize,
-    },
-    Impedance {
-        /// None = compare all single-stage architectures on one grid.
-        arch: Option<Architecture>,
+    /// `impedance --arch all`: A0/A1/A2 compared on one grid.
+    ImpedanceAll {
         fmin_hz: f64,
         fmax_hz: f64,
         points: usize,
-        profile: bool,
     },
-    Droop {
-        /// None = compare A0/A1/A2 sweeps (only valid with `--sweep`).
+    /// `droop --sweep`: a load-step amplitude × slew-rate grid.
+    DroopSweep {
+        /// None = compare A0/A1/A2 sweeps.
         arch: Option<Architecture>,
-        sweep: bool,
         amps: usize,
         slews: usize,
         threads: usize,
@@ -200,18 +195,6 @@ enum Command {
     Thermal {
         arch: Architecture,
         tech: DeviceTechnology,
-    },
-    Faults {
-        arch: Architecture,
-        topology: VrTopologyKind,
-        /// None = N-1 contingency; Some(k) = random scenarios of k
-        /// simultaneous faults.
-        random_k: Option<usize>,
-        count: usize,
-        seed: u64,
-        /// Run the dynamic triad (faulted impedance, VR-failure
-        /// transients, cascade survival) instead of the static sweep.
-        dynamic: bool,
     },
     Serve {
         addr: String,
@@ -248,20 +231,26 @@ enum ScenarioAction {
     Run,
 }
 
+/// The architectures `impedance --arch all` and `droop --arch all`
+/// compare.
+const SINGLE_STAGE: [Architecture; 3] = [
+    Architecture::Reference,
+    Architecture::InterposerPeriphery,
+    Architecture::InterposerEmbedded,
+];
+
 impl Command {
     /// The subcommand label: the metrics snapshot tag and the
     /// `"command"` field of every JSON document this subcommand emits.
     fn label(&self) -> &'static str {
         match self {
-            Self::Analyze { .. } => "analyze",
+            Self::Dispatch(work) => work.kind(),
+            Self::FaultsDynamic { .. } => "faults",
             Self::Matrix => "matrix",
             Self::Recommend => "recommend",
-            Self::Sharing { .. } => "sharing",
-            Self::Mc { .. } => "mc",
-            Self::Impedance { .. } => "impedance",
-            Self::Droop { .. } => "droop",
+            Self::ImpedanceAll { .. } => "impedance",
+            Self::DroopSweep { .. } => "droop",
             Self::Thermal { .. } => "thermal",
-            Self::Faults { .. } => "faults",
             Self::Serve { .. } => "serve",
             Self::Call { .. } => "call",
             Self::Scenario { .. } => "scenario",
@@ -270,199 +259,153 @@ impl Command {
     }
 
     fn parse(args: &[String]) -> Result<Self, String> {
-        let mut it = args.iter();
-        let cmd = it.next().ok_or("missing command")?;
-        let rest: Vec<&String> = it.collect();
-        let flag = |name: &str| -> Option<&str> {
-            rest.iter()
-                .position(|a| a.as_str() == name)
-                .and_then(|i| rest.get(i + 1))
-                .map(|s| s.as_str())
-        };
-        // Architecture/topology spellings are shared with the serve
-        // protocol, so the CLI and the wire accept the same tags.
-        let parse_arch = |required: bool| -> Result<Architecture, String> {
-            match flag("--arch") {
-                Some(s) => {
-                    parse_architecture(s).ok_or_else(|| format!("unknown architecture '{s}'"))
-                }
-                None if required => Err("--arch is required".into()),
-                None => Ok(Architecture::InterposerPeriphery),
-            }
-        };
-        let parse_topo = || -> Result<VrTopologyKind, String> {
-            match flag("--topology") {
-                Some(s) => parse_topology(s).ok_or_else(|| format!("unknown topology '{s}'")),
-                None => Ok(VrTopologyKind::Dsch),
-            }
-        };
-        let parse_f64 = |name: &str, default: f64| -> Result<f64, String> {
-            match flag(name) {
-                Some(v) => v
-                    .parse::<f64>()
-                    .map_err(|_| format!("{name} expects a number, got '{v}'")),
-                None => Ok(default),
-            }
-        };
+        use Arity::{Repeated, Switch, Value};
+        let (cmd, rest) = args.split_first().ok_or("missing command")?;
         match cmd.as_str() {
-            "analyze" => Ok(Self::Analyze {
-                arch: parse_arch(true)?,
-                topology: parse_topo()?,
-                power_w: parse_f64("--power", wire_default_f64("analyze", "power_w"))?,
-                density: parse_f64("--density", wire_default_f64("analyze", "density"))?,
-            }),
-            "matrix" => Ok(Self::Matrix),
-            "recommend" => Ok(Self::Recommend),
-            "sharing" => {
-                let placement = match flag("--placement") {
-                    Some("periphery") | None => VrPlacement::Periphery,
-                    Some("below") => VrPlacement::BelowDie,
-                    Some(other) => return Err(format!("unknown placement '{other}'")),
-                };
-                let modules =
-                    parse_f64("--modules", wire_default_count("sharing", "modules") as f64)?
-                        as usize;
-                Ok(Self::Sharing { placement, modules })
-            }
-            "mc" => {
-                let samples =
-                    parse_f64("--samples", wire_default_count("mc", "samples") as f64)? as usize;
-                if samples == 0 {
-                    return Err("--samples must be at least 1".into());
-                }
-                Ok(Self::Mc {
-                    arch: parse_arch(true)?,
-                    topology: parse_topo()?,
-                    samples,
-                    seed: parse_f64("--seed", wire_default_seed("mc", "seed") as f64)? as u64,
-                    threads: parse_f64("--threads", 0.0)? as usize,
-                })
+            "analyze" | "sharing" | "mc" => {
+                let (_, params) = read_served(cmd, rest, &[])?;
+                Ok(Self::Dispatch(served_work(cmd, params)?))
             }
             "impedance" => {
-                let arch = match flag("--arch") {
-                    Some("all") => None,
-                    _ => Some(parse_arch(true)?),
-                };
-                // Bounds and point counts are validated downstream by
-                // the checked sweep builder, so every bad value becomes
-                // a typed error instead of a panic. Defaults come from
-                // the wire field-spec table (which itself reads
-                // `ImpedanceSweepSettings::default()`), so the CLI and
-                // the protocol cannot drift apart.
-                Ok(Self::Impedance {
-                    arch,
-                    fmin_hz: parse_f64("--fmin", wire_default_f64("impedance", "fmin_hz"))?,
-                    fmax_hz: parse_f64("--fmax", wire_default_f64("impedance", "fmax_hz"))?,
-                    points: parse_f64("--points", wire_default_count("impedance", "points") as f64)?
-                        as usize,
-                    profile: rest.iter().any(|a| a.as_str() == "--profile"),
+                let (flags, params) = read_served("impedance", rest, &[])?;
+                if flags.value("--arch") != Some("all") {
+                    return Ok(Self::Dispatch(served_work("impedance", params)?));
+                }
+                // Bounds and point counts are validated by the checked
+                // sweep builder, so every bad grid is a typed error.
+                let z = ImpedanceSweepSettings::default();
+                Ok(Self::ImpedanceAll {
+                    fmin_hz: flags.f64("--fmin")?.unwrap_or(z.fmin.value()),
+                    fmax_hz: flags.f64("--fmax")?.unwrap_or(z.fmax.value()),
+                    points: flags.count("--points")?.unwrap_or(z.points),
                 })
             }
             "droop" => {
-                let sweep = rest.iter().any(|a| a.as_str() == "--sweep");
-                let arch = match flag("--arch") {
-                    Some("all") => {
-                        if !sweep {
-                            return Err("droop --arch all requires --sweep".into());
-                        }
-                        None
+                let extra = [
+                    ("--sweep", Switch),
+                    ("--amps", Value),
+                    ("--slews", Value),
+                    ("--threads", Value),
+                ];
+                let (flags, params) = read_served("droop", rest, &extra)?;
+                let all = flags.value("--arch") == Some("all");
+                if !flags.has("--sweep") {
+                    if all {
+                        return Err("droop --arch all requires --sweep".into());
                     }
-                    _ => Some(parse_arch(true)?),
+                    return Ok(Self::Dispatch(served_work("droop", params)?));
+                }
+                Ok(Self::DroopSweep {
+                    arch: if all { None } else { Some(flags.arch()?) },
+                    amps: flags.count("--amps")?.unwrap_or(4),
+                    slews: flags.count("--slews")?.unwrap_or(3),
+                    threads: flags.count("--threads")?.unwrap_or(0),
+                })
+            }
+            "faults" => {
+                let extra = [("--n-minus-1", Switch), ("--dynamic", Switch)];
+                let (flags, params) = read_served("faults", rest, &extra)?;
+                if flags.has("--n-minus-1") && flags.has("--random-k") {
+                    return Err("--n-minus-1 and --random-k are mutually exclusive".into());
+                }
+                if !flags.has("--dynamic") {
+                    return Ok(Self::Dispatch(served_work("faults", params)?));
+                }
+                // Each kind of the triad takes the `faults` params it
+                // names; the transient failure grid keeps its default.
+                let pick = |kind: &str, keys: &[&str]| {
+                    let picked = params.iter().filter(|(k, _)| keys.contains(&k.as_str()));
+                    served_work(kind, picked.cloned().collect())
                 };
-                Ok(Self::Droop {
-                    arch,
-                    sweep,
-                    amps: parse_f64("--amps", 4.0)? as usize,
-                    slews: parse_f64("--slews", 3.0)? as usize,
-                    threads: parse_f64("--threads", 0.0)? as usize,
+                Ok(Self::FaultsDynamic {
+                    impedance: pick("fault_impedance", &["arch", "random_k", "count", "seed"])?,
+                    transient: pick("fault_transient", &["arch"])?,
+                    survival: pick("survival", &["arch", "topology"])?,
+                })
+            }
+            "matrix" | "recommend" | "help" | "--help" | "-h" => {
+                Flags::read::<&str>(rest, &[])?;
+                Ok(match cmd.as_str() {
+                    "matrix" => Self::Matrix,
+                    "recommend" => Self::Recommend,
+                    _ => Self::Help,
                 })
             }
             "thermal" => {
-                let tech = match flag("--tech") {
+                let flags = Flags::read(rest, &[("--arch", Value), ("--tech", Value)])?;
+                let tech = match flags.value("--tech") {
                     Some("si") => DeviceTechnology::Si,
                     Some("gan") | None => DeviceTechnology::GaN,
                     Some(other) => return Err(format!("unknown technology '{other}'")),
                 };
                 Ok(Self::Thermal {
-                    arch: parse_arch(true)?,
+                    arch: flags.arch()?,
                     tech,
                 })
             }
-            "faults" => {
-                let n_minus_1 = rest.iter().any(|a| a.as_str() == "--n-minus-1");
-                let random_k = match flag("--random-k") {
-                    Some(v) => Some(
-                        v.parse::<usize>()
-                            .map_err(|_| format!("--random-k expects a count, got '{v}'"))?,
-                    ),
-                    None => None,
-                };
-                if n_minus_1 && random_k.is_some() {
-                    return Err("--n-minus-1 and --random-k are mutually exclusive".into());
-                }
-                if random_k == Some(0) {
-                    return Err("--random-k must be at least 1".into());
-                }
-                Ok(Self::Faults {
-                    arch: parse_arch(true)?,
-                    topology: parse_topo()?,
-                    random_k,
-                    count: parse_f64("--count", wire_default_count("faults", "count") as f64)?
-                        as usize,
-                    seed: parse_f64("--seed", wire_default_seed("faults", "seed") as f64)? as u64,
-                    dynamic: rest.iter().any(|a| a.as_str() == "--dynamic"),
-                })
-            }
             "serve" => {
+                let flags = Flags::read(
+                    rest,
+                    &[
+                        ("--addr", Value),
+                        ("--workers", Value),
+                        ("--queue-depth", Value),
+                        ("--cache-size", Value),
+                        ("--max-batch", Value),
+                        ("--stdio", Switch),
+                    ],
+                )?;
                 let defaults = ServeConfig::default();
                 Ok(Self::Serve {
-                    addr: flag("--addr").unwrap_or(DEFAULT_ADDR).to_owned(),
-                    workers: parse_f64("--workers", defaults.workers as f64)? as usize,
-                    queue_depth: parse_f64("--queue-depth", defaults.queue_depth as f64)? as usize,
-                    cache_size: parse_f64("--cache-size", defaults.cache_capacity as f64)? as usize,
-                    max_batch: parse_f64("--max-batch", defaults.max_batch as f64)? as usize,
-                    stdio: rest.iter().any(|a| a.as_str() == "--stdio"),
+                    addr: flags.value("--addr").unwrap_or(DEFAULT_ADDR).to_owned(),
+                    workers: flags.count("--workers")?.unwrap_or(defaults.workers),
+                    queue_depth: flags
+                        .count("--queue-depth")?
+                        .unwrap_or(defaults.queue_depth),
+                    cache_size: flags
+                        .count("--cache-size")?
+                        .unwrap_or(defaults.cache_capacity),
+                    max_batch: flags.count("--max-batch")?.unwrap_or(defaults.max_batch),
+                    stdio: flags.has("--stdio"),
                 })
             }
             "call" => {
-                // `--request` repeats; collect every occurrence in order.
-                let mut requests = Vec::new();
-                let mut i = 0;
-                while i < rest.len() {
-                    if rest[i].as_str() == "--request" {
-                        let v = rest
-                            .get(i + 1)
-                            .ok_or("--request expects a JSON request line")?;
-                        requests.push((*v).clone());
-                        i += 2;
-                    } else {
-                        i += 1;
-                    }
-                }
-                let shutdown = rest.iter().any(|a| a.as_str() == "--shutdown");
+                let flags = Flags::read(
+                    rest,
+                    &[
+                        ("--addr", Value),
+                        ("--request", Repeated),
+                        ("--shutdown", Switch),
+                    ],
+                )?;
+                let requests = flags.values("--request");
+                let shutdown = flags.has("--shutdown");
                 if requests.is_empty() && !shutdown {
                     return Err("call needs at least one --request (or --shutdown)".into());
                 }
                 Ok(Self::Call {
-                    addr: flag("--addr").unwrap_or(DEFAULT_ADDR).to_owned(),
+                    addr: flags.value("--addr").unwrap_or(DEFAULT_ADDR).to_owned(),
                     requests,
                     shutdown,
                 })
             }
             "scenario" => {
-                let action = match rest.first().map(|s| s.as_str()) {
-                    Some("check") => ScenarioAction::Check,
-                    Some("render") => ScenarioAction::Render,
-                    Some("run") => ScenarioAction::Run,
-                    Some(other) => {
+                let (action, rest) = rest
+                    .split_first()
+                    .ok_or("scenario needs an action (check|render|run)")?;
+                let action = match action.as_str() {
+                    "check" => ScenarioAction::Check,
+                    "render" => ScenarioAction::Render,
+                    "run" => ScenarioAction::Run,
+                    other => {
                         return Err(format!(
                             "unknown scenario action '{other}' (expected check|render|run)"
                         ))
                     }
-                    None => return Err("scenario needs an action (check|render|run)".into()),
                 };
-                let file = flag("--file").map(PathBuf::from);
-                let name = flag("--name").map(str::to_owned);
+                let flags = Flags::read(rest, &[("--file", Value), ("--name", Value)])?;
+                let file = flags.value("--file").map(PathBuf::from);
+                let name = flags.value("--name").map(str::to_owned);
                 match (&file, &name) {
                     (Some(_), Some(_)) => {
                         return Err("--file and --name are mutually exclusive".into())
@@ -474,16 +417,192 @@ impl Command {
                 }
                 Ok(Self::Scenario { action, file, name })
             }
-            "help" | "--help" | "-h" => Ok(Self::Help),
             other => Err(format!("unknown command '{other}'")),
         }
     }
 }
 
+/// How a flag takes its value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Arity {
+    /// `--flag <value>`, at most once.
+    Value,
+    /// A bare `--flag`, at most once.
+    Switch,
+    /// `--flag <value>`, any number of times.
+    Repeated,
+}
+
+/// One subcommand's arguments, read against the flags it accepts — the
+/// flag reader every subcommand shares. An unknown flag, a flag missing
+/// its value, a repeated single-use flag and a stray positional argument
+/// are errors that name the argument; integer flags must parse as
+/// integers, never truncated from a float or wrapped from a negative.
+#[derive(Debug)]
+struct Flags(Vec<(String, Option<String>)>);
+
+impl Flags {
+    fn read<S: AsRef<str>>(args: &[String], accepted: &[(S, Arity)]) -> Result<Self, String> {
+        let mut given: Vec<(String, Option<String>)> = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some((_, arity)) = accepted.iter().find(|(name, _)| name.as_ref() == arg) else {
+                let names: Vec<&str> = accepted.iter().map(|(name, _)| name.as_ref()).collect();
+                let expected = if names.is_empty() {
+                    "this command takes no flags".to_owned()
+                } else {
+                    format!("expected one of: {}", names.join(", "))
+                };
+                let what = if arg.starts_with('-') {
+                    "unknown flag"
+                } else {
+                    "unexpected argument"
+                };
+                return Err(format!("{what} '{arg}' ({expected})"));
+            };
+            if *arity != Arity::Repeated && given.iter().any(|(name, _)| name == arg) {
+                return Err(format!("{arg} is given more than once"));
+            }
+            let value = match arity {
+                Arity::Switch => None,
+                Arity::Value | Arity::Repeated => Some(
+                    it.next()
+                        .ok_or_else(|| format!("{arg} expects a value"))?
+                        .clone(),
+                ),
+            };
+            given.push((arg.clone(), value));
+        }
+        Ok(Self(given))
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|(name, _)| name == flag)
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .find(|(name, _)| name == flag)
+            .and_then(|(_, value)| value.as_deref())
+    }
+
+    /// Every value of a [`Arity::Repeated`] flag, in order.
+    fn values(&self, flag: &str) -> Vec<String> {
+        self.0
+            .iter()
+            .filter(|(name, _)| name == flag)
+            .filter_map(|(_, value)| value.clone())
+            .collect()
+    }
+
+    fn f64(&self, flag: &str) -> Result<Option<f64>, String> {
+        self.value(flag)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("{flag} expects a number, got '{v}'"))
+            })
+            .transpose()
+    }
+
+    /// A non-negative integer flag.
+    fn int(&self, flag: &str) -> Result<Option<i64>, String> {
+        self.value(flag)
+            .map(|v| {
+                v.parse::<i64>()
+                    .ok()
+                    .filter(|n| *n >= 0)
+                    .ok_or_else(|| format!("{flag} expects a non-negative integer, got '{v}'"))
+            })
+            .transpose()
+    }
+
+    fn count(&self, flag: &str) -> Result<Option<usize>, String> {
+        Ok(self
+            .int(flag)?
+            .map(|n| usize::try_from(n).unwrap_or(usize::MAX)))
+    }
+
+    /// The required `--arch`, in the wire's spelling.
+    fn arch(&self) -> Result<Architecture, String> {
+        let s = self.value("--arch").ok_or("--arch is required")?;
+        parse_architecture(s).ok_or_else(|| format!("unknown architecture '{s}'"))
+    }
+}
+
+/// The CLI spelling of a wire param: `--` and the name with `-` for
+/// `_`, except three flags that predate the wire names.
+fn flag_of(param: &str) -> String {
+    match param {
+        "power_w" => "--power".to_owned(),
+        "fmin_hz" => "--fmin".to_owned(),
+        "fmax_hz" => "--fmax".to_owned(),
+        other => format!("--{}", other.replace('_', "-")),
+    }
+}
+
+/// The `params` object of a request, as `(name, value)` pairs.
+type Params = Vec<(String, Json)>;
+
+/// Reads a served subcommand's flags — its kind's `KindSpec` rows under
+/// their CLI spellings, plus the subcommand's CLI-only `extra` flags —
+/// and builds the wire `params` from the rows given.
+fn read_served(
+    kind: &str,
+    args: &[String],
+    extra: &[(&str, Arity)],
+) -> Result<(Flags, Params), String> {
+    let spec = kind_spec(kind).expect("served subcommands are kinds in the table");
+    let rows = spec.fields.iter().map(|f| {
+        let arity = match f.ty {
+            FieldType::Flag => Arity::Switch,
+            _ => Arity::Value,
+        };
+        (flag_of(f.name), arity)
+    });
+    let accepted: Vec<(String, Arity)> = rows
+        .chain(extra.iter().map(|&(name, arity)| (name.to_owned(), arity)))
+        .collect();
+    let flags = Flags::read(args, &accepted)?;
+    let mut params = Vec::new();
+    for f in &spec.fields {
+        let flag = flag_of(f.name);
+        let value = match f.ty {
+            FieldType::Flag => flags.has(&flag).then_some(Json::from(true)),
+            FieldType::F64 { .. } => flags.f64(&flag)?.map(Json::from),
+            FieldType::Count { .. } | FieldType::OptionalCount | FieldType::Seed => {
+                flags.int(&flag)?.map(Json::Int)
+            }
+            _ => flags.value(&flag).map(Json::from),
+        };
+        if let Some(value) = value {
+            params.push((f.name.to_owned(), value));
+        }
+    }
+    Ok((flags, params))
+}
+
+/// Builds a served kind's work through the wire's own parser; a
+/// rejected param is reported under its CLI flag.
+fn served_work(kind: &str, params: Params) -> Result<Work, String> {
+    Work::from_params(kind, &Json::Object(params)).map_err(|(_, message)| {
+        let spec = kind_spec(kind).expect("served subcommands are kinds in the table");
+        match spec
+            .fields
+            .iter()
+            .find(|f| message.contains(&format!("`{}`", f.name)))
+        {
+            Some(f) => format!("{}: {message}", flag_of(f.name)),
+            None => message,
+        }
+    })
+}
+
 /// The default service endpoint shared by `serve` and `call`.
 const DEFAULT_ADDR: &str = "127.0.0.1:7171";
 
-/// Prints one document: the text rendering, or the context-wrapped JSON.
+/// Prints one `scenario check|render` result: its own text, or the
+/// context-wrapped JSON.
 fn emit(format: RenderFormat, text: impl FnOnce() -> String, json: impl FnOnce() -> Json) {
     match format {
         RenderFormat::Text => print!("{}", text()),
@@ -491,11 +610,9 @@ fn emit(format: RenderFormat, text: impl FnOnce() -> String, json: impl FnOnce()
     }
 }
 
-/// Builds the context-wrapped JSON document every subcommand emits: the
-/// subcommand label under `"command"`, then the given pairs. One
-/// assembly point instead of a per-arm `("command", ...)` block keeps
-/// the label in lockstep with [`Command::label`] (and with the serve
-/// protocol, whose `result` documents reproduce these bytes exactly).
+/// Builds the context-wrapped JSON document of a CLI-only subcommand:
+/// the subcommand label under `"command"`, then the given pairs, the
+/// same shape as every served result document.
 fn command_json(
     label: &'static str,
     pairs: impl IntoIterator<Item = (&'static str, Json)>,
@@ -507,318 +624,120 @@ fn command_json(
     )
 }
 
+/// Runs served work one-shot on a cache-less dispatcher: the document is
+/// the served `result` for the same request.
+fn dispatch(work: &Work) -> Result<Json, String> {
+    Dispatcher::new(0)
+        .dispatch(work)
+        .map(|(doc, _)| doc)
+        .map_err(|(_, message)| message)
+}
+
 fn run(cmd: Command, format: RenderFormat) -> Result<(), Box<dyn std::error::Error>> {
     let calib = Calibration::paper_default();
     let label = cmd.label();
-    match cmd {
-        Command::Help => println!("{USAGE}"),
-        Command::Analyze {
-            arch,
-            topology,
-            power_w,
-            density,
+    let doc = match cmd {
+        Command::Help => {
+            println!("{USAGE}");
+            return Ok(());
+        }
+        Command::Dispatch(work) => dispatch(&work)?,
+        Command::FaultsDynamic {
+            impedance,
+            transient,
+            survival,
         } => {
-            let spec = SystemSpec::new(
-                Volts::new(48.0),
-                Volts::new(1.0),
-                Watts::new(power_w),
-                CurrentDensity::from_amps_per_square_millimeter(density),
-            )?;
-            let report = analyze(arch, topology, &spec, &calib, &AnalysisOptions::default())?;
-            emit(
-                format,
-                || {
-                    format!(
-                        "{} / {} at {:.0} W, {:.1} A/mm² (die {:.0} mm²)\n{}",
-                        arch.name(),
-                        topology,
-                        power_w,
-                        density,
-                        spec.die_area().as_square_millimeters(),
-                        report.breakdown.render_text(),
-                    )
-                },
-                || {
-                    command_json(
-                        label,
-                        [
-                            ("architecture", Json::from(arch.name())),
-                            ("topology", Json::from(topology.name())),
-                            ("power_w", Json::from(power_w)),
-                            ("density_a_per_mm2", Json::from(density)),
-                            (
-                                "die_area_mm2",
-                                Json::from(spec.die_area().as_square_millimeters()),
-                            ),
-                            ("overloaded", Json::from(report.overloaded)),
-                            ("breakdown", report.breakdown.render_json()),
-                        ],
-                    )
-                },
-            );
+            // The three served documents under one label: their reports,
+            // plus the scenario set and topology they echo.
+            let impedance = dispatch(&impedance)?;
+            let transient = dispatch(&transient)?;
+            let survival = dispatch(&survival)?;
+            let field = |doc: &Json, key: &str| doc.get(key).cloned().unwrap_or(Json::Null);
+            command_json(
+                label,
+                [
+                    ("mode", Json::from("dynamic")),
+                    ("scenarios", field(&impedance, "mode")),
+                    ("topology", field(&survival, "topology")),
+                    ("impedance", field(&impedance, "report")),
+                    ("transient", field(&transient, "report")),
+                    ("survival", field(&survival, "report")),
+                ],
+            )
         }
         Command::Matrix => {
-            let spec = SystemSpec::paper_default();
             let entries = explore_matrix(
                 &VrTopologyKind::ALL,
-                &spec,
+                &SystemSpec::paper_default(),
                 &calib,
                 &AnalysisOptions::default(),
             );
-            emit(
-                format,
-                || {
-                    let mut out = String::new();
-                    for e in &entries {
-                        match &e.outcome {
-                            Ok(r) => out.push_str(&format!(
-                                "{:<8} {:<6} {:>5.1}%{}\n",
-                                e.architecture.name(),
-                                e.topology.name(),
-                                r.loss_percent(),
-                                if r.overloaded { "  [extrapolated]" } else { "" }
-                            )),
-                            Err(err) => out.push_str(&format!(
-                                "{:<8} {:<6} excluded: {err}\n",
-                                e.architecture.name(),
-                                e.topology.name()
-                            )),
-                        }
+            let entries = entries.iter().map(|e| {
+                let mut pairs = vec![
+                    ("architecture".to_owned(), Json::from(e.architecture.name())),
+                    ("topology".to_owned(), Json::from(e.topology.name())),
+                ];
+                match &e.outcome {
+                    Ok(r) => {
+                        pairs.push(("loss_percent".to_owned(), Json::from(r.loss_percent())));
+                        pairs.push(("overloaded".to_owned(), Json::from(r.overloaded)));
                     }
-                    out
-                },
-                || {
-                    command_json(
-                        label,
-                        [(
-                            "entries",
-                            Json::array(entries.iter().map(|e| {
-                                let mut pairs = vec![
-                                    ("architecture".to_owned(), Json::from(e.architecture.name())),
-                                    ("topology".to_owned(), Json::from(e.topology.name())),
-                                ];
-                                match &e.outcome {
-                                    Ok(r) => {
-                                        pairs.push((
-                                            "loss_percent".to_owned(),
-                                            Json::from(r.loss_percent()),
-                                        ));
-                                        pairs.push((
-                                            "overloaded".to_owned(),
-                                            Json::from(r.overloaded),
-                                        ));
-                                    }
-                                    Err(err) => pairs
-                                        .push(("excluded".to_owned(), Json::from(err.to_string()))),
-                                }
-                                Json::Object(pairs)
-                            })),
-                        )],
-                    )
-                },
-            );
+                    Err(err) => pairs.push(("excluded".to_owned(), Json::from(err.to_string()))),
+                }
+                Json::Object(pairs)
+            });
+            command_json(label, [("entries", Json::array(entries))])
         }
         Command::Recommend => {
             let rec = recommend(&SystemSpec::paper_default(), &calib);
-            emit(
-                format,
-                || {
-                    let mut out = String::new();
-                    for (i, c) in rec.ranked.iter().enumerate() {
-                        out.push_str(&format!("#{}: {}\n", i + 1, c.rationale));
-                    }
-                    for (a, t, e) in &rec.rejected {
-                        out.push_str(&format!("rejected {}/{t}: {e}\n", a.name()));
-                    }
-                    out
-                },
-                || {
-                    command_json(
-                        label,
-                        [
-                            (
-                                "ranked",
-                                Json::array(rec.ranked.iter().map(|c| {
-                                    Json::obj([
-                                        ("architecture", Json::from(c.architecture.name())),
-                                        ("topology", Json::from(c.topology.name())),
-                                        ("loss_percent", Json::from(c.report.loss_percent())),
-                                        ("rationale", Json::from(c.rationale.as_str())),
-                                    ])
-                                })),
-                            ),
-                            (
-                                "rejected",
-                                Json::array(rec.rejected.iter().map(|(a, t, e)| {
-                                    Json::obj([
-                                        ("architecture", Json::from(a.name())),
-                                        ("topology", Json::from(t.name())),
-                                        ("error", Json::from(e.to_string())),
-                                    ])
-                                })),
-                            ),
-                        ],
-                    )
-                },
-            );
+            let ranked = rec.ranked.iter().map(|c| {
+                Json::obj([
+                    ("architecture", Json::from(c.architecture.name())),
+                    ("topology", Json::from(c.topology.name())),
+                    ("loss_percent", Json::from(c.report.loss_percent())),
+                    ("rationale", Json::from(c.rationale.as_str())),
+                ])
+            });
+            let rejected = rec.rejected.iter().map(|(a, t, e)| {
+                Json::obj([
+                    ("architecture", Json::from(a.name())),
+                    ("topology", Json::from(t.name())),
+                    ("error", Json::from(e.to_string())),
+                ])
+            });
+            command_json(
+                label,
+                [
+                    ("ranked", Json::array(ranked)),
+                    ("rejected", Json::array(rejected)),
+                ],
+            )
         }
-        Command::Sharing { placement, modules } => {
-            let rep = solve_sharing(&SystemSpec::paper_default(), &calib, placement, modules)?;
-            emit(
-                format,
-                || format!("{modules} modules {placement}: {}", rep.render_text()),
-                || {
-                    command_json(
-                        label,
-                        [
-                            ("placement", Json::from(placement.to_string())),
-                            ("report", rep.render_json()),
-                        ],
-                    )
-                },
-            );
-        }
-        Command::Mc {
-            arch,
-            topology,
-            samples,
-            seed,
-            threads,
-        } => {
-            let settings = McSettings {
-                samples,
-                seed,
-                threads,
-                ..McSettings::default()
-            };
-            let summary = run_tolerance(
-                arch,
-                topology,
-                &SystemSpec::paper_default(),
-                &calib,
-                &settings,
-            )?;
-            emit(
-                format,
-                || {
-                    format!(
-                        "{} / {topology}: {samples} samples (seed {seed}): {}",
-                        arch.name(),
-                        summary.render_text(),
-                    )
-                },
-                || {
-                    command_json(
-                        label,
-                        [
-                            ("architecture", Json::from(arch.name())),
-                            ("topology", Json::from(topology.name())),
-                            ("samples", Json::from(samples)),
-                            ("seed", Json::from(i64::try_from(seed).unwrap_or(i64::MAX))),
-                            ("summary", summary.render_json()),
-                        ],
-                    )
-                },
-            );
-        }
-        Command::Impedance {
-            arch,
+        Command::ImpedanceAll {
             fmin_hz,
             fmax_hz,
             points,
-            profile,
         } => {
-            let spec = SystemSpec::paper_default();
             let settings = ImpedanceSweepSettings {
                 fmin: Hertz::new(fmin_hz),
                 fmax: Hertz::new(fmax_hz),
                 points,
                 threads: 0,
             };
-            match arch {
-                None => {
-                    let cmp = compare_architectures(
-                        &[
-                            Architecture::Reference,
-                            Architecture::InterposerPeriphery,
-                            Architecture::InterposerEmbedded,
-                        ],
-                        &spec,
-                        &settings,
-                    )?;
-                    emit(
-                        format,
-                        || {
-                            format!(
-                                "impedance comparison, {points} points {} – {}:\n{}",
-                                Hertz::new(fmin_hz),
-                                Hertz::new(fmax_hz),
-                                cmp.render_text()
-                            )
-                        },
-                        || {
-                            command_json(
-                                label,
-                                [
-                                    ("points", Json::from(points)),
-                                    ("fmin_hz", Json::from(fmin_hz)),
-                                    ("fmax_hz", Json::from(fmax_hz)),
-                                    ("comparison", cmp.render_json()),
-                                ],
-                            )
-                        },
-                    );
-                }
-                Some(arch) => {
-                    let rep = ImpedanceSweep::for_architecture(arch, &spec)?.run(&settings)?;
-                    if profile {
-                        emit(
-                            format,
-                            || rep.render_text(),
-                            || command_json(label, [("report", rep.render_json())]),
-                        );
-                    } else {
-                        emit(
-                            format,
-                            || {
-                                format!(
-                                    "{}: peak |Z| = {} at {} vs target {} → {}\n",
-                                    rep.label,
-                                    rep.peak,
-                                    rep.peak_frequency,
-                                    rep.target,
-                                    if rep.meets_target() {
-                                        "meets target"
-                                    } else {
-                                        "violates target"
-                                    }
-                                )
-                            },
-                            || {
-                                command_json(
-                                    label,
-                                    [
-                                        ("architecture", Json::from(rep.label.as_str())),
-                                        ("points", Json::from(points)),
-                                        ("peak_impedance_ohm", Json::from(rep.peak.value())),
-                                        (
-                                            "peak_frequency_hz",
-                                            Json::from(rep.peak_frequency.value()),
-                                        ),
-                                        ("target_ohm", Json::from(rep.target.value())),
-                                        ("margin", rep.margin().map_or(Json::Null, Json::from)),
-                                        ("meets_target", Json::from(rep.meets_target())),
-                                    ],
-                                )
-                            },
-                        );
-                    }
-                }
-            }
+            let cmp =
+                compare_architectures(&SINGLE_STAGE, &SystemSpec::paper_default(), &settings)?;
+            command_json(
+                label,
+                [
+                    ("points", Json::from(points)),
+                    ("fmin_hz", Json::from(fmin_hz)),
+                    ("fmax_hz", Json::from(fmax_hz)),
+                    ("comparison", cmp.render_json()),
+                ],
+            )
         }
-        Command::Droop {
+        Command::DroopSweep {
             arch,
-            sweep,
             amps,
             slews,
             threads,
@@ -826,84 +745,33 @@ fn run(cmd: Command, format: RenderFormat) -> Result<(), Box<dyn std::error::Err
             let spec = SystemSpec::paper_default();
             let sim = Seconds::from_microseconds(60.0);
             let dt = Seconds::from_nanoseconds(10.0);
-            if sweep {
-                let mut settings = DroopSweepSettings::paper_default(&spec, amps, slews)?;
-                settings.threads = threads;
-                match arch {
-                    None => {
-                        let cmp = compare_droop_architectures(
-                            &[
-                                Architecture::Reference,
-                                Architecture::InterposerPeriphery,
-                                Architecture::InterposerEmbedded,
-                            ],
-                            &spec,
-                            sim,
-                            dt,
-                            &settings,
-                        )?;
-                        emit(
-                            format,
-                            || cmp.render_text(),
-                            || {
-                                command_json(
-                                    label,
-                                    [
-                                        ("amps", Json::from(amps)),
-                                        ("slews", Json::from(slews)),
-                                        ("comparison", cmp.render_json()),
-                                    ],
-                                )
-                            },
-                        );
-                    }
-                    Some(arch) => {
-                        let rep =
-                            DroopSweep::for_architecture(arch, &spec, sim, dt)?.run(&settings)?;
-                        emit(
-                            format,
-                            || rep.render_text(),
-                            || {
-                                command_json(
-                                    label,
-                                    [
-                                        ("architecture", Json::from(arch.name())),
-                                        ("amps", Json::from(amps)),
-                                        ("slews", Json::from(slews)),
-                                        ("report", rep.render_json()),
-                                    ],
-                                )
-                            },
-                        );
-                    }
+            let mut settings = DroopSweepSettings::paper_default(&spec, amps, slews)?;
+            settings.threads = threads;
+            match arch {
+                None => {
+                    let cmp =
+                        compare_droop_architectures(&SINGLE_STAGE, &spec, sim, dt, &settings)?;
+                    command_json(
+                        label,
+                        [
+                            ("amps", Json::from(amps)),
+                            ("slews", Json::from(slews)),
+                            ("comparison", cmp.render_json()),
+                        ],
+                    )
                 }
-            } else {
-                let arch = arch.expect("parser requires an architecture without --sweep");
-                let report = simulate_droop(
-                    &PdnModel::for_architecture(arch),
-                    &LoadStep::paper_default(&spec),
-                    sim,
-                    dt,
-                )?;
-                emit(
-                    format,
-                    || {
-                        format!(
-                            "{}: 250 A → 1 kA step: {}",
-                            arch.name(),
-                            report.render_text()
-                        )
-                    },
-                    || {
-                        command_json(
-                            label,
-                            [
-                                ("architecture", Json::from(arch.name())),
-                                ("report", report.render_json()),
-                            ],
-                        )
-                    },
-                );
+                Some(arch) => {
+                    let rep = DroopSweep::for_architecture(arch, &spec, sim, dt)?.run(&settings)?;
+                    command_json(
+                        label,
+                        [
+                            ("architecture", Json::from(arch.name())),
+                            ("amps", Json::from(amps)),
+                            ("slews", Json::from(slews)),
+                            ("report", rep.render_json()),
+                        ],
+                    )
+                }
             }
         }
         Command::Thermal { arch, tech } => {
@@ -919,172 +787,27 @@ fn run(cmd: Command, format: RenderFormat) -> Result<(), Box<dyn std::error::Err
                 &AnalysisOptions::default(),
                 &settings,
             )?;
-            emit(
-                format,
-                || {
-                    format!(
-                        "{} ({tech:?}): worst module {:.0} °C, VR loss {:.0} W → {:.0} W (+{:.1} W), within rating: {}\n",
-                        arch.name(),
-                        r.worst_module_temperature.value(),
-                        r.nominal_conversion_loss.value(),
-                        r.derated_conversion_loss.value(),
-                        r.thermal_penalty().value(),
-                        r.modules_within_rating
-                    )
-                },
-                || {
-                    command_json(
-                        label,
-                        [
-                            ("architecture", Json::from(arch.name())),
-                            ("technology", Json::from(format!("{tech:?}"))),
-                            (
-                                "worst_module_temperature_c",
-                                Json::from(r.worst_module_temperature.value()),
-                            ),
-                            (
-                                "nominal_conversion_loss_w",
-                                Json::from(r.nominal_conversion_loss.value()),
-                            ),
-                            (
-                                "derated_conversion_loss_w",
-                                Json::from(r.derated_conversion_loss.value()),
-                            ),
-                            ("thermal_penalty_w", Json::from(r.thermal_penalty().value())),
-                            ("within_rating", Json::from(r.modules_within_rating)),
-                        ],
-                    )
-                },
-            );
-        }
-        Command::Faults {
-            arch,
-            topology,
-            random_k,
-            count,
-            seed,
-            dynamic: true,
-        } => {
-            // The dynamic triad reuses the serve protocol's wire
-            // defaults and transient window constants, so the CLI and
-            // the service evaluate identical grids.
-            let spec = SystemSpec::paper_default();
-            let zsweep = FaultImpedanceSweep::new(arch, &spec, &calib)?;
-            let scenarios = match random_k {
-                None => FaultScenario::n_minus_1(zsweep.vr_count()),
-                Some(k) => {
-                    FaultScenario::random_k(k, count, seed, zsweep.vr_count(), zsweep.grid_side())
-                }
-            };
-            let mode_label = match random_k {
-                None => format!("N-1 over {} modules", zsweep.vr_count()),
-                Some(k) => format!("{count} random {k}-fault scenarios (seed {seed})"),
-            };
-            let freqs = ImpedanceSweepSettings {
-                fmin: Hertz::new(wire_default_f64("fault_impedance", "fmin_hz")),
-                fmax: Hertz::new(wire_default_f64("fault_impedance", "fmax_hz")),
-                points: wire_default_count("fault_impedance", "points"),
-                threads: 0,
-            }
-            .frequencies()?;
-            let impedance = zsweep.run(&scenarios, &freqs, 0)?;
-
-            let tsweep = FaultTransientSweep::new(
-                arch,
-                &PdnModel::for_architecture(arch),
-                &LoadStep::paper_default(&spec),
-                Seconds::from_microseconds(FAULT_TRANSIENT_SIM_US),
-                Seconds::from_nanoseconds(FAULT_TRANSIENT_DT_NS),
-            )?;
-            let fails = VrFailureScenario::grid(
-                wire_default_count("fault_transient", "count"),
-                Seconds::from_microseconds(FAULT_TRANSIENT_WINDOW_US),
-            );
-            let transient = tsweep.run(&fails, 0)?;
-
-            let envelope = survival_envelope(
-                arch,
-                topology,
-                &spec,
-                &calib,
-                &CascadeSettings::default(),
-                0,
-            )?;
-            emit(
-                format,
-                || {
-                    format!(
-                        "{} / {topology}: dynamic fault power-integrity ({mode_label})\n\
-                         -- faulted impedance --\n{}\
-                         -- VR-failure transients --\n{}\
-                         -- electro-thermal cascade --\n{}",
-                        arch.name(),
-                        impedance.render_text(),
-                        transient.render_text(),
-                        envelope.render_text(),
-                    )
-                },
-                || {
-                    command_json(
-                        label,
-                        [
-                            ("mode", Json::from("dynamic")),
-                            ("scenarios", Json::from(mode_label.as_str())),
-                            ("topology", Json::from(topology.name())),
-                            ("impedance", impedance.render_json()),
-                            ("transient", transient.render_json()),
-                            ("survival", envelope.render_json()),
-                        ],
-                    )
-                },
-            );
-        }
-        Command::Faults {
-            arch,
-            topology,
-            random_k,
-            count,
-            seed,
-            dynamic: false,
-        } => {
-            let sweep = FaultSweep::new(arch, topology, &SystemSpec::paper_default(), &calib)?;
-            let scenarios = match random_k {
-                None => FaultScenario::n_minus_1(sweep.vr_count()),
-                Some(k) => {
-                    FaultScenario::random_k(k, count, seed, sweep.vr_count(), sweep.grid_side())
-                }
-            };
-            let mode_label = match random_k {
-                None => format!("N-1 over {} modules", sweep.vr_count()),
-                Some(k) => format!("{count} random {k}-fault scenarios (seed {seed})"),
-            };
-            let report = sweep.run(&scenarios, 0)?;
-            emit(
-                format,
-                || {
-                    format!(
-                        "{} / {topology}: {mode_label}\n  nominal:  worst drop {}, spread {:.2}x\n{}",
-                        arch.name(),
-                        sweep.nominal().worst_drop(),
-                        sweep.nominal().max().value() / sweep.nominal().mean().value(),
-                        report.render_text(),
-                    )
-                },
-                || {
-                    command_json(
-                        label,
-                        [
-                            ("mode", Json::from(mode_label.as_str())),
-                            ("topology", Json::from(topology.name())),
-                            (
-                                "nominal_worst_drop_v",
-                                Json::from(sweep.nominal().worst_drop().value()),
-                            ),
-                            ("report", report.render_json()),
-                        ],
-                    )
-                },
-            );
+            command_json(
+                label,
+                [
+                    ("architecture", Json::from(arch.name())),
+                    ("technology", Json::from(format!("{tech:?}"))),
+                    (
+                        "worst_module_temperature_c",
+                        Json::from(r.worst_module_temperature.value()),
+                    ),
+                    (
+                        "nominal_conversion_loss_w",
+                        Json::from(r.nominal_conversion_loss.value()),
+                    ),
+                    (
+                        "derated_conversion_loss_w",
+                        Json::from(r.derated_conversion_loss.value()),
+                    ),
+                    ("thermal_penalty_w", Json::from(r.thermal_penalty().value())),
+                    ("within_rating", Json::from(r.modules_within_rating)),
+                ],
+            )
         }
         Command::Serve {
             addr,
@@ -1110,6 +833,7 @@ fn run(cmd: Command, format: RenderFormat) -> Result<(), Box<dyn std::error::Err
                 eprintln!("vpd serve: listening on {}", server.local_addr()?);
                 server.run()?;
             }
+            return Ok(());
         }
         Command::Call {
             addr,
@@ -1119,6 +843,7 @@ fn run(cmd: Command, format: RenderFormat) -> Result<(), Box<dyn std::error::Err
             for line in serve::call(&addr, &requests, shutdown)? {
                 println!("{line}");
             }
+            return Ok(());
         }
         Command::Scenario { action, file, name } => {
             // Resolve the document text, then parse through the same
@@ -1132,7 +857,7 @@ fn run(cmd: Command, format: RenderFormat) -> Result<(), Box<dyn std::error::Err
                 ),
                 (None, Some(n)) => (
                     format!("builtin {n}"),
-                    scenario_builtin(n)
+                    vertical_power_delivery::scenario::builtin_doc(n)
                         .ok_or_else(|| {
                             format!(
                                 "unknown builtin scenario '{n}' (builtins: {})",
@@ -1146,116 +871,58 @@ fn run(cmd: Command, format: RenderFormat) -> Result<(), Box<dyn std::error::Err
             let doc = ScenarioDoc::parse(&text).map_err(|e| format!("{source}: {e}"))?;
             let hash = format!("{:016x}", doc.content_hash());
             match action {
-                ScenarioAction::Check => emit(
-                    format,
-                    || {
-                        format!(
-                            "ok: \"{}\" ({}, hash {hash})\n",
-                            doc.name,
-                            doc.architecture.name()
-                        )
-                    },
-                    || {
-                        command_json(
-                            label,
-                            [
-                                ("action", Json::from("check")),
-                                ("ok", Json::from(true)),
-                                ("name", Json::from(doc.name.as_str())),
-                                ("architecture", Json::from(doc.architecture.name())),
-                                ("hash", Json::from(hash.as_str())),
-                            ],
-                        )
-                    },
-                ),
-                ScenarioAction::Render => emit(
-                    format,
-                    || doc.render(),
-                    || {
-                        command_json(
-                            label,
-                            [
-                                ("action", Json::from("render")),
-                                ("name", Json::from(doc.name.as_str())),
-                                ("hash", Json::from(hash.as_str())),
-                                ("doc", Json::from(doc.render().as_str())),
-                            ],
-                        )
-                    },
-                ),
-                ScenarioAction::Run => {
-                    // Dispatch through the serve engine (cache disabled:
-                    // one shot), so the JSON document is byte-identical
-                    // to the served `scenario` result by construction.
-                    let dispatcher = serve::Dispatcher::new(0);
-                    let work = serve::Work::Scenario { doc: Box::new(doc) };
-                    let (result, _) = dispatcher
-                        .dispatch(&work)
-                        .map_err(|(code, message)| format!("{}: {message}", code.as_str()))?;
-                    emit(format, || render_scenario_text(&result), || result.clone());
+                ScenarioAction::Run => dispatch(&Work::Scenario { doc: Box::new(doc) })?,
+                ScenarioAction::Check => {
+                    emit(
+                        format,
+                        || {
+                            format!(
+                                "ok: \"{}\" ({}, hash {hash})\n",
+                                doc.name,
+                                doc.architecture.name()
+                            )
+                        },
+                        || {
+                            command_json(
+                                label,
+                                [
+                                    ("action", Json::from("check")),
+                                    ("ok", Json::from(true)),
+                                    ("name", Json::from(doc.name.as_str())),
+                                    ("architecture", Json::from(doc.architecture.name())),
+                                    ("hash", Json::from(hash.as_str())),
+                                ],
+                            )
+                        },
+                    );
+                    return Ok(());
+                }
+                ScenarioAction::Render => {
+                    emit(
+                        format,
+                        || doc.render(),
+                        || {
+                            command_json(
+                                label,
+                                [
+                                    ("action", Json::from("render")),
+                                    ("name", Json::from(doc.name.as_str())),
+                                    ("hash", Json::from(hash.as_str())),
+                                    ("doc", Json::from(doc.render().as_str())),
+                                ],
+                            )
+                        },
+                    );
+                    return Ok(());
                 }
             }
         }
+    };
+    match format {
+        RenderFormat::Text => print!("{}", doc.to_text()),
+        RenderFormat::Json => println!("{doc}"),
     }
     Ok(())
-}
-
-/// Builtin `.vpd` lookup, aliased so the `Command::Scenario` arm reads
-/// cleanly.
-fn scenario_builtin(name: &str) -> Option<&'static str> {
-    vertical_power_delivery::scenario::builtin_doc(name)
-}
-
-/// Text rendering of a served `scenario` result document.
-fn render_scenario_text(result: &Json) -> String {
-    let s = |k: &str| result.get(k).and_then(Json::as_str).unwrap_or("?");
-    let mut out = format!(
-        "scenario \"{}\" — {} / {}, placement {} (hash {})\noverloaded: {}\n",
-        s("name"),
-        s("architecture"),
-        s("topology"),
-        s("placement"),
-        s("hash"),
-        result
-            .get("overloaded")
-            .and_then(Json::as_bool)
-            .unwrap_or(false),
-    );
-    let section = |out: &mut String, title: &str, doc: &Json| {
-        out.push_str(title);
-        out.push('\n');
-        if let Json::Object(pairs) = doc {
-            for (k, v) in pairs {
-                out.push_str(&format!("  {k}: {v}\n"));
-            }
-        }
-    };
-    if let Some(b) = result.get("breakdown") {
-        section(&mut out, "breakdown:", b);
-    }
-    if let Some(c) = result.get("converter") {
-        section(&mut out, "converter:", c);
-    }
-    if let Some(Json::Array(techs)) = result.get("techs") {
-        out.push_str("techs:\n");
-        for t in techs {
-            out.push_str(&format!(
-                "  {}: {} sites, {} µΩ/via\n",
-                t.get("base").and_then(Json::as_str).unwrap_or("?"),
-                t.get("sites").and_then(Json::as_i64).unwrap_or(0),
-                t.get("via_resistance_uohm")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0),
-            ));
-        }
-    }
-    if let Some(f) = result.get("faults") {
-        out.push_str(&format!(
-            "faults: {}\n",
-            f.get("mode").and_then(Json::as_str).unwrap_or("?")
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1272,42 +939,59 @@ mod tests {
         Invocation::parse(&owned)
     }
 
+    /// The served work a subcommand line dispatches.
+    fn work(args: &[&str]) -> Work {
+        match parse(args).unwrap() {
+            Command::Dispatch(work) => work,
+            other => panic!("{args:?} is not a single dispatch: {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_analyze_with_defaults() {
-        let cmd = parse(&["analyze", "--arch", "a1"]).unwrap();
-        match cmd {
-            Command::Analyze {
-                arch,
-                topology,
-                power_w,
-                density,
-            } => {
-                assert_eq!(arch.name(), "A1");
-                assert_eq!(topology, VrTopologyKind::Dsch);
-                assert_eq!(power_w, 1000.0);
-                assert_eq!(density, 2.0);
+        assert_eq!(
+            work(&["analyze", "--arch", "a1"]),
+            Work::Analyze {
+                arch: Architecture::InterposerPeriphery,
+                topology: VrTopologyKind::Dsch,
+                power_w: 1000.0,
+                density: 2.0,
             }
-            other => panic!("{other:?}"),
-        }
+        );
+        assert_eq!(
+            work(&[
+                "analyze",
+                "--arch",
+                "a1",
+                "--power",
+                "800",
+                "--density",
+                "1.5"
+            ]),
+            Work::Analyze {
+                arch: Architecture::InterposerPeriphery,
+                topology: VrTopologyKind::Dsch,
+                power_w: 800.0,
+                density: 1.5,
+            }
+        );
     }
 
     #[test]
     fn parses_two_stage_buses() {
         assert!(matches!(
-            parse(&["analyze", "--arch", "a3-12"]).unwrap(),
-            Command::Analyze {
+            work(&["analyze", "--arch", "a3-12"]),
+            Work::Analyze {
                 arch: Architecture::TwoStage { .. },
                 ..
             }
         ));
-        assert!(matches!(
-            parse(&["droop", "--arch", "a0"]).unwrap(),
-            Command::Droop {
-                arch: Some(Architecture::Reference),
-                sweep: false,
-                ..
+        assert_eq!(
+            work(&["droop", "--arch", "a0"]),
+            Work::Droop {
+                arch: Architecture::Reference
             }
-        ));
+        );
     }
 
     #[test]
@@ -1326,24 +1010,22 @@ mod tests {
                 "3"
             ])
             .unwrap(),
-            Command::Droop {
+            Command::DroopSweep {
                 arch: Some(Architecture::InterposerEmbedded),
-                sweep: true,
                 amps: 5,
                 slews: 2,
                 threads: 3,
             }
         );
-        assert!(matches!(
+        assert_eq!(
             parse(&["droop", "--arch", "all", "--sweep"]).unwrap(),
-            Command::Droop {
+            Command::DroopSweep {
                 arch: None,
-                sweep: true,
                 amps: 4,
                 slews: 3,
                 threads: 0,
             }
-        ));
+        );
         assert!(
             parse(&["droop", "--arch", "all"]).is_err(),
             "--arch all needs --sweep"
@@ -1365,8 +1047,8 @@ mod tests {
     #[test]
     fn parses_sharing_and_thermal() {
         assert_eq!(
-            parse(&["sharing", "--placement", "below", "--modules", "24"]).unwrap(),
-            Command::Sharing {
+            work(&["sharing", "--placement", "below", "--modules", "24"]),
+            Work::Sharing {
                 placement: VrPlacement::BelowDie,
                 modules: 24
             }
@@ -1382,22 +1064,16 @@ mod tests {
 
     #[test]
     fn parses_mc() {
-        match parse(&["mc", "--arch", "a2", "--samples", "50", "--seed", "9"]).unwrap() {
-            Command::Mc {
-                arch,
-                topology,
-                samples,
-                seed,
-                threads,
-            } => {
-                assert_eq!(arch, Architecture::InterposerEmbedded);
-                assert_eq!(topology, VrTopologyKind::Dsch);
-                assert_eq!(samples, 50);
-                assert_eq!(seed, 9);
-                assert_eq!(threads, 0);
+        assert_eq!(
+            work(&["mc", "--arch", "a2", "--samples", "50", "--seed", "9"]),
+            Work::Mc {
+                arch: Architecture::InterposerEmbedded,
+                topology: VrTopologyKind::Dsch,
+                samples: 50,
+                seed: 9,
+                threads: 0,
             }
-            other => panic!("{other:?}"),
-        }
+        );
         assert!(parse(&["mc"]).is_err(), "--arch required");
         assert!(parse(&["mc", "--arch", "a1", "--samples", "0"]).is_err());
     }
@@ -1405,90 +1081,117 @@ mod tests {
     #[test]
     fn parses_impedance_grid_flags() {
         let defaults = ImpedanceSweepSettings::default();
-        match parse(&["impedance", "--arch", "a2"]).unwrap() {
-            Command::Impedance {
-                arch,
-                fmin_hz,
-                fmax_hz,
-                points,
-                profile,
-            } => {
-                assert_eq!(arch, Some(Architecture::InterposerEmbedded));
-                assert_eq!(fmin_hz, defaults.fmin.value());
-                assert_eq!(fmax_hz, defaults.fmax.value());
-                assert_eq!(points, defaults.points);
-                assert!(!profile);
+        assert_eq!(
+            work(&["impedance", "--arch", "a2"]),
+            Work::Impedance {
+                arch: Architecture::InterposerEmbedded,
+                fmin_hz: defaults.fmin.value(),
+                fmax_hz: defaults.fmax.value(),
+                points: defaults.points,
+                profile: false,
             }
-            other => panic!("{other:?}"),
-        }
-        match parse(&[
-            "impedance",
-            "--arch",
-            "all",
-            "--fmin",
-            "1e4",
-            "--fmax",
-            "1e8",
-            "--points",
-            "64",
-            "--profile",
-        ])
-        .unwrap()
-        {
-            Command::Impedance {
-                arch,
-                fmin_hz,
-                fmax_hz,
-                points,
-                profile,
-            } => {
-                assert_eq!(arch, None);
-                assert_eq!(fmin_hz, 1e4);
-                assert_eq!(fmax_hz, 1e8);
-                assert_eq!(points, 64);
-                assert!(profile);
+        );
+        assert_eq!(
+            work(&["impedance", "--arch", "a1", "--points", "24", "--profile"]),
+            Work::Impedance {
+                arch: Architecture::InterposerPeriphery,
+                fmin_hz: defaults.fmin.value(),
+                fmax_hz: defaults.fmax.value(),
+                points: 24,
+                profile: true,
             }
-            other => panic!("{other:?}"),
-        }
-        assert!(parse(&["impedance"]).is_err(), "--arch required");
-        assert!(parse(&["impedance", "--arch", "a9"]).is_err());
-        assert!(parse(&["impedance", "--arch", "a1", "--points", "many"]).is_err());
-        // Bad grids parse fine and fail later with a typed solver error.
-        assert!(parse(&["impedance", "--arch", "a1", "--points", "1"]).is_ok());
-        assert!(parse(&["impedance", "--arch", "a1", "--fmin", "-3"]).is_ok());
-    }
-
-    #[test]
-    fn bad_impedance_grids_error_instead_of_panicking() {
-        for args in [
-            ["impedance", "--arch", "a1", "--points", "1"].as_slice(),
-            ["impedance", "--arch", "a1", "--points", "0"].as_slice(),
-            ["impedance", "--arch", "a1", "--fmin", "-3"].as_slice(),
-            ["impedance", "--arch", "a1", "--fmin", "0"].as_slice(),
-            ["impedance", "--arch", "a1", "--fmax", "nan"].as_slice(),
-            [
+        );
+        assert_eq!(
+            parse(&[
                 "impedance",
                 "--arch",
                 "all",
                 "--fmin",
-                "1e9",
+                "1e4",
                 "--fmax",
-                "1e3",
-            ]
-            .as_slice(),
-            ["impedance", "--arch", "a2", "--fmax", "inf"].as_slice(),
+                "1e8",
+                "--points",
+                "64",
+                "--profile",
+            ])
+            .unwrap(),
+            Command::ImpedanceAll {
+                fmin_hz: 1e4,
+                fmax_hz: 1e8,
+                points: 64,
+            }
+        );
+        assert!(parse(&["impedance"]).is_err(), "--arch required");
+        assert!(parse(&["impedance", "--arch", "a9"]).is_err());
+        assert!(parse(&["impedance", "--arch", "a1", "--points", "many"]).is_err());
+        // A one-point grid passes the wire's range check and fails later
+        // with a typed solver error; a negative bound fails the range
+        // check itself, as it does for a served request.
+        assert!(parse(&["impedance", "--arch", "a1", "--points", "1"]).is_ok());
+        assert!(parse(&["impedance", "--arch", "a1", "--fmin", "-3"]).is_err());
+    }
+
+    #[test]
+    fn bad_impedance_grids_error_instead_of_panicking() {
+        // Each bad grid is a typed error — from the wire's range check
+        // (naming the flag) or from the checked sweep builder — never a
+        // panic.
+        for (args, expect) in [
+            (
+                ["impedance", "--arch", "a1", "--points", "1"].as_slice(),
+                "sweep",
+            ),
+            (
+                ["impedance", "--arch", "a1", "--points", "0"].as_slice(),
+                "--points",
+            ),
+            (
+                ["impedance", "--arch", "a1", "--fmin", "-3"].as_slice(),
+                "--fmin",
+            ),
+            (
+                ["impedance", "--arch", "a1", "--fmin", "0"].as_slice(),
+                "--fmin",
+            ),
+            (
+                ["impedance", "--arch", "a1", "--fmax", "nan"].as_slice(),
+                "--fmax",
+            ),
+            (
+                [
+                    "impedance",
+                    "--arch",
+                    "all",
+                    "--fmin",
+                    "1e9",
+                    "--fmax",
+                    "1e3",
+                ]
+                .as_slice(),
+                "sweep",
+            ),
+            (
+                ["impedance", "--arch", "a2", "--fmax", "inf"].as_slice(),
+                "--fmax",
+            ),
+            (
+                ["impedance", "--arch", "all", "--points", "0"].as_slice(),
+                "sweep",
+            ),
         ] {
-            let cmd = parse(args).unwrap();
-            let err = run(cmd, RenderFormat::Text).unwrap_err().to_string();
-            assert!(err.contains("sweep"), "{args:?}: {err}");
+            let err = match parse(args) {
+                Ok(cmd) => run(cmd, RenderFormat::Text).unwrap_err().to_string(),
+                Err(e) => e,
+            };
+            assert!(err.contains(expect), "{args:?}: {err}");
         }
     }
 
     #[test]
     fn parses_faults_modes() {
         assert!(matches!(
-            parse(&["faults", "--arch", "a2", "--n-minus-1"]).unwrap(),
-            Command::Faults {
+            work(&["faults", "--arch", "a2", "--n-minus-1"]),
+            Work::Faults {
                 arch: Architecture::InterposerEmbedded,
                 random_k: None,
                 ..
@@ -1496,34 +1199,29 @@ mod tests {
         ));
         // N-1 is also the default mode.
         assert!(matches!(
-            parse(&["faults", "--arch", "a1"]).unwrap(),
-            Command::Faults { random_k: None, .. }
+            work(&["faults", "--arch", "a1"]),
+            Work::Faults { random_k: None, .. }
         ));
-        match parse(&[
-            "faults",
-            "--arch",
-            "a1",
-            "--random-k",
-            "3",
-            "--count",
-            "64",
-            "--seed",
-            "7",
-        ])
-        .unwrap()
-        {
-            Command::Faults {
-                random_k,
-                count,
-                seed,
-                ..
-            } => {
-                assert_eq!(random_k, Some(3));
-                assert_eq!(count, 64);
-                assert_eq!(seed, 7);
+        assert_eq!(
+            work(&[
+                "faults",
+                "--arch",
+                "a1",
+                "--random-k",
+                "3",
+                "--count",
+                "64",
+                "--seed",
+                "7",
+            ]),
+            Work::Faults {
+                arch: Architecture::InterposerPeriphery,
+                topology: VrTopologyKind::Dsch,
+                random_k: Some(3),
+                count: 64,
+                seed: 7,
             }
-            other => panic!("{other:?}"),
-        }
+        );
         assert!(parse(&["faults"]).is_err(), "--arch required");
         assert!(parse(&["faults", "--arch", "a1", "--random-k", "three"]).is_err());
         assert!(parse(&["faults", "--arch", "a1", "--random-k", "0"]).is_err());
@@ -1536,23 +1234,45 @@ mod tests {
         // the existing scenario-selection flags.
         assert!(matches!(
             parse(&["faults", "--arch", "a1"]).unwrap(),
-            Command::Faults { dynamic: false, .. }
+            Command::Dispatch(Work::Faults { .. })
         ));
-        assert!(matches!(
+        assert_eq!(
             parse(&["faults", "--arch", "a2", "--dynamic"]).unwrap(),
-            Command::Faults {
-                arch: Architecture::InterposerEmbedded,
-                dynamic: true,
-                random_k: None,
-                ..
+            Command::FaultsDynamic {
+                impedance: Work::FaultImpedance {
+                    arch: Architecture::InterposerEmbedded,
+                    random_k: None,
+                    count: 32,
+                    seed: 64023,
+                    fmin_hz: ImpedanceSweepSettings::default().fmin.value(),
+                    fmax_hz: ImpedanceSweepSettings::default().fmax.value(),
+                    points: ImpedanceSweepSettings::default().points,
+                },
+                transient: Work::FaultTransient {
+                    arch: Architecture::InterposerEmbedded,
+                    count: 4,
+                },
+                survival: Work::Survival {
+                    arch: Architecture::InterposerEmbedded,
+                    topology: VrTopologyKind::Dsch,
+                },
             }
-        ));
+        );
         match parse(&["faults", "--arch", "a1", "--dynamic", "--random-k", "2"]).unwrap() {
-            Command::Faults {
-                dynamic, random_k, ..
+            Command::FaultsDynamic {
+                impedance,
+                transient,
+                ..
             } => {
-                assert!(dynamic);
-                assert_eq!(random_k, Some(2));
+                assert!(matches!(
+                    impedance,
+                    Work::FaultImpedance {
+                        random_k: Some(2),
+                        ..
+                    }
+                ));
+                // --count sizes the random-k draw, not the failure grid.
+                assert!(matches!(transient, Work::FaultTransient { count: 4, .. }));
             }
             other => panic!("{other:?}"),
         }
@@ -1576,7 +1296,10 @@ mod tests {
             parse_invocation(&["sharing", "--metrics", "m.ndjson", "--format", "text"]).unwrap();
         assert_eq!(inv.format, RenderFormat::Text);
         assert_eq!(inv.metrics, Some(PathBuf::from("m.ndjson")));
-        assert!(matches!(inv.command, Command::Sharing { .. }));
+        assert!(matches!(
+            inv.command,
+            Command::Dispatch(Work::Sharing { .. })
+        ));
 
         // Defaults: text, no metrics.
         let inv = parse_invocation(&["recommend"]).unwrap();
@@ -1599,6 +1322,16 @@ mod tests {
             parse(&["faults", "--arch", "a1"]).unwrap().label(),
             "faults"
         );
+        assert_eq!(
+            parse(&["impedance", "--arch", "all"]).unwrap().label(),
+            "impedance"
+        );
+        assert_eq!(
+            parse(&["droop", "--arch", "a1", "--sweep"])
+                .unwrap()
+                .label(),
+            "droop"
+        );
         assert_eq!(parse(&["serve"]).unwrap().label(), "serve");
         assert_eq!(parse(&["call", "--shutdown"]).unwrap().label(), "call");
         assert_eq!(parse(&["help"]).unwrap().label(), "help");
@@ -1615,24 +1348,17 @@ mod tests {
     #[test]
     fn parses_serve_flags() {
         let defaults = ServeConfig::default();
-        match parse(&["serve"]).unwrap() {
+        assert_eq!(
+            parse(&["serve"]).unwrap(),
             Command::Serve {
-                addr,
-                workers,
-                queue_depth,
-                cache_size,
-                max_batch,
-                stdio,
-            } => {
-                assert_eq!(addr, DEFAULT_ADDR);
-                assert_eq!(workers, defaults.workers);
-                assert_eq!(queue_depth, defaults.queue_depth);
-                assert_eq!(cache_size, defaults.cache_capacity);
-                assert_eq!(max_batch, defaults.max_batch);
-                assert!(!stdio);
+                addr: DEFAULT_ADDR.to_owned(),
+                workers: defaults.workers,
+                queue_depth: defaults.queue_depth,
+                cache_size: defaults.cache_capacity,
+                max_batch: defaults.max_batch,
+                stdio: false,
             }
-            other => panic!("{other:?}"),
-        }
+        );
         match parse(&[
             "serve",
             "--addr",

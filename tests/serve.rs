@@ -97,6 +97,18 @@ fn served_results_match_the_one_shot_cli_bitwise() {
                 "7",
             ],
         ),
+        (
+            r#"{"id":6,"kind":"droop","params":{"arch":"a2"}}"#,
+            &["droop", "--arch", "a2"],
+        ),
+        (
+            r#"{"id":7,"kind":"impedance","params":{"arch":"a1","points":24,"profile":true}}"#,
+            &["impedance", "--arch", "a1", "--points", "24", "--profile"],
+        ),
+        (
+            r#"{"id":8,"kind":"faults","params":{"arch":"a1"}}"#,
+            &["faults", "--arch", "a1"],
+        ),
     ];
     let request_lines: Vec<&str> = cases.iter().map(|(req, _)| *req).collect();
     let (out, ended) = serve_script(&request_lines, 16);
