@@ -653,18 +653,48 @@ impl SparseDcPlan {
         &mut self,
         net: &mut Netlist,
         k: usize,
-        mut configure: F,
+        configure: F,
     ) -> Result<Vec<DcSolution>, CircuitError>
     where
         F: FnMut(&mut Netlist, usize) -> Result<(), CircuitError>,
     {
+        let mut out = Vec::with_capacity(k);
+        self.solve_block_each(net, k, configure, |_, sol| {
+            out.push(sol);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// [`SparseDcPlan::solve_block`] without the collection: each
+    /// configuration's solution is handed to `visit` — with the netlist
+    /// still in that configuration — as soon as it is recovered, in
+    /// configuration order, and is the visitor's to keep or drop. A
+    /// sweep that only summarizes its columns then holds one solution at
+    /// a time instead of `k`. The solutions are bitwise those of
+    /// [`SparseDcPlan::solve_block`].
+    ///
+    /// # Errors
+    ///
+    /// As [`SparseDcPlan::solve_block`], plus the first error `visit`
+    /// returns.
+    pub(crate) fn solve_block_each<F, V>(
+        &mut self,
+        net: &mut Netlist,
+        k: usize,
+        mut configure: F,
+        mut visit: V,
+    ) -> Result<(), CircuitError>
+    where
+        F: FnMut(&mut Netlist, usize) -> Result<(), CircuitError>,
+        V: FnMut(&Netlist, DcSolution) -> Result<(), CircuitError>,
+    {
         if k == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let m = self.x.len();
         let mut coalesce = self.mode == DcPlanMode::DirectCholesky;
         let mut block = vec![0.0; m * k];
-        let mut fixed_cols: Vec<Vec<f64>> = Vec::with_capacity(k);
         let mut base_values: Vec<f64> = Vec::new();
         if coalesce {
             for c in 0..k {
@@ -686,7 +716,6 @@ impl SparseDcPlan {
                     break;
                 }
                 block[c * m..(c + 1) * m].copy_from_slice(&self.rhs);
-                fixed_cols.push(self.fixed_vals.clone());
             }
         }
         if coalesce && self.ensure_factor().is_err() {
@@ -700,23 +729,27 @@ impl SparseDcPlan {
             if chol.refactor(&self.csr).is_ok() && chol.solve_block_into(&mut block, k).is_ok() {
                 vpd_obs::incr("plan.block_solves");
                 vpd_obs::observe("plan.block_rhs", k as u64);
-                let mut out = Vec::with_capacity(k);
                 for c in 0..k {
-                    // Re-apply the configuration so current recovery sees
-                    // configuration c's element values.
+                    // Re-apply the configuration so the fixed-node values
+                    // and current recovery see configuration c's element
+                    // values.
                     configure(net, c)?;
+                    self.stamp_fixed(net);
                     let col = &block[c * m..(c + 1) * m];
                     let node_voltages: Vec<f64> = (0..self.node_count)
                         .map(|node| match self.unknown_index[node] {
                             Some(i) => col[i],
-                            None => fixed_cols[c][node],
+                            None => self.fixed_vals[node],
                         })
                         .collect();
                     let element_currents = recover_currents(net, &node_voltages, &self.adjacency);
-                    out.push(DcSolution {
-                        node_voltages,
-                        element_currents,
-                    });
+                    visit(
+                        net,
+                        DcSolution {
+                            node_voltages,
+                            element_currents,
+                        },
+                    )?;
                 }
                 // Leave the plan's state (guess, report) as a sequential
                 // run of the same k solves would have: at the last column.
@@ -727,7 +760,7 @@ impl SparseDcPlan {
                     relative_residual: self.block_residual(&block[(k - 1) * m..]),
                     stagnated: false,
                 });
-                return Ok(out);
+                return Ok(());
             }
         }
         // Sequential path: identical semantics, one solve per
@@ -738,12 +771,12 @@ impl SparseDcPlan {
         if k > 1 {
             vpd_obs::incr("plan.block_sequential_fallbacks");
         }
-        let mut out = Vec::with_capacity(k);
         for c in 0..k {
             configure(net, c)?;
-            out.push(self.solve(net)?);
+            let sol = self.solve(net)?;
+            visit(net, sol)?;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Relative residual `‖b − A·x‖ / ‖b‖` of one block column against
@@ -794,10 +827,25 @@ impl SparseDcPlan {
         Ok(())
     }
 
-    /// Numeric restamp: re-reads element values and rebuilds matrix
-    /// values and right-hand side in place. O(elements + nnz), no
-    /// allocation.
-    fn restamp(&mut self, net: &Netlist) -> Result<(), CircuitError> {
+    /// Restamps the reduced system from `net`'s current values and
+    /// returns its matrix and right-hand side, leaving the warm-start
+    /// guess alone — the entry point for analyses that factor the
+    /// system themselves.
+    pub(crate) fn stamp(&mut self, net: &Netlist) -> Result<(&CsrMatrix, &[f64]), CircuitError> {
+        self.check_topology(net)?;
+        self.restamp(net)?;
+        vpd_obs::incr("plan.restamps");
+        Ok((&self.csr, &self.rhs))
+    }
+
+    /// The reduced-system unknown that carries `node`'s voltage, if the
+    /// node is not fixed by a source or ground.
+    pub(crate) fn unknown_of(&self, node: NodeId) -> Option<usize> {
+        self.unknown_index.get(node.index()).copied().flatten()
+    }
+
+    /// Re-reads the source-fixed node voltages.
+    fn stamp_fixed(&mut self, net: &Netlist) {
         for node in 0..self.node_count {
             self.fixed_vals[node] = match self.fixed_from[node] {
                 FixedBy::Free | FixedBy::Ground => 0.0,
@@ -806,6 +854,13 @@ impl SparseDcPlan {
                 }
             };
         }
+    }
+
+    /// Numeric restamp: re-reads element values and rebuilds matrix
+    /// values and right-hand side in place. O(elements + nnz), no
+    /// allocation.
+    fn restamp(&mut self, net: &Netlist) -> Result<(), CircuitError> {
+        self.stamp_fixed(net);
         self.raw_values.clear();
         self.rhs.fill(0.0);
         for (e, op) in net.elements().iter().zip(&self.ops) {

@@ -5,9 +5,14 @@
 //! derived from a sheet resistance, a per-node load current, and voltage
 //! regulators attached as grounded sources behind a droop resistance.
 
-use crate::{CircuitError, DcPlanMode, DcSolver, ElementId, Netlist, NodeId, SparseDcPlan};
-use vpd_numeric::SolveReport;
-use vpd_units::{Amps, Meters, Ohms, Volts};
+use crate::{
+    CircuitError, DcPlanMode, DcSolution, DcSolver, ElementId, ElementKind, Netlist, NodeId,
+    SparseDcPlan,
+};
+use vpd_numeric::{
+    CgSettings, DenseMatrix, LuFactor, SolveReport, SparseCholesky, SymbolicCholesky,
+};
+use vpd_units::{Amps, Meters, Ohms, Volts, Watts};
 
 /// A rectangular resistive mesh plus bookkeeping for loads and regulators.
 ///
@@ -517,19 +522,195 @@ impl PowerGrid {
     pub fn solve_setpoint_block(
         &mut self,
         setpoints: &[Volts],
-    ) -> Result<Vec<crate::DcSolution>, CircuitError> {
+    ) -> Result<Vec<DcSolution>, CircuitError> {
+        let mut out = Vec::with_capacity(setpoints.len());
+        self.setpoint_block_each(setpoints, |_, sol| {
+            out.push(sol);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// [`PowerGrid::solve_setpoint_block`] for sweeps that only read
+    /// each point's [`GridSummary`]: every solution is summarized as soon
+    /// as it is recovered and then dropped, so the sweep holds one
+    /// solution at a time instead of one per setpoint. Returns the
+    /// summaries, bitwise equal to [`PowerGrid::summarize`] of the
+    /// block's solutions, and the last solution (for anchoring).
+    ///
+    /// # Errors
+    ///
+    /// As [`PowerGrid::solve_setpoint_block`].
+    pub fn solve_setpoint_summaries(
+        &mut self,
+        setpoints: &[Volts],
+    ) -> Result<(Vec<GridSummary>, Option<DcSolution>), CircuitError> {
+        let mut out = Vec::with_capacity(setpoints.len());
+        let mut last = None;
+        self.setpoint_block_each(setpoints, |view, sol| {
+            out.push(view.summarize(&sol));
+            last = Some(sol);
+            Ok(())
+        })?;
+        Ok((out, last))
+    }
+
+    /// The setpoint block, handing each solution to `visit` in order.
+    fn setpoint_block_each(
+        &mut self,
+        setpoints: &[Volts],
+        mut visit: impl FnMut(GridView<'_>, DcSolution) -> Result<(), CircuitError>,
+    ) -> Result<(), CircuitError> {
         if self.regulators.is_empty() {
             return Err(CircuitError::UnknownElement { index: 0 });
         }
         self.ensure_plan()?;
         let sources: Vec<ElementId> = self.regulators.iter().map(|r| r.source_element).collect();
+        let Self {
+            net,
+            nodes,
+            regulators,
+            plan,
+            ..
+        } = self;
+        let plan = plan.as_mut().expect("plan was just ensured");
+        plan.solve_block_each(
+            net,
+            setpoints.len(),
+            |net, c| {
+                for &e in &sources {
+                    net.set_voltage(e, setpoints[c])?;
+                }
+                Ok(())
+            },
+            |net, sol| {
+                let view = GridView {
+                    net,
+                    nodes,
+                    regulators,
+                };
+                visit(view, sol)
+            },
+        )
+    }
+
+    /// The summary the sharing analyses read off a solution of this
+    /// grid: regulator currents, mesh loss and lowest mesh voltage.
+    #[must_use]
+    pub fn summarize(&self, sol: &DcSolution) -> GridSummary {
+        self.view().summarize(sol)
+    }
+
+    fn view(&self) -> GridView<'_> {
+        GridView {
+            net: &self.net,
+            nodes: &self.nodes,
+            regulators: &self.regulators,
+        }
+    }
+
+    /// Builds the [`RegulatorResponse`] of the grid's current values:
+    /// factors the reduced nodal matrix with [`SparseCholesky`], solves
+    /// the nominal voltages and one column of `A⁻¹` per regulator site
+    /// (a block solve), then drops the factor.
+    ///
+    /// Returns `Ok(None)` when the factor plus the columns would exceed a
+    /// fixed 4 MiB cap ([`RegulatorResponse::fits`], checked on the
+    /// symbolic entry count before anything of that size is allocated),
+    /// when the matrix does not factor, or when the nominal solve misses
+    /// the CG tolerance on its relative residual; edits are then answered
+    /// by restamping and solving.
+    ///
+    /// # Errors
+    ///
+    /// As [`PowerGrid::solve_cached`] for a grid whose plan cannot be
+    /// compiled.
+    pub fn regulator_response(&mut self) -> Result<Option<RegulatorResponse>, CircuitError> {
+        self.ensure_plan()?;
         let plan = self.plan.as_mut().expect("plan was just ensured");
-        plan.solve_block(&mut self.net, setpoints.len(), |net, c| {
-            for &e in &sources {
-                net.set_voltage(e, setpoints[c])?;
-            }
-            Ok(())
-        })
+        // Every node but the mesh is pinned by a source or ground, so
+        // the unknowns are exactly the mesh nodes and the minimum of the
+        // solution vector is the lowest mesh voltage.
+        let n = plan.unknown_count();
+        if n != self.nodes.len() || self.nodes.iter().any(|&u| plan.unknown_of(u).is_none()) {
+            return Ok(None);
+        }
+        let mut site_unknown: Vec<usize> = Vec::new();
+        let mut column_of = Vec::with_capacity(self.regulators.len());
+        let mut conductance = Vec::with_capacity(self.regulators.len());
+        let mut setpoint = Vec::with_capacity(self.regulators.len());
+        for r in &self.regulators {
+            let unknown = plan
+                .unknown_of(self.nodes[r.y * self.nx + r.x])
+                .expect("mesh nodes are unknowns");
+            let column = match site_unknown.iter().position(|&s| s == unknown) {
+                Some(c) => c,
+                None => {
+                    site_unknown.push(unknown);
+                    site_unknown.len() - 1
+                }
+            };
+            column_of.push(column);
+            let ElementKind::Resistor { r: droop } = self.net.element(r.droop_element)?.kind else {
+                return Err(CircuitError::UnknownElement {
+                    index: r.droop_element.index(),
+                });
+            };
+            let ElementKind::VoltageSource { v } = self.net.element(r.source_element)?.kind else {
+                return Err(CircuitError::UnknownElement {
+                    index: r.source_element.index(),
+                });
+            };
+            conductance.push(1.0 / droop.value());
+            setpoint.push(v.value());
+        }
+        let sites = site_unknown.len();
+        if !RegulatorResponse::fits(n, 0, sites) {
+            return Ok(None);
+        }
+        let max_factor_nnz = (RegulatorResponse::BYTE_CAP - 8 * n * sites) / 16;
+        let (a, b) = plan.stamp(&self.net)?;
+        let Some(sym) = SymbolicCholesky::analyze_within(a, max_factor_nnz)? else {
+            return Ok(None);
+        };
+        let Ok(mut chol) = SparseCholesky::factor_with(a, sym) else {
+            return Ok(None);
+        };
+        let x0 = chol.solve(b)?;
+        // Hold the nominal solve to the bar the plan's direct rung sets
+        // (the CG tolerance on the relative residual): a mesh that barely
+        // reaches its sources factors, but inaccurately, and then keeps
+        // the restamp path and its solver ladder.
+        let ax = a.matvec(&x0);
+        let residual = ax
+            .iter()
+            .zip(b)
+            .map(|(p, q)| (q - p) * (q - p))
+            .sum::<f64>();
+        let norm = b.iter().map(|q| q * q).sum::<f64>();
+        let accurate = residual.sqrt() <= CgSettings::default().tolerance * norm.sqrt();
+        if !accurate {
+            return Ok(None);
+        }
+        let mut columns = vec![0.0; n * sites];
+        for (c, &u) in site_unknown.iter().enumerate() {
+            columns[c * n + u] = 1.0;
+        }
+        // A few columns per pass keeps the factor's interleaved scratch
+        // small; each column's arithmetic does not depend on the width.
+        for chunk in columns.chunks_mut(n * RESPONSE_BLOCK) {
+            let k = chunk.len() / n;
+            chol.solve_block_into(chunk, k)?;
+        }
+        vpd_obs::incr("grid.regulator_responses");
+        Ok(Some(RegulatorResponse {
+            x0,
+            columns,
+            site_unknown,
+            column_of,
+            conductance,
+            setpoint,
+        }))
     }
 
     /// Seeds the next [`PowerGrid::solve_cached`]'s warm start from a
@@ -574,45 +755,21 @@ impl PowerGrid {
     /// Output current of each regulator (in attachment order), positive
     /// when sourcing current into the grid.
     #[must_use]
-    pub fn regulator_currents(&self, sol: &crate::DcSolution) -> Vec<Amps> {
-        self.regulators
-            .iter()
-            .map(|r| sol.current(r.droop_element))
-            .collect()
+    pub fn regulator_currents(&self, sol: &DcSolution) -> Vec<Amps> {
+        self.view().regulator_currents(sol)
     }
 
     /// Worst-case IR drop: setpoint minus the minimum node voltage.
     #[must_use]
-    pub fn worst_ir_drop(&self, sol: &crate::DcSolution, setpoint: Volts) -> Volts {
-        let vmin = self
-            .nodes
-            .iter()
-            .map(|n| sol.voltage(*n).value())
-            .fold(f64::INFINITY, f64::min);
-        setpoint - Volts::new(vmin)
+    pub fn worst_ir_drop(&self, sol: &DcSolution, setpoint: Volts) -> Volts {
+        setpoint - self.view().min_voltage(sol)
     }
 
     /// Total power dissipated in the mesh resistors *excluding* the
     /// regulator droop resistors (grid loss only).
     #[must_use]
-    pub fn grid_loss(&self, sol: &crate::DcSolution) -> vpd_units::Watts {
-        let droop_ids: Vec<usize> = self
-            .regulators
-            .iter()
-            .map(|r| r.droop_element.index())
-            .collect();
-        self.net
-            .elements()
-            .iter()
-            .enumerate()
-            .filter(|(i, e)| {
-                matches!(e.kind, crate::ElementKind::Resistor { .. }) && !droop_ids.contains(i)
-            })
-            .map(|(i, _)| {
-                sol.dissipated_power(&self.net, ElementId(i))
-                    .unwrap_or(vpd_units::Watts::ZERO)
-            })
-            .sum()
+    pub fn grid_loss(&self, sol: &DcSolution) -> Watts {
+        self.view().grid_loss(sol)
     }
 
     /// Borrow of the underlying netlist.
@@ -629,6 +786,272 @@ impl PowerGrid {
     pub fn edge_resistance_for_sheet(sheet: Ohms, _side: Meters, _nodes_per_side: usize) -> Ohms {
         // One inter-node segment is (pitch long × pitch wide) = 1 square.
         sheet
+    }
+}
+
+/// The parts of a [`PowerGrid`] that reading a solution needs, borrowed
+/// apart from its plan so a block solve can summarize as it goes.
+#[derive(Clone, Copy)]
+struct GridView<'a> {
+    net: &'a Netlist,
+    nodes: &'a [NodeId],
+    regulators: &'a [Regulator],
+}
+
+impl GridView<'_> {
+    fn regulator_currents(&self, sol: &DcSolution) -> Vec<Amps> {
+        self.regulators
+            .iter()
+            .map(|r| sol.current(r.droop_element))
+            .collect()
+    }
+
+    fn min_voltage(&self, sol: &DcSolution) -> Volts {
+        let vmin = self
+            .nodes
+            .iter()
+            .map(|n| sol.voltage(*n).value())
+            .fold(f64::INFINITY, f64::min);
+        Volts::new(vmin)
+    }
+
+    fn grid_loss(&self, sol: &DcSolution) -> Watts {
+        let droop_ids: Vec<usize> = self
+            .regulators
+            .iter()
+            .map(|r| r.droop_element.index())
+            .collect();
+        self.net
+            .elements()
+            .iter()
+            .enumerate()
+            .filter(|(i, e)| {
+                matches!(e.kind, ElementKind::Resistor { .. }) && !droop_ids.contains(i)
+            })
+            .map(|(i, _)| {
+                sol.dissipated_power(self.net, ElementId(i))
+                    .unwrap_or(Watts::ZERO)
+            })
+            .sum()
+    }
+
+    fn summarize(&self, sol: &DcSolution) -> GridSummary {
+        GridSummary {
+            currents: self.regulator_currents(sol),
+            grid_loss: self.grid_loss(sol),
+            min_voltage: self.min_voltage(sol),
+        }
+    }
+}
+
+/// What the sharing analyses read off one solved operating point
+/// ([`PowerGrid::summarize`]).
+#[derive(Clone, PartialEq, Debug)]
+pub struct GridSummary {
+    /// Output current of each regulator, in attachment order.
+    pub currents: Vec<Amps>,
+    /// Power lost in the mesh resistors ([`PowerGrid::grid_loss`]).
+    pub grid_loss: Watts,
+    /// Lowest mesh-node voltage.
+    pub min_voltage: Volts,
+}
+
+/// Columns per block solve while building a [`RegulatorResponse`].
+const RESPONSE_BLOCK: usize = 16;
+
+/// The exact nominal operating point of a [`PowerGrid`] plus the grid's
+/// response at every regulator site: enough to answer any
+/// regulator-local edit (new droops or setpoints at a few modules)
+/// without a restamp or a solve. Built by
+/// [`PowerGrid::regulator_response`].
+///
+/// A regulator is a droop conductance `g` from its setpoint `V` into one
+/// mesh node, so in the reduced nodal system `A·x = b` it owns one
+/// diagonal entry (`g`) and one right-hand-side entry (`g·V`). Edits at
+/// `k` distinct sites change the system to `A + U·D·Uᵀ`, `b + U·β`.
+/// With the nominal solution `x₀` and the site columns `Z = A⁻¹·U`, the
+/// edited solution is `x₀ + Z·y` where `(I + D·UᵀZ)·y = β − D·Uᵀx₀`: one
+/// `k × k` dense solve and an `O(n·k)` update. This form of the
+/// Sherman–Morrison–Woodbury identity stays valid when `D` is singular,
+/// as it is for a setpoint-only edit.
+#[derive(Clone, Debug)]
+pub struct RegulatorResponse {
+    /// Nominal solution `x₀`, one entry per mesh node.
+    x0: Vec<f64>,
+    /// Column-major `n × sites` block; column `c` is `A⁻¹` at site `c`.
+    columns: Vec<f64>,
+    /// Mesh-node unknown of each site.
+    site_unknown: Vec<usize>,
+    /// Site of each regulator; regulators on one node share a site.
+    column_of: Vec<usize>,
+    /// Nominal droop conductance of each regulator.
+    conductance: Vec<f64>,
+    /// Nominal setpoint of each regulator.
+    setpoint: Vec<f64>,
+}
+
+/// A regulator's replacement droop and setpoint, for
+/// [`RegulatorResponse::solve`].
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct RegulatorEdit {
+    /// Regulator index, in attachment order.
+    pub regulator: usize,
+    /// Droop resistance replacing the nominal one.
+    pub droop: Ohms,
+    /// Setpoint replacing the nominal one.
+    pub setpoint: Volts,
+}
+
+/// The operating point after a set of [`RegulatorEdit`]s.
+#[derive(Clone, PartialEq, Debug)]
+pub struct EditedPoint {
+    /// Output current of each regulator, in attachment order.
+    pub currents: Vec<Amps>,
+    /// Lowest mesh-node voltage.
+    pub min_voltage: Volts,
+}
+
+impl RegulatorResponse {
+    /// Largest footprint, in bytes, of the factor plus the site columns
+    /// that [`PowerGrid::regulator_response`] builds a response for. A
+    /// 48 × 48 mesh with 48 sites needs about 2.1 MB; a 200 × 200 mesh
+    /// would need 15 MB of columns alone.
+    const BYTE_CAP: usize = 4 << 20;
+
+    /// Largest error amplification of an edit's `k × k` update that
+    /// [`RegulatorResponse::solve`] accepts: the update may lose six of
+    /// the sixteen digits of its inputs, which keeps the edited voltages
+    /// within 1e-9 V of a direct solve.
+    const MAX_AMPLIFICATION: f64 = 1e6;
+
+    /// Whether a response over `unknowns` mesh nodes and `sites`
+    /// regulator sites, built from a factor with `factor_nnz` entries,
+    /// fits the 4 MiB cap: 16 bytes per factor entry (value and row
+    /// index) plus 8 per column entry.
+    #[must_use]
+    pub fn fits(unknowns: usize, factor_nnz: usize, sites: usize) -> bool {
+        unknowns
+            .checked_mul(sites)
+            .and_then(|c| c.checked_mul(8))
+            .and_then(|columns| factor_nnz.checked_mul(16)?.checked_add(columns))
+            .is_some_and(|bytes| bytes <= Self::BYTE_CAP)
+    }
+
+    /// Solves the grid with `edits` applied over the nominal values; a
+    /// later edit of the same regulator replaces an earlier one.
+    ///
+    /// Returns `Ok(None)` when the update's `k × k` system is singular or
+    /// would amplify rounding by more than a factor of 1e6 (a droop far
+    /// below the mesh resistance at its node, opened or replaced);
+    /// restamping and solving is then the accurate way to answer the
+    /// edit.
+    ///
+    /// # Errors
+    ///
+    /// * [`CircuitError::UnknownElement`] for a regulator index out of
+    ///   range.
+    /// * [`CircuitError::InvalidValue`] for a non-positive or non-finite
+    ///   droop, or a non-finite setpoint.
+    pub fn solve(&self, edits: &[RegulatorEdit]) -> Result<Option<EditedPoint>, CircuitError> {
+        let mut g = self.conductance.clone();
+        let mut v = self.setpoint.clone();
+        for e in edits {
+            if e.regulator >= g.len() {
+                return Err(CircuitError::UnknownElement { index: e.regulator });
+            }
+            let r = e.droop.value();
+            if !(r.is_finite() && r > 0.0) {
+                return Err(CircuitError::InvalidValue {
+                    element: "regulator droop",
+                    value: r,
+                });
+            }
+            if !e.setpoint.value().is_finite() {
+                return Err(CircuitError::InvalidValue {
+                    element: "regulator setpoint",
+                    value: e.setpoint.value(),
+                });
+            }
+            g[e.regulator] = 1.0 / r;
+            v[e.regulator] = e.setpoint.value();
+        }
+        // Per touched site: (column, diagonal change d, rhs change β).
+        let mut touched: Vec<(usize, f64, f64)> = Vec::new();
+        for r in 0..g.len() {
+            let d = g[r] - self.conductance[r];
+            let beta = g[r] * v[r] - self.conductance[r] * self.setpoint[r];
+            if d == 0.0 && beta == 0.0 {
+                continue;
+            }
+            let c = self.column_of[r];
+            match touched.iter_mut().find(|t| t.0 == c) {
+                Some(t) => {
+                    t.1 += d;
+                    t.2 += beta;
+                }
+                None => touched.push((c, d, beta)),
+            }
+        }
+        let Some(y) = self.update(&touched)? else {
+            return Ok(None);
+        };
+        let n = self.x0.len();
+        let mut x = self.x0.clone();
+        for (&(c, ..), &yj) in touched.iter().zip(&y) {
+            for (xi, zi) in x.iter_mut().zip(&self.columns[c * n..(c + 1) * n]) {
+                *xi += zi * yj;
+            }
+        }
+        let currents = (0..g.len())
+            .map(|r| Amps::new((v[r] - x[self.site_unknown[self.column_of[r]]]) * g[r]))
+            .collect();
+        let min_voltage = Volts::new(x.iter().copied().fold(f64::INFINITY, f64::min));
+        Ok(Some(EditedPoint {
+            currents,
+            min_voltage,
+        }))
+    }
+
+    /// Solves `(I + D·S)·y = β − D·x₀` over the touched sites, where
+    /// `S = UᵀA⁻¹U`; `None` when the system is singular or its error
+    /// amplification `‖ |M⁻¹| · (I + |D|·|S|) ‖∞` exceeds the guard.
+    fn update(&self, touched: &[(usize, f64, f64)]) -> Result<Option<Vec<f64>>, CircuitError> {
+        let k = touched.len();
+        if k == 0 {
+            return Ok(Some(Vec::new()));
+        }
+        let n = self.x0.len();
+        let s =
+            |i: usize, j: usize| self.columns[touched[j].0 * n + self.site_unknown[touched[i].0]];
+        let identity = |i: usize, j: usize| if i == j { 1.0 } else { 0.0 };
+        let m = DenseMatrix::from_fn(k, k, |i, j| identity(i, j) + touched[i].1 * s(i, j));
+        let Ok(lu) = LuFactor::new(&m) else {
+            return Ok(None);
+        };
+        let rhs: Vec<f64> = touched
+            .iter()
+            .map(|&(c, d, beta)| beta - d * self.x0[self.site_unknown[c]])
+            .collect();
+        let y = lu.solve(&rhs)?;
+        // Row sums of I + |D|·|S|, then |M⁻¹| applied to them column by
+        // column: the infinity norm of a non-negative matrix is its
+        // largest row sum.
+        let scale: Vec<f64> = (0..k)
+            .map(|i| 1.0 + touched[i].1.abs() * (0..k).map(|j| s(i, j).abs()).sum::<f64>())
+            .collect();
+        let mut amplification = vec![0.0; k];
+        let mut unit = vec![0.0; k];
+        for j in 0..k {
+            unit[j] = 1.0;
+            let col = lu.solve(&unit)?;
+            unit[j] = 0.0;
+            for (a, m_ij) in amplification.iter_mut().zip(&col) {
+                *a += m_ij.abs() * scale[j];
+            }
+        }
+        let trusted = amplification.iter().all(|&a| a <= Self::MAX_AMPLIFICATION)
+            && y.iter().all(|v| v.is_finite());
+        Ok(trusted.then_some(y))
     }
 }
 
@@ -801,6 +1224,129 @@ mod tests {
             for (vb, vs) in block[c].node_voltages().iter().zip(sol.node_voltages()) {
                 assert_eq!(vb.to_bits(), vs.to_bits(), "setpoint {c}");
             }
+        }
+    }
+
+    #[test]
+    fn setpoint_summaries_match_the_block_solutions_bitwise() {
+        let build = || {
+            let mut grid = PowerGrid::new(7, 7, Ohms::from_milliohms(2.0)).unwrap();
+            grid.attach_uniform_load(Amps::new(30.0)).unwrap();
+            grid.attach_regulator(1, 1, Volts::new(1.0), Ohms::from_milliohms(0.5))
+                .unwrap();
+            grid.attach_regulator(5, 4, Volts::new(1.0), Ohms::from_milliohms(0.5))
+                .unwrap();
+            grid.set_solve_mode(DcPlanMode::DirectCholesky).unwrap();
+            grid
+        };
+        let setpoints = [Volts::new(0.95), Volts::new(1.0), Volts::new(1.02)];
+        let mut full = build();
+        let sols = full.solve_setpoint_block(&setpoints).unwrap();
+        let mut streamed = build();
+        let (summaries, last) = streamed.solve_setpoint_summaries(&setpoints).unwrap();
+        let want: Vec<GridSummary> = sols.iter().map(|sol| full.summarize(sol)).collect();
+        assert_eq!(summaries, want);
+        assert_eq!(last.as_ref(), sols.last());
+    }
+
+    /// A 9×9 grid with four regulators, two of them on one node.
+    fn response_grid(droop: Ohms) -> PowerGrid {
+        let mut grid = PowerGrid::new(9, 9, Ohms::from_milliohms(2.0)).unwrap();
+        grid.attach_uniform_load(Amps::new(60.0)).unwrap();
+        for (x, y) in [(1, 1), (7, 2), (4, 6), (4, 6)] {
+            grid.attach_regulator(x, y, Volts::new(1.0), droop).unwrap();
+        }
+        grid
+    }
+
+    #[test]
+    fn regulator_response_matches_restamped_direct_solves() {
+        let droop = Ohms::from_milliohms(0.5);
+        let mut grid = response_grid(droop);
+        let response = grid.regulator_response().unwrap().unwrap();
+        let edit = |regulator: usize, droop: Ohms, mv: f64| RegulatorEdit {
+            regulator,
+            droop,
+            setpoint: Volts::new(1.0 + mv * 1e-3),
+        };
+        let cases = [
+            vec![],
+            vec![edit(0, Ohms::new(1e9), 0.0)],
+            vec![edit(1, droop * 4.0, 0.0), edit(2, droop, -2.0)],
+            // Both regulators of the shared node, and a later edit of
+            // regulator 0 replacing an earlier one.
+            vec![
+                edit(0, droop * 3.0, 0.0),
+                edit(2, Ohms::new(1e9), 0.0),
+                edit(3, droop * 0.5, 1.0),
+                edit(0, droop, -1.5),
+            ],
+        ];
+        for edits in cases {
+            let point = response.solve(&edits).unwrap().unwrap();
+            let mut exact = response_grid(droop);
+            exact.set_solve_mode(DcPlanMode::DirectCholesky).unwrap();
+            for e in &edits {
+                exact.set_regulator_droop(e.regulator, e.droop).unwrap();
+                exact
+                    .set_regulator_setpoint(e.regulator, e.setpoint)
+                    .unwrap();
+            }
+            let sol = exact.solve_cached().unwrap();
+            let want = exact.summarize(&sol);
+            for (a, b) in point.currents.iter().zip(&want.currents) {
+                assert!(
+                    (a.value() - b.value()).abs() < 1e-9,
+                    "{edits:?}: {a} vs {b}"
+                );
+            }
+            let dv = (point.min_voltage.value() - want.min_voltage.value()).abs();
+            assert!(dv < 1e-12, "{edits:?}: min voltage off by {dv:e}");
+        }
+    }
+
+    #[test]
+    fn regulator_response_refuses_cancelling_updates_and_bad_edits() {
+        // A droop nine orders below the mesh: opening it cancels all but
+        // a few digits of the update, so the guard refuses.
+        let mut stiff = response_grid(Ohms::new(1e-12));
+        let response = stiff.regulator_response().unwrap().unwrap();
+        let open = RegulatorEdit {
+            regulator: 1,
+            droop: Ohms::new(1e9),
+            setpoint: Volts::new(1.0),
+        };
+        assert_eq!(response.solve(&[open]).unwrap(), None);
+
+        // Droops of 1e30 Ω leave the mesh all but floating: the factor
+        // exists, but its nominal solve misses the CG tolerance, as the
+        // plan's direct rung would reject it.
+        assert!(response_grid(Ohms::new(1e30))
+            .regulator_response()
+            .unwrap()
+            .is_none());
+
+        let response = response_grid(Ohms::from_milliohms(0.5))
+            .regulator_response()
+            .unwrap()
+            .unwrap();
+        assert!(matches!(
+            response.solve(&[RegulatorEdit {
+                regulator: 4,
+                ..open
+            }]),
+            Err(CircuitError::UnknownElement { index: 4 })
+        ));
+        for (droop, setpoint) in [(0.0, 1.0), (f64::INFINITY, 1.0), (1e-3, f64::NAN)] {
+            let bad = RegulatorEdit {
+                regulator: 0,
+                droop: Ohms::new(droop),
+                setpoint: Volts::new(setpoint),
+            };
+            assert!(matches!(
+                response.solve(&[bad]),
+                Err(CircuitError::InvalidValue { .. })
+            ));
         }
     }
 

@@ -39,6 +39,6 @@ mod transient;
 pub use ac::{log_sweep, log_sweep_checked, AcAnalysis, AcPlan, AcPoint};
 pub use dc::{DcPlanMode, DcSolution, DcSolver, DcStrategy, SparseDcPlan};
 pub use error::CircuitError;
-pub use grid::{PowerGrid, Regulator};
+pub use grid::{EditedPoint, GridSummary, PowerGrid, Regulator, RegulatorEdit, RegulatorResponse};
 pub use netlist::{Element, ElementId, ElementKind, Netlist, NodeId, PwmSchedule, SwitchState};
 pub use transient::{transient, TransientPlan, TransientResult, TransientSettings};

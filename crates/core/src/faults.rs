@@ -5,17 +5,23 @@
 //! module's current across many neighbours at similar distance, while
 //! A2's under-die modules localize onto the hotspot — losing the
 //! central module dumps its ~93 A onto a handful of survivors. This
-//! module quantifies that contrast. Faults are *value-only* edits
-//! applied through [`SharingSolver`]'s restamp hooks (an open module is
-//! a ≈GΩ droop, a failed via patch is a resistance-scaled mesh
-//! rectangle), so the compiled sparse plan survives every scenario and
-//! the sweep runs at restamp-plus-warm-solve cost.
+//! module quantifies that contrast. Faults are *value-only* edits: an
+//! open module is a ≈GΩ droop, a failed via patch is a resistance-scaled
+//! mesh rectangle, so the compiled sparse plan survives every scenario.
+//!
+//! Two paths answer a scenario. A *VR-local* one (opens, derates and
+//! setpoint drifts only) changes one diagonal and one right-hand-side
+//! entry of the reduced mesh system per module it touches, so it is a
+//! low-rank update of one exact nominal solve
+//! ([`vpd_circuit::RegulatorResponse`]). Region and sheet faults go
+//! through [`SharingSolver`]'s restamp hooks and a warm solve.
 //!
 //! Determinism contract: each scenario's outcome is a pure function of
-//! (nominal-anchored solver, scenario) — every evaluation restamps back
-//! to nominal before injecting its faults and warm-starts from the one
-//! shared anchor, so [`FaultSweep::run`] returns bitwise-identical
-//! results for every thread count (see [`crate::par_map_with`]).
+//! (engine, scenario) — the low-rank path reads only state fixed at
+//! construction, and the restamp path restamps back to nominal before
+//! injecting its faults and warm-starts from the one shared anchor, so
+//! [`FaultSweep::run`] returns bitwise-identical results for every
+//! thread count (see [`crate::par_map_with`]).
 
 use crate::arch::{second_stage_converter, session_placement};
 use crate::gridshare::placement_sites;
@@ -25,7 +31,7 @@ use crate::{
     SharingSolver, SystemSpec,
 };
 use rand::Rng;
-use vpd_circuit::DcPlanMode;
+use vpd_circuit::{DcPlanMode, RegulatorEdit, RegulatorResponse};
 use vpd_converters::{TopologyCharacteristics, VrTopologyKind};
 use vpd_numeric::SolveReport;
 use vpd_units::{Amps, Ohms, Volts};
@@ -228,6 +234,12 @@ pub struct FaultSweepReport {
     pub stagnation_count: usize,
     /// Scenarios with at least one overloaded surviving module.
     pub overloaded_scenarios: usize,
+    /// Scenarios answered from the nominal regulator response, with no
+    /// restamp and no mesh solve.
+    pub lowrank_scenarios: usize,
+    /// VR-local scenarios whose low-rank update failed the conditioning
+    /// guard and were restamped and solved instead.
+    pub lowrank_fallbacks: usize,
 }
 
 impl FaultSweepReport {
@@ -265,6 +277,8 @@ impl FaultSweepReport {
             fallback_count,
             stagnation_count,
             overloaded_scenarios,
+            lowrank_scenarios: 0,
+            lowrank_fallbacks: 0,
         }
     }
 
@@ -292,8 +306,10 @@ impl FaultSweepReport {
 /// A reusable fault-sweep engine for one architecture × topology
 /// configuration: the grid is built and its solve plan compiled once,
 /// the nominal operating point is solved and pinned as the warm-start
-/// anchor, and every scenario is then a value-only restamp plus a warm
-/// solve — embarrassingly parallel over scenarios.
+/// anchor, and the nominal regulator response is factored once. Every
+/// VR-local scenario is then a small dense update of that response, and
+/// every other scenario a value-only restamp plus a warm solve —
+/// embarrassingly parallel over scenarios.
 ///
 /// ```
 /// use vpd_core::{Calibration, FaultScenario, FaultSweep, Architecture, SystemSpec};
@@ -323,11 +339,26 @@ pub struct FaultSweep {
     rating: Option<Amps>,
     solver: SharingSolver,
     nominal: SharingReport,
+    /// Exact nominal solve plus one `A⁻¹` column per regulator site: the
+    /// low-rank path for VR-local scenarios. `None` above the size cap.
+    response: Option<RegulatorResponse>,
+}
+
+/// How [`FaultSweep::run`] answered one scenario.
+enum Route {
+    /// From the nominal regulator response, with no restamp or solve.
+    LowRank(ScenarioOutcome),
+    /// VR-local, but its update failed the conditioning guard.
+    Guarded,
+    /// Not VR-local (or not valid): restamp to nominal, inject, solve.
+    Restamp,
 }
 
 impl FaultSweep {
     /// Builds the grid for `architecture` (paper placement and module
-    /// count), compiles its plan, and anchors the nominal solution.
+    /// count), compiles its plan, anchors the nominal solution, and
+    /// builds the nominal regulator response when the mesh fits its size
+    /// cap.
     ///
     /// # Errors
     ///
@@ -352,6 +383,7 @@ impl FaultSweep {
         let mut solver = SharingSolver::new(spec, calib, &sites, droop)?;
         let nominal = solver.solve()?;
         solver.anchor_last();
+        let response = solver.regulator_response()?;
         Ok(Self {
             architecture,
             spec: *spec,
@@ -360,6 +392,7 @@ impl FaultSweep {
             rating,
             solver,
             nominal,
+            response,
         })
     }
 
@@ -387,19 +420,21 @@ impl FaultSweep {
         &self.nominal
     }
 
-    /// Sparse-solver mode scenarios are evaluated under (warm CG by
-    /// default, which keeps the historical sweep results bit-for-bit).
+    /// Sparse-solver mode restamp-path scenarios are evaluated under
+    /// (warm CG by default, which keeps their historical results
+    /// bit-for-bit).
     #[must_use]
     pub fn solve_mode(&self) -> DcPlanMode {
         self.solver.solve_mode()
     }
 
-    /// Switches the sparse-solver mode for every subsequent scenario
-    /// evaluation and re-solves + re-anchors the nominal point under the
-    /// new mode. [`DcPlanMode::DirectCholesky`] answers each restamped
-    /// scenario with an exact factorization: value-only scenarios whose
-    /// matrix matches nominal (setpoint drift) reuse the cached factor
-    /// outright, and the serial==parallel bitwise contract of
+    /// Switches the sparse-solver mode for every subsequent restamp-path
+    /// scenario evaluation and re-solves + re-anchors the nominal point
+    /// under the new mode; low-rank results do not depend on it.
+    /// [`DcPlanMode::DirectCholesky`] answers each restamped scenario
+    /// with an exact factorization: value-only scenarios whose matrix
+    /// matches nominal reuse the cached factor outright, and the
+    /// serial==parallel bitwise contract of
     /// [`FaultSweep::run`] holds per mode because workers clone the
     /// solver — mode, factor and anchor included.
     ///
@@ -417,6 +452,17 @@ impl FaultSweep {
     /// Evaluates every scenario on `threads` workers (0 = auto). The
     /// result is bitwise-independent of `threads`.
     ///
+    /// A VR-local scenario — every fault a [`Fault::VrOpen`],
+    /// [`Fault::VrDerated`] or [`Fault::SetpointDrift`] — is answered
+    /// from the nominal regulator response built at construction: one
+    /// small dense solve, with no restamp, no mesh solve and no solver
+    /// clone. Region and sheet faults, invalid faults, VR-local scenarios
+    /// whose update fails the conditioning guard, and every scenario of
+    /// a sweep whose mesh is above the response's size cap take the
+    /// restamp path: restamp a per-worker solver clone to nominal, inject,
+    /// and warm-solve from the nominal anchor. The route depends on the
+    /// scenario alone.
+    ///
     /// # Errors
     ///
     /// The first scenario evaluation failure, in scenario order.
@@ -427,20 +473,50 @@ impl FaultSweep {
     ) -> Result<FaultSweepReport, CoreError> {
         let _span = vpd_obs::span("faults.run_ns");
         let timer = vpd_obs::is_enabled().then(std::time::Instant::now);
-        let results = par_map_with(threads, scenarios, &self.solver, |solver, scenario| {
-            self.evaluate(solver, scenario)
-        });
-        let mut outcomes = Vec::with_capacity(results.len());
-        for r in results {
-            outcomes.push(r?);
+        let routes: Vec<Route> = scenarios.iter().map(|s| self.route(s)).collect();
+        let restamp: Vec<&FaultScenario> = scenarios
+            .iter()
+            .zip(&routes)
+            .filter(|(_, route)| !matches!(route, Route::LowRank(_)))
+            .map(|(scenario, _)| scenario)
+            .collect();
+        // No restamp work, no solver clone.
+        let mut restamped = if restamp.is_empty() {
+            Vec::new()
+        } else {
+            par_map_with(threads, &restamp, &self.solver, |solver, scenario| {
+                self.evaluate(solver, scenario)
+            })
         }
-        let report = FaultSweepReport::summarize(self.architecture, self.rating, outcomes);
+        .into_iter();
+        let (mut lowrank, mut guarded) = (0, 0);
+        let mut outcomes = Vec::with_capacity(scenarios.len());
+        for route in routes {
+            let outcome = match route {
+                Route::LowRank(outcome) => {
+                    lowrank += 1;
+                    outcome
+                }
+                Route::Guarded | Route::Restamp => {
+                    guarded += usize::from(matches!(route, Route::Guarded));
+                    restamped
+                        .next()
+                        .expect("one result per restamped scenario")?
+                }
+            };
+            outcomes.push(outcome);
+        }
+        let mut report = FaultSweepReport::summarize(self.architecture, self.rating, outcomes);
+        report.lowrank_scenarios = lowrank;
+        report.lowrank_fallbacks = guarded;
         // Accounting only, after every scenario is solved: enabling
         // metrics cannot change a bit of the report.
         vpd_obs::incr("faults.runs");
         vpd_obs::add("faults.scenarios", report.outcomes.len() as u64);
         vpd_obs::add("faults.fallbacks", report.fallback_count as u64);
         vpd_obs::add("faults.stagnations", report.stagnation_count as u64);
+        vpd_obs::add("faults.lowrank_scenarios", lowrank as u64);
+        vpd_obs::add("faults.lowrank_fallbacks", guarded as u64);
         if let Some(start) = timer {
             let secs = start.elapsed().as_secs_f64();
             if secs > 0.0 {
@@ -453,7 +529,76 @@ impl FaultSweep {
         Ok(report)
     }
 
-    /// One scenario: restamp to nominal, inject, warm-solve, summarize.
+    /// Picks a scenario's path, answering it on the spot when it is
+    /// VR-local and its update passes the conditioning guard.
+    fn route(&self, scenario: &FaultScenario) -> Route {
+        let (Some(response), Some(edits)) = (&self.response, self.vr_edits(scenario)) else {
+            return Route::Restamp;
+        };
+        match response.solve(&edits) {
+            Ok(Some(point)) => {
+                let worst_drop = self.solver.setpoint() - point.min_voltage;
+                Route::LowRank(self.outcome(scenario, &point.currents, worst_drop, None))
+            }
+            Ok(None) => Route::Guarded,
+            // `vr_edits` admits only values the response accepts; should
+            // one slip through, the restamp path reports it typed.
+            Err(_) => Route::Restamp,
+        }
+    }
+
+    /// The final droop and setpoint of each regulator a VR-local scenario
+    /// touches, by [`apply_fault`]'s rules in fault order: an open
+    /// overrides, a derate compounds, a drift is absolute. `None` for a
+    /// mesh fault, or for any value `apply_fault` would reject, so that
+    /// the restamp path reports the same typed error as ever.
+    fn vr_edits(&self, scenario: &FaultScenario) -> Option<Vec<RegulatorEdit>> {
+        let nominal = self.solver.setpoint();
+        let mut edits: Vec<RegulatorEdit> = Vec::with_capacity(scenario.faults.len());
+        for fault in &scenario.faults {
+            let (Fault::VrOpen { index }
+            | Fault::VrDerated { index, .. }
+            | Fault::SetpointDrift { index, .. }) = *fault
+            else {
+                return None;
+            };
+            if index >= self.vr_count() {
+                return None;
+            }
+            let slot = match edits.iter().position(|e| e.regulator == index) {
+                Some(slot) => slot,
+                None => {
+                    edits.push(RegulatorEdit {
+                        regulator: index,
+                        droop: self.droop,
+                        setpoint: nominal,
+                    });
+                    edits.len() - 1
+                }
+            };
+            let edit = &mut edits[slot];
+            match *fault {
+                Fault::VrDerated { factor, .. } => {
+                    let droop = edit.droop * factor;
+                    let valid = |v: f64| v.is_finite() && v > 0.0;
+                    if !valid(factor) || !valid(droop.value()) {
+                        return None;
+                    }
+                    edit.droop = droop;
+                }
+                Fault::SetpointDrift { delta, .. } => {
+                    edit.setpoint = Volts::new(nominal.value() + delta.value());
+                    if !edit.setpoint.value().is_finite() {
+                        return None;
+                    }
+                }
+                _ => edit.droop = OPEN_RESISTANCE,
+            }
+        }
+        Some(edits)
+    }
+
+    /// The restamp path: restamp to nominal, inject, warm-solve.
     fn evaluate(
         &self,
         solver: &mut SharingSolver,
@@ -464,15 +609,30 @@ impl FaultSweep {
             apply_fault(solver, fault)?;
         }
         let report = solver.solve()?;
-        let solve = solver.last_solve_report();
+        Ok(self.outcome(
+            scenario,
+            report.per_vr(),
+            report.worst_drop(),
+            solver.last_solve_report(),
+        ))
+    }
 
-        let opened = scenario.opened(solver.vr_count());
+    /// Summarizes one solved scenario: the survivors' currents, the worst
+    /// drop and the solver path (`solve` is `None` on the low-rank path).
+    fn outcome(
+        &self,
+        scenario: &FaultScenario,
+        per_vr: &[Amps],
+        worst_drop: Volts,
+        solve: Option<SolveReport>,
+    ) -> ScenarioOutcome {
+        let opened = scenario.opened(self.vr_count());
         let mut min = f64::INFINITY;
         let mut max = 0.0_f64;
         let mut sum = 0.0_f64;
         let mut survivors = 0usize;
         let mut overloaded = 0usize;
-        for (k, amps) in report.per_vr().iter().enumerate() {
+        for (k, amps) in per_vr.iter().enumerate() {
             if opened[k] {
                 continue;
             }
@@ -490,9 +650,9 @@ impl FaultSweep {
         } else {
             (min, sum / survivors as f64)
         };
-        Ok(ScenarioOutcome {
+        ScenarioOutcome {
             name: scenario.name.clone(),
-            worst_drop: report.worst_drop(),
+            worst_drop,
             surviving_min: Amps::new(min),
             surviving_max: Amps::new(max),
             surviving_mean: Amps::new(mean),
@@ -501,7 +661,7 @@ impl FaultSweep {
             used_fallback: solve.as_ref().is_some_and(SolveReport::used_fallback),
             stagnated: solve.as_ref().is_some_and(|s| s.stagnated),
             iterations: solve.as_ref().map_or(0, |s| s.iterations),
-        })
+        }
     }
 }
 
@@ -611,10 +771,256 @@ mod tests {
             sweep.vr_count(),
             sweep.grid_side(),
         ));
+        // Interleave VR-local and mesh scenarios so both paths run in one
+        // call, with their outcomes merged back in scenario order.
+        scenarios.extend(mixed_scenarios());
         let serial = sweep.run(&scenarios, 1).unwrap();
+        assert!(
+            serial.lowrank_scenarios >= 48,
+            "{}",
+            serial.lowrank_scenarios
+        );
+        assert!(serial.lowrank_scenarios < scenarios.len());
         for threads in [2, 5, 8] {
             let parallel = sweep.run(&scenarios, threads).unwrap();
             assert_eq!(serial, parallel, "threads = {threads}");
+        }
+        // Cached equals cold: a second run on the same engine equals a
+        // fresh engine's run.
+        assert_eq!(sweep.run(&scenarios, 2).unwrap(), serial);
+        assert_eq!(a2_sweep().run(&scenarios, 1).unwrap(), serial);
+    }
+
+    /// VR-local and mesh scenarios, alternating.
+    fn mixed_scenarios() -> Vec<FaultScenario> {
+        let scenario = |name: &str, faults: Vec<Fault>| FaultScenario {
+            name: name.into(),
+            faults,
+        };
+        let region = Fault::RegionOpen {
+            x0: 10,
+            y0: 10,
+            x1: 14,
+            y1: 14,
+            factor: 20.0,
+        };
+        vec![
+            scenario(
+                "open+derate",
+                vec![
+                    Fault::VrOpen { index: 5 },
+                    Fault::VrDerated {
+                        index: 6,
+                        factor: 3.0,
+                    },
+                ],
+            ),
+            scenario(
+                "open+region",
+                vec![Fault::VrOpen { index: 5 }, region.clone()],
+            ),
+            scenario(
+                "drift",
+                vec![Fault::SetpointDrift {
+                    index: 20,
+                    delta: Volts::from_millivolts(-2.0),
+                }],
+            ),
+            scenario("sheet", vec![Fault::SheetDegradation { factor: 1.3 }]),
+            scenario("region", vec![region]),
+            scenario("none", vec![]),
+        ]
+    }
+
+    /// The restamp path alone, solved exactly: the reference the
+    /// low-rank path must agree with.
+    fn direct_restamp(mut sweep: FaultSweep) -> FaultSweep {
+        sweep.response = None;
+        sweep.set_solve_mode(DcPlanMode::DirectCholesky).unwrap();
+        sweep
+    }
+
+    fn assert_outcomes_agree(low: &FaultSweepReport, exact: &FaultSweepReport) {
+        assert_eq!(low.outcomes.len(), exact.outcomes.len());
+        for (a, b) in low.outcomes.iter().zip(&exact.outcomes) {
+            let drop = (a.worst_drop.value() - b.worst_drop.value()).abs();
+            assert!(drop < 1e-9, "{}: worst drop off by {drop:e} V", a.name);
+            for (what, x, y) in [
+                ("min", a.surviving_min, b.surviving_min),
+                ("max", a.surviving_max, b.surviving_max),
+                ("mean", a.surviving_mean, b.surviving_mean),
+            ] {
+                let d = (x.value() - y.value()).abs();
+                assert!(d < 1e-6, "{}: surviving {what} off by {d:e} A", a.name);
+            }
+        }
+    }
+
+    /// One random VR-local scenario of 1–5 faults. Indices come from a
+    /// pool of three modules, so repeated indices — open after derate,
+    /// derate after open, stacked drifts — are common.
+    fn vr_local_scenario(seed: u64, i: usize, n_vrs: usize) -> FaultScenario {
+        let mut rng = sample_rng(seed, i);
+        let pool: Vec<usize> = (0..3).map(|_| rng.gen_range(0..n_vrs)).collect();
+        let k = rng.gen_range(1..=5);
+        let faults = (0..k)
+            .map(|_| {
+                let index = pool[rng.gen_range(0..pool.len())];
+                match rng.gen_range(0_u32..3) {
+                    0 => Fault::VrOpen { index },
+                    1 => Fault::VrDerated {
+                        index,
+                        factor: rng.gen_range(0.5..10.0),
+                    },
+                    _ => Fault::SetpointDrift {
+                        index,
+                        delta: Volts::from_millivolts(rng.gen_range(-3.0..3.0)),
+                    },
+                }
+            })
+            .collect();
+        FaultScenario {
+            name: format!("vr-local/{i:02}"),
+            faults,
+        }
+    }
+
+    /// (low-rank engine, direct restamp reference) per swept
+    /// architecture, built once for every proptest case.
+    fn engines() -> &'static [(FaultSweep, FaultSweep)] {
+        static ENGINES: std::sync::OnceLock<Vec<(FaultSweep, FaultSweep)>> =
+            std::sync::OnceLock::new();
+        ENGINES.get_or_init(|| {
+            let (spec, calib) = paper();
+            [
+                Architecture::InterposerPeriphery,
+                Architecture::InterposerEmbedded,
+            ]
+            .into_iter()
+            .map(|arch| {
+                let sweep = FaultSweep::new(arch, VrTopologyKind::Dsch, &spec, &calib).unwrap();
+                (sweep.clone(), direct_restamp(sweep))
+            })
+            .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+        /// VR-local scenarios on the low-rank path agree with an exact
+        /// restamp-and-factor sweep of the same scenarios.
+        #[test]
+        fn prop_low_rank_matches_direct_restamp(seed in 0_u64..1_000_000) {
+            for (low, exact) in engines() {
+                let scenarios: Vec<FaultScenario> = (0..4)
+                    .map(|i| vr_local_scenario(seed, i, low.vr_count()))
+                    .collect();
+                let a = low.run(&scenarios, 1).unwrap();
+                let b = exact.run(&scenarios, 1).unwrap();
+                proptest::prop_assert_eq!(a.lowrank_scenarios, scenarios.len());
+                proptest::prop_assert_eq!(b.lowrank_scenarios, 0);
+                assert_outcomes_agree(&a, &b);
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_indices_follow_apply_fault_order() {
+        let sweep = a2_sweep();
+        let exact = direct_restamp(sweep.clone());
+        let scenario = |faults: Vec<Fault>| FaultScenario {
+            name: format!("{faults:?}"),
+            faults,
+        };
+        let (open, derate, drift) = (
+            Fault::VrOpen { index: 7 },
+            Fault::VrDerated {
+                index: 7,
+                factor: 4.0,
+            },
+            |mv: f64| Fault::SetpointDrift {
+                index: 7,
+                delta: Volts::from_millivolts(mv),
+            },
+        );
+        let scenarios = vec![
+            // Open overrides an earlier derate; a later derate compounds
+            // on the open; a drift is absolute, not cumulative.
+            scenario(vec![derate.clone(), open.clone()]),
+            scenario(vec![open.clone(), derate.clone()]),
+            scenario(vec![derate.clone(), derate.clone()]),
+            scenario(vec![drift(-1.0), drift(-2.0)]),
+            scenario(vec![drift(-2.0), open, drift(1.5), derate]),
+        ];
+        let low = sweep.run(&scenarios, 1).unwrap();
+        assert_eq!(low.lowrank_scenarios, scenarios.len());
+        assert_outcomes_agree(&low, &exact.run(&scenarios, 1).unwrap());
+        // Derate after open leaves a 4 GΩ module: still opened, and the
+        // same operating point as the plain open.
+        assert!(
+            (low.outcomes[1].worst_drop.value() - low.outcomes[0].worst_drop.value()).abs() < 1e-9
+        );
+        // Two drifts: only the last one counts.
+        let last_only = sweep.run(&[scenario(vec![drift(-2.0)])], 1).unwrap();
+        assert_eq!(low.outcomes[3].worst_drop, last_only.outcomes[0].worst_drop);
+    }
+
+    #[test]
+    fn ill_conditioned_updates_fall_back_to_the_restamp_path() {
+        // A droop nine orders below the mesh resistance: opening such a
+        // module cancels almost every digit of its 1×1 update.
+        let (spec, mut calib) = paper();
+        calib.vr_droop_below_die = Ohms::new(1e-13);
+        let sweep = FaultSweep::new(
+            Architecture::InterposerEmbedded,
+            VrTopologyKind::Dsch,
+            &spec,
+            &calib,
+        )
+        .unwrap();
+        let mut restamp_only = sweep.clone();
+        restamp_only.response = None;
+        let scenarios = FaultScenario::n_minus_1(4);
+        let report = sweep.run(&scenarios, 1).unwrap();
+        assert_eq!(report.lowrank_fallbacks, scenarios.len());
+        assert_eq!(report.lowrank_scenarios, 0);
+        let reference = restamp_only.run(&scenarios, 1).unwrap();
+        assert_eq!(report.outcomes, reference.outcomes);
+        assert_eq!(reference.lowrank_fallbacks, 0);
+    }
+
+    #[test]
+    fn meshes_above_the_size_cap_take_the_restamp_path() {
+        let (spec, calib) = paper();
+        let sweep = a2_sweep();
+        let n = sweep.grid_side() * sweep.grid_side();
+        // A2 (25×25 mesh, 48 sites, 11,325 factor entries) fits; a
+        // 200×200 mesh does not, on its 48 columns alone.
+        assert!(RegulatorResponse::fits(n, 11_325, 48));
+        assert!(!RegulatorResponse::fits(200 * 200, 0, 48));
+        assert!(!RegulatorResponse::fits(usize::MAX, 1, 2));
+        assert!(sweep.response.is_some());
+
+        // A 96×96 mesh's two columns fit, but its RCM factor (about 600k
+        // entries) does not: refused on the symbolic count.
+        let mut big = calib;
+        big.grid_nodes_per_side = 96;
+        let mut solver =
+            SharingSolver::new(&spec, &big, &[(0, 0), (95, 95)], big.vr_droop_periphery).unwrap();
+        assert!(solver.regulator_response().unwrap().is_none());
+
+        let mut capped = sweep.clone();
+        capped.response = None;
+        let scenarios = FaultScenario::n_minus_1(3);
+        let report = capped.run(&scenarios, 1).unwrap();
+        assert_eq!(report.lowrank_scenarios, 0);
+        assert_eq!(report.lowrank_fallbacks, 0);
+        assert!(report.outcomes.iter().all(|o| o.iterations > 0));
+        // Warm CG stops at its tolerance: §13.4's 1e-8 V bound.
+        let low = sweep.run(&scenarios, 1).unwrap();
+        for (a, b) in low.outcomes.iter().zip(&report.outcomes) {
+            assert!((a.worst_drop.value() - b.worst_drop.value()).abs() < 1e-8);
+            assert!((a.spread - b.spread).abs() < 1e-6);
         }
     }
 

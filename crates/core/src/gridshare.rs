@@ -10,7 +10,7 @@
 
 use crate::placement::{below_die_sites, periphery_sites, VrPlacement};
 use crate::{Calibration, CoreError, SystemSpec};
-use vpd_circuit::{DcPlanMode, DcSolution, PowerGrid};
+use vpd_circuit::{DcPlanMode, DcSolution, GridSummary, PowerGrid, RegulatorResponse};
 use vpd_numeric::SolveReport;
 use vpd_units::{Amps, Ohms, Volts, Watts};
 
@@ -556,26 +556,11 @@ impl SharingSolver {
         }
         vpd_obs::incr("share.setpoint_sweeps");
         vpd_obs::observe("share.setpoint_columns", setpoints.len() as u64);
-        let sols = self.grid.solve_setpoint_block(setpoints)?;
-        let mut reports = Vec::with_capacity(sols.len());
-        for sol in &sols {
-            let per_vr = self.grid.regulator_currents(sol);
-            let droop_loss = per_vr
-                .iter()
-                .zip(&self.droops)
-                .map(|(i, r)| i.dissipation_in(*r))
-                .sum();
-            reports.push(SharingReport {
-                grid_loss: self.grid.grid_loss(sol),
-                droop_loss,
-                worst_drop: self.grid.worst_ir_drop(sol, self.setpoint),
-                per_vr,
-            });
+        let (summaries, last) = self.grid.solve_setpoint_summaries(setpoints)?;
+        if last.is_some() {
+            self.last = last;
         }
-        if let Some(last) = sols.into_iter().last() {
-            self.last = Some(last);
-        }
-        Ok(reports)
+        Ok(summaries.into_iter().map(|s| self.report(s)).collect())
     }
 
     /// Solves the current state of the grid and summarizes the sharing.
@@ -590,20 +575,32 @@ impl SharingSolver {
             let _ = self.grid.seed_solution(anchor);
         }
         let sol = self.grid.solve_cached()?;
-        let per_vr = self.grid.regulator_currents(&sol);
-        let droop_loss = per_vr
+        let report = self.report(self.grid.summarize(&sol));
+        self.last = Some(sol);
+        Ok(report)
+    }
+
+    /// The sharing report of one solved point: the grid's summary plus
+    /// the droop loss of this solver's per-module droops.
+    fn report(&self, summary: GridSummary) -> SharingReport {
+        let droop_loss = summary
+            .currents
             .iter()
             .zip(&self.droops)
             .map(|(i, r)| i.dissipation_in(*r))
             .sum();
-        let report = SharingReport {
-            grid_loss: self.grid.grid_loss(&sol),
+        SharingReport {
+            grid_loss: summary.grid_loss,
             droop_loss,
-            worst_drop: self.grid.worst_ir_drop(&sol, self.setpoint),
-            per_vr,
-        };
-        self.last = Some(sol);
-        Ok(report)
+            worst_drop: self.setpoint - summary.min_voltage,
+            per_vr: summary.currents,
+        }
+    }
+
+    /// The exact nominal response of the mesh at its regulator sites, or
+    /// `None` where [`PowerGrid::regulator_response`] builds none.
+    pub(crate) fn regulator_response(&mut self) -> Result<Option<RegulatorResponse>, CoreError> {
+        Ok(self.grid.regulator_response()?)
     }
 
     /// CG iterations of the most recent solve (warm-start diagnostic).

@@ -15,17 +15,22 @@
 //! sample index and warm-starting every solve from one shared nominal
 //! solution rather than from the previous sample.
 
-/// Number of workers to use for `threads = 0` (auto): the machine's
-/// available parallelism, capped to keep clone overhead sane.
-fn auto_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(16)
+/// Most workers one call uses, whether the count is automatic or
+/// explicit: each worker clones the state, and one request must not be
+/// able to ask the process for thousands of threads. Results never
+/// depend on the count, so the cap is unobservable in them.
+const MAX_WORKERS: usize = 16;
+
+/// Workers for a call that wants `wanted` of them (the explicit count,
+/// or the machine's parallelism for auto) over `items` inputs: at least
+/// one, at most [`MAX_WORKERS`], and never more than there are items.
+fn worker_count(wanted: usize, items: usize) -> usize {
+    wanted.clamp(1, MAX_WORKERS).min(items.max(1))
 }
 
 /// Maps `f` over `items` on `threads` workers (0 = auto), giving each
 /// worker a clone of `state`, and returns the results in input order.
+/// At most 16 workers run, however many are asked for.
 ///
 /// `f` must be deterministic in `(state, item)` alone for the result to
 /// be independent of the thread count — see the module docs.
@@ -43,13 +48,11 @@ where
     R: Send,
     F: Fn(&mut S, &T) -> R + Sync,
 {
-    let workers = if threads == 0 {
-        auto_threads()
-    } else {
-        threads
-    }
-    .max(1)
-    .min(items.len().max(1));
+    let wanted = match threads {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        n => n,
+    };
+    let workers = worker_count(wanted, items.len());
     vpd_obs::incr("par.jobs");
     vpd_obs::add("par.tasks", items.len() as u64);
     vpd_obs::add("par.workers", workers as u64);
@@ -118,6 +121,19 @@ mod tests {
         for threads in [2, 3, 8, 64] {
             assert_eq!(par_map_with(threads, &items, &0_u64, f), serial);
         }
+    }
+
+    #[test]
+    fn worker_count_is_capped_for_auto_and_explicit_counts() {
+        // An `mc` request may name 10,000 threads: it gets the cap, as
+        // does auto on a 64-way machine.
+        assert_eq!(worker_count(10_000, 1_000_000), MAX_WORKERS);
+        assert_eq!(worker_count(64, 1_000), MAX_WORKERS);
+        assert_eq!(worker_count(3, 1_000), 3);
+        // Never more workers than items, never fewer than one.
+        assert_eq!(worker_count(8, 3), 3);
+        assert_eq!(worker_count(8, 0), 1);
+        assert_eq!(worker_count(0, 5), 1);
     }
 
     #[test]

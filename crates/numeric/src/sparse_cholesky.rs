@@ -141,6 +141,22 @@ impl SymbolicCholesky {
     ///
     /// Returns [`NumericError::DimensionMismatch`] if `a` is not square.
     pub fn analyze(a: &CsrMatrix) -> Result<Self, NumericError> {
+        Ok(Self::analyze_within(a, usize::MAX)?.expect("an uncapped analysis always completes"))
+    }
+
+    /// As [`SymbolicCholesky::analyze`], but gives up with `None` when
+    /// `L` would hold more than `max_factor_nnz` entries. The entry count
+    /// is known after the elimination-tree pass, before `L`'s pattern is
+    /// allocated, so a refused analysis costs `O(n + nnz(A))` memory
+    /// however large the factor would have been.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericError::DimensionMismatch`] if `a` is not square.
+    pub fn analyze_within(
+        a: &CsrMatrix,
+        max_factor_nnz: usize,
+    ) -> Result<Option<Self>, NumericError> {
         let n = require_square(a)?;
         let perm = rcm_ordering(a)?;
         let mut iperm = vec![0usize; n];
@@ -198,6 +214,9 @@ impl SymbolicCholesky {
                 }
             }
         }
+        if count.iter().sum::<usize>() > max_factor_nnz {
+            return Ok(None);
+        }
         let mut col_ptr = vec![0usize; n + 1];
         for j in 0..n {
             col_ptr[j + 1] = col_ptr[j] + count[j];
@@ -225,7 +244,7 @@ impl SymbolicCholesky {
             }
         }
 
-        Ok(Self {
+        Ok(Some(Self {
             n,
             perm,
             iperm,
@@ -233,7 +252,7 @@ impl SymbolicCholesky {
             col_ptr,
             row_idx,
             a_nnz: a.nnz(),
-        })
+        }))
     }
 
     /// Dimension of the analyzed system.
@@ -662,6 +681,18 @@ mod tests {
             }
         }
         assert!(bw <= 8, "RCM bandwidth {bw} worse than natural ordering");
+    }
+
+    #[test]
+    fn capped_analysis_refuses_exactly_above_the_cap() {
+        let a = grid_laplacian(9, 1.0, 0.1);
+        let full = SymbolicCholesky::analyze(&a).unwrap();
+        let nnz = full.factor_nnz();
+        assert_eq!(
+            SymbolicCholesky::analyze_within(&a, nnz).unwrap(),
+            Some(full)
+        );
+        assert_eq!(SymbolicCholesky::analyze_within(&a, nnz - 1).unwrap(), None);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::sync::OnceLock;
 use vpd_converters::VrTopologyKind;
 use vpd_core::{Architecture, VrPlacement};
 use vpd_report::Json;
-use vpd_scenario::{builtin_doc, ScenarioDoc, BUILTIN_NAMES};
+use vpd_scenario::{builtin_doc, ScenarioDoc, BUILTIN_NAMES, MAX_FAULT_K};
 
 /// Version tag carried by every response. Version 1 is the original
 /// (unversioned) PR 5 protocol; version 2 added the `version` field
@@ -348,7 +348,10 @@ pub enum FieldType {
         max_len: usize,
     },
     /// An *optional* positive integer (absent ≠ zero; e.g. `random_k`).
-    OptionalCount,
+    OptionalCount {
+        /// Inclusive upper bound (violations say "is capped at").
+        max: usize,
+    },
     /// A non-empty string of at most `max_len` bytes (e.g. an inline
     /// scenario document). Always optional on the wire.
     Text {
@@ -370,7 +373,7 @@ impl FieldType {
             Self::Topology => "topology",
             Self::Placement => "placement",
             Self::F64List { .. } => "number[]",
-            Self::OptionalCount => "count?",
+            Self::OptionalCount { .. } => "count?",
             Self::Text { .. } => "text",
         }
     }
@@ -465,6 +468,16 @@ pub fn kind_specs() -> &'static [KindSpec] {
                 FieldType::Placement,
                 FieldDefault::Placement(VrPlacement::Periphery),
                 "regulator placement pattern (periphery|below)",
+            )
+        };
+        // The `.vpd` grammar's `faults.k` ceiling: one request line must
+        // not size a k-fault allocation beyond what a document may.
+        let random_k = || {
+            field(
+                "random_k",
+                FieldType::OptionalCount { max: MAX_FAULT_K },
+                FieldDefault::Absent,
+                "absent = N-1 contingency; k = random k-fault draws",
             )
         };
         let modules = || {
@@ -590,7 +603,7 @@ pub fn kind_specs() -> &'static [KindSpec] {
                             max: 10_000,
                         },
                         FieldDefault::Count(0),
-                        "worker threads (0 = auto); never changes result bits",
+                        "worker threads (0 = auto; at most 16 run); never changes result bits",
                     ),
                 ],
             },
@@ -634,12 +647,7 @@ pub fn kind_specs() -> &'static [KindSpec] {
                 fields: vec![
                     arch(),
                     topology(),
-                    field(
-                        "random_k",
-                        FieldType::OptionalCount,
-                        FieldDefault::Absent,
-                        "absent = N-1 contingency; k = random k-fault draws",
-                    ),
+                    random_k(),
                     field(
                         "count",
                         FieldType::Count {
@@ -663,12 +671,7 @@ pub fn kind_specs() -> &'static [KindSpec] {
                       restamped onto one compiled AC plan",
                 fields: vec![
                     arch(),
-                    field(
-                        "random_k",
-                        FieldType::OptionalCount,
-                        FieldDefault::Absent,
-                        "absent = N-1 contingency; k = random k-fault draws",
-                    ),
+                    random_k(),
                     field(
                         "count",
                         FieldType::Count {
@@ -800,6 +803,10 @@ pub fn kind_catalog() -> Json {
                         match f.ty {
                             FieldType::Count { min, max } => {
                                 pairs.push(("min", Json::from(min)));
+                                pairs.push(("max", Json::from(max)));
+                            }
+                            FieldType::OptionalCount { max } => {
+                                pairs.push(("min", Json::from(1_usize)));
                                 pairs.push(("max", Json::from(max)));
                             }
                             FieldType::F64List { max_len } | FieldType::Text { max_len } => {
@@ -1065,12 +1072,15 @@ fn parse_field(f: &FieldSpec, p: &Params<'_>) -> Result<FieldValue, (ErrorCode, 
                 .collect::<Result<Vec<f64>, _>>()?;
             Ok(FieldValue::List(values))
         }
-        FieldType::OptionalCount => {
+        FieldType::OptionalCount { max } => {
             let v = raw
                 .as_i64()
                 .and_then(|n| usize::try_from(n).ok())
                 .filter(|&k| k > 0)
                 .ok_or_else(|| plain(format!("param `{key}` expects a positive integer")))?;
+            if v > max {
+                return Err(plain(format!("param `{key}` is capped at {max}")));
+            }
             Ok(FieldValue::Count(v))
         }
         FieldType::Text { max_len } => {
@@ -1673,6 +1683,32 @@ mod tests {
             let e = Request::parse_line(bad).unwrap_err();
             assert_eq!(e.code, ErrorCode::BadRequest, "{bad}");
         }
+    }
+
+    #[test]
+    fn random_k_has_the_vpd_grammars_ceiling() {
+        for kind in ["faults", "fault_impedance"] {
+            let line = |k: usize| {
+                format!(r#"{{"kind":"{kind}","params":{{"arch":"a2","random_k":{k}}}}}"#)
+            };
+            let req = Request::parse_line(&line(MAX_FAULT_K)).unwrap();
+            assert!(format!("{:?}", req.work).contains(&format!("random_k: Some({MAX_FAULT_K})")));
+            let e = Request::parse_line(&line(MAX_FAULT_K + 1)).unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadRequest, "{kind}");
+            assert!(
+                e.message
+                    .contains(&format!("param `random_k` is capped at {MAX_FAULT_K}")),
+                "{kind}: {e:?}"
+            );
+        }
+        // The catalog states the ceiling.
+        let catalog = kind_catalog().to_string();
+        assert!(
+            catalog.contains(&format!(
+                r#""name":"random_k","type":"count?","required":false,"min":1,"max":{MAX_FAULT_K}"#
+            )),
+            "{catalog}"
+        );
     }
 
     #[test]

@@ -189,6 +189,30 @@ else
     fail=1
 fi
 
+step "CLI smoke: A2 N-1 faults stay on the low-rank path"
+faults_metrics="target/tier1-faults-metrics.ndjson"
+rm -f "$faults_metrics"
+if ./target/release/vpd --metrics "$faults_metrics" --format json \
+    faults --arch a2 >target/tier1-faults.json; then
+    python3 - "$faults_metrics" <<'EOF' || fail=1
+import json, sys
+
+with open(sys.argv[1]) as f:
+    lines = [json.loads(line) for line in f if line.strip()]
+assert len(lines) == 1, f"expected 1 NDJSON record, got {len(lines)}"
+counters = lines[0]["counters"]
+lowrank = counters.get("faults.lowrank_scenarios")
+fallbacks = counters.get("faults.lowrank_fallbacks")
+restamps = counters.get("plan.restamps", 0)
+assert lowrank == 48, f"faults.lowrank_scenarios = {lowrank}, want 48"
+assert fallbacks == 0, f"faults.lowrank_fallbacks = {fallbacks}, want 0"
+assert restamps <= 2, f"plan.restamps = {restamps}: scenarios were restamped"
+print(f"low-rank smoke OK: 48/48 N-1 scenarios low-rank, {restamps} restamps in all")
+EOF
+else
+    fail=1
+fi
+
 step "serve bench smoke (cold/warm, saturation, batching, shed validation)"
 cargo run --release -p vpd-bench --bin serve -- --smoke || fail=1
 

@@ -570,7 +570,7 @@ fn read_served(
         let value = match f.ty {
             FieldType::Flag => flags.has(&flag).then_some(Json::from(true)),
             FieldType::F64 { .. } => flags.f64(&flag)?.map(Json::from),
-            FieldType::Count { .. } | FieldType::OptionalCount | FieldType::Seed => {
+            FieldType::Count { .. } | FieldType::OptionalCount { .. } | FieldType::Seed => {
                 flags.int(&flag)?.map(Json::Int)
             }
             _ => flags.value(&flag).map(Json::from),

@@ -26,6 +26,10 @@ fn bad_flags_exit_nonzero_and_name_the_flag() {
         (&["analyze", "--arch", "a1", "--power", "-5"], "--power"),
         (&["faults", "--arch", "a1", "--random-k", "0"], "--random-k"),
         (
+            &["faults", "--arch", "a1", "--random-k", "1001"],
+            "--random-k",
+        ),
+        (
             &["faults", "--arch", "a2", "--dynamic", "--count", "0"],
             "--count",
         ),

@@ -87,6 +87,8 @@ fn work_counters_are_thread_count_deterministic() {
         "faults.scenarios",
         "faults.fallbacks",
         "faults.stagnations",
+        "faults.lowrank_scenarios",
+        "faults.lowrank_fallbacks",
         "par.jobs",
         "par.tasks",
     ] {
@@ -99,6 +101,9 @@ fn work_counters_are_thread_count_deterministic() {
     // And the sweeps actually ran through the instrumented paths.
     assert_eq!(serial.counter("mc.samples"), Some(24));
     assert_eq!(serial.counter("faults.runs"), Some(1));
+    // Every N-1 scenario is VR-local: all of them take the low-rank path.
+    assert_eq!(serial.counter("faults.lowrank_scenarios"), Some(48));
+    assert_eq!(serial.counter("faults.lowrank_fallbacks"), Some(0));
     assert!(serial.counter("cg.iterations").unwrap_or(0) > 0);
     // The iteration histogram's totals agree with the counters.
     let hist = serial
