@@ -4,7 +4,7 @@
 //! switched-converter transient.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use vpd_circuit::{transient, Netlist, PwmSchedule, SwitchState, TransientSettings};
+use vpd_circuit::{Netlist, PwmSchedule, SwitchState, TransientPlan, TransientSettings};
 use vpd_converters::{Converter, VrTopologyKind};
 use vpd_core::{
     analyze, explore_matrix, run_tolerance, solve_sharing, AnalysisOptions, Architecture,
@@ -135,7 +135,10 @@ fn bench_transient_buck(c: &mut Criterion) {
     )
     .unwrap();
     c.bench_function("transient_buck_2000_steps", |b| {
-        b.iter(|| transient(&net, &settings).unwrap());
+        b.iter(|| {
+            let mut plan = TransientPlan::compile(&net, &settings).unwrap();
+            plan.run().unwrap().times().len()
+        });
     });
 }
 

@@ -1,21 +1,19 @@
 //! Measures the frequency-domain sweep engine and emits
 //! `BENCH_ac.json`.
 //!
-//! Four configurations run the same impedance sweep over the A1 PDN
+//! Three configurations run the same impedance sweep over the A1 PDN
 //! ladder:
 //!
-//! * **rebuild-per-point** — the cold path: the netlist is rebuilt and
-//!   a fresh [`AcAnalysis`] solves a single frequency, once per point
-//!   (the AC analogue of the `sweeps` bench's cold sharing solves).
-//! * **analysis reuse** — one netlist, [`AcAnalysis::impedance`] over
-//!   the grid (the pre-plan sweep path: fresh matrix, factorization,
-//!   and solution buffers per point).
+//! * **compile-per-point** — the cold path and the baseline: the
+//!   netlist is rebuilt and a fresh [`AcPlan`] is compiled to solve a
+//!   single frequency, once per point (the AC analogue of the `sweeps`
+//!   bench's cold sharing solves).
 //! * **plan, serial** — one compiled [`AcPlan`] via
 //!   [`ImpedanceSweep::run_over`] with `threads = 1`: restamp values
 //!   into reused buffers, factor and solve in place.
 //! * **plan, parallel** — the same engine with the auto thread count.
 //!
-//! The engine guarantees all four produce bitwise-identical
+//! The engine guarantees all three produce bitwise-identical
 //! [`AcPoint`]s; this binary asserts it before reporting throughput.
 //!
 //! ```sh
@@ -26,7 +24,7 @@
 //! Exits non-zero if any reported quantity is non-finite.
 
 use std::time::Instant;
-use vpd_circuit::{AcAnalysis, AcPoint};
+use vpd_circuit::{AcPlan, AcPoint};
 use vpd_core::{Architecture, ImpedanceSweep, ImpedanceSweepSettings, PdnModel};
 
 fn usage() -> ! {
@@ -69,7 +67,7 @@ fn main() {
     let reference = model.impedance_profile(&freqs).unwrap();
     let passes = if smoke { 1 } else { 25 };
 
-    // --- rebuild-per-point: netlist + analysis rebuilt every point ------
+    // --- compile-per-point: netlist + plan rebuilt every point ----------
     let mut rebuilt = Vec::new();
     let start = Instant::now();
     for _ in 0..passes {
@@ -77,22 +75,11 @@ fn main() {
             .iter()
             .map(|&f| {
                 let (net, die) = model.netlist().unwrap();
-                AcAnalysis::new(&net)
-                    .impedance(die, std::slice::from_ref(&f))
-                    .unwrap()[0]
+                AcPlan::compile(&net).impedance_at(die, f).unwrap()
             })
             .collect();
     }
     let rebuild_points_per_sec = (passes * points) as f64 / start.elapsed().as_secs_f64();
-
-    // --- analysis reuse: one netlist, per-point matrix rebuild ----------
-    let (net, die) = model.netlist().unwrap();
-    let mut analysis = Vec::new();
-    let start = Instant::now();
-    for _ in 0..passes {
-        analysis = AcAnalysis::new(&net).impedance(die, &freqs).unwrap();
-    }
-    let analysis_points_per_sec = (passes * points) as f64 / start.elapsed().as_secs_f64();
 
     // --- compiled plan, serial and parallel -----------------------------
     let mut serial = Vec::new();
@@ -110,23 +97,24 @@ fn main() {
     let parallel_points_per_sec = (passes * points) as f64 / start.elapsed().as_secs_f64();
 
     assert_eq!(rebuilt, reference, "cold rebuild must match the sweep path");
-    assert_eq!(analysis, reference, "analysis path must be deterministic");
-    assert_eq!(serial, reference, "plan must match the analysis bitwise");
+    assert_eq!(
+        serial, reference,
+        "the engine must match a one-shot plan sweep"
+    );
     assert_eq!(parallel, serial, "thread count must not change the points");
 
-    let plan_speedup = serial_points_per_sec / analysis_points_per_sec;
+    let plan_speedup = serial_points_per_sec / rebuild_points_per_sec;
     let engine_speedup = parallel_points_per_sec / rebuild_points_per_sec;
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
     println!(
-        "ac sweep ({points} points, A1 ladder): rebuild {rebuild_points_per_sec:.0}/s, \
-         analysis {analysis_points_per_sec:.0}/s, plan serial {serial_points_per_sec:.0}/s \
-         ({plan_speedup:.1}x vs analysis), parallel x{threads} {parallel_points_per_sec:.0}/s \
-         ({engine_speedup:.1}x vs rebuild)"
+        "ac sweep ({points} points, A1 ladder): compile-per-point \
+         {rebuild_points_per_sec:.0}/s, plan serial {serial_points_per_sec:.0}/s \
+         ({plan_speedup:.1}x), parallel x{threads} {parallel_points_per_sec:.0}/s \
+         ({engine_speedup:.1}x)"
     );
 
     for (label, v) in [
         ("rebuild", rebuild_points_per_sec),
-        ("analysis", analysis_points_per_sec),
         ("serial", serial_points_per_sec),
         ("parallel", parallel_points_per_sec),
     ] {
@@ -134,7 +122,7 @@ fn main() {
     }
 
     if smoke {
-        println!("\nsmoke OK ({points} points, all four paths bitwise identical)");
+        println!("\nsmoke OK ({points} points, all three paths bitwise identical)");
         return;
     }
 
@@ -143,7 +131,7 @@ fn main() {
         .map(AcPoint::magnitude)
         .fold(0.0_f64, f64::max);
     let json = format!(
-        "{{\n  \"ac_sweep\": {{\n    \"architecture\": \"A1\",\n    \"points\": {points},\n    \"passes\": {passes},\n    \"rebuild_points_per_sec\": {rebuild_points_per_sec:.3},\n    \"analysis_points_per_sec\": {analysis_points_per_sec:.3},\n    \"plan_serial_points_per_sec\": {serial_points_per_sec:.3},\n    \"plan_parallel_points_per_sec\": {parallel_points_per_sec:.3},\n    \"plan_vs_analysis_speedup\": {plan_speedup:.3},\n    \"engine_vs_rebuild_speedup\": {engine_speedup:.3},\n    \"threads\": {threads},\n    \"parallel_matches_serial_bitwise\": true\n  }},\n  \"sanity\": {{\n    \"a1_peak_impedance_ohm\": {peak:.9}\n  }}\n}}\n",
+        "{{\n  \"ac_sweep\": {{\n    \"architecture\": \"A1\",\n    \"points\": {points},\n    \"passes\": {passes},\n    \"rebuild_points_per_sec\": {rebuild_points_per_sec:.3},\n    \"plan_serial_points_per_sec\": {serial_points_per_sec:.3},\n    \"plan_parallel_points_per_sec\": {parallel_points_per_sec:.3},\n    \"plan_vs_rebuild_speedup\": {plan_speedup:.3},\n    \"engine_vs_rebuild_speedup\": {engine_speedup:.3},\n    \"threads\": {threads},\n    \"parallel_matches_serial_bitwise\": true\n  }},\n  \"sanity\": {{\n    \"a1_peak_impedance_ohm\": {peak:.9}\n  }}\n}}\n",
     );
     std::fs::write("BENCH_ac.json", &json).unwrap();
     println!("\nwrote BENCH_ac.json");

@@ -17,10 +17,10 @@
 //! * **batching on vs off** — the same workload against a `max_batch=1`
 //!   server isolates how much of the peak the coalescing contributes.
 //! * **determinism audits** — every response seen by every client is
-//!   compared against a cold oracle (a zero-capacity
-//!   [`Dispatcher`](vpd_serve::Dispatcher) dispatching one request at a
-//!   time): cached bits must equal cold bits, and batched bits must
-//!   equal sequential bits, request by request.
+//!   compared against a cold oracle (a zero-capacity [`Dispatcher`]
+//!   dispatching one request at a time): cached bits must equal cold
+//!   bits, and batched bits must equal sequential bits, request by
+//!   request.
 //! * **shed validation** — a tiny-queue server is flooded with
 //!   one-millisecond deadlines; every response must stay well-formed
 //!   NDJSON with a typed code (`ok`, `queue_full`, `shed`,

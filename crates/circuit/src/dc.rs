@@ -1,46 +1,50 @@
 //! DC operating-point analysis via modified nodal analysis (MNA).
 //!
-//! Two solve paths are provided behind one API:
+//! Two solve paths sit behind [`DcSolver::solve`], chosen by the
+//! netlist's structure:
 //!
-//! * **Dense LU** — general MNA with voltage-source current unknowns;
-//!   right for converter-sized circuits and anything with floating
-//!   sources.
-//! * **Sparse CG** — when every voltage source (and inductor, which is a
-//!   0 V source in DC) has a grounded terminal, the fixed nodes are
-//!   eliminated and the remaining conductance Laplacian is symmetric
-//!   positive definite; large power-grid meshes solve in milliseconds.
+//! * **Sparse Cholesky** — when every voltage source (and inductor,
+//!   which is a 0 V source in DC) has a grounded terminal, the fixed
+//!   nodes are eliminated and the remaining conductance Laplacian is
+//!   symmetric positive definite. The solve compiles a [`SparseDcPlan`]
+//!   in direct mode: an exact factorization, and large power-grid
+//!   meshes solve in milliseconds.
+//! * **Dense LU** — general MNA with voltage-source current unknowns,
+//!   the only route for floating sources and inductors.
 //!
-//! [`DcStrategy::Auto`] picks between them by problem size and
-//! reducibility.
+//! Repeated solves of one topology keep a [`SparseDcPlan`] and restamp
+//! it instead.
 
 use crate::netlist::{ElementKind, SwitchState};
 use crate::{CircuitError, ElementId, Netlist, NodeId};
 use vpd_numeric::{
-    conjugate_gradient, resilient_solve_direct_into, resilient_solve_into, CgSettings, CgWorkspace,
-    CooMatrix, CsrMatrix, DenseMatrix, LuFactor, PatternCache, ResilientSettings, SolveReport,
+    resilient_solve_direct_into, resilient_solve_into, CgSettings, CgWorkspace, CooMatrix,
+    CsrMatrix, DenseMatrix, LuFactor, PatternCache, Preconditioner, ResilientSettings, SolveReport,
     SparseCholesky, SymbolicCholesky,
 };
 use vpd_units::{Amps, Ohms, Volts, Watts};
 
-/// Above this many unknowns, `Auto` prefers the sparse path when the
-/// netlist is reducible.
-const AUTO_SPARSE_THRESHOLD: usize = 400;
-
-/// Solve-path selection for [`DcSolver`].
-#[derive(Clone, Copy, PartialEq, Debug, Default)]
-#[non_exhaustive]
-pub enum DcStrategy {
-    /// Choose automatically by size and structure.
-    #[default]
-    Auto,
-    /// Force the dense LU MNA path.
-    DenseLu,
-    /// Force the sparse eliminated-Laplacian CG path (errors if the
-    /// netlist has floating voltage sources or inductors).
-    SparseCg(CgSettings),
-}
+/// The resilience ladder every [`SparseDcPlan`] solves through:
+/// Jacobi-preconditioned CG to a 1e-10 relative residual (also the
+/// direct rung's acceptance bar) with the default `10·n` iteration cap,
+/// a cold restart with four times the cap, then dense LU. These are the
+/// `ResilientSettings` defaults.
+const LADDER: ResilientSettings = ResilientSettings {
+    cg: CgSettings {
+        tolerance: 1e-10,
+        max_iterations: None,
+        preconditioner: Preconditioner::Jacobi,
+    },
+    retry_iteration_factor: 4,
+    allow_dense_fallback: true,
+};
 
 /// DC operating-point solver.
+///
+/// A reducible netlist (every voltage source and inductor grounded, no
+/// node pinned twice) is solved by a one-shot [`SparseDcPlan`] in
+/// [`DcPlanMode::DirectCholesky`]; any other netlist takes dense MNA.
+/// Both answers are exact to factorization round-off.
 ///
 /// ```
 /// use vpd_circuit::{DcSolver, Netlist};
@@ -57,22 +61,14 @@ pub enum DcStrategy {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Copy, PartialEq, Debug, Default)]
-pub struct DcSolver {
-    strategy: DcStrategy,
-}
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct DcSolver;
 
 impl DcSolver {
-    /// A solver with the [`DcStrategy::Auto`] path selection.
+    /// The solver. It holds no state: every call compiles afresh.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A solver with an explicit strategy.
-    #[must_use]
-    pub fn with_strategy(strategy: DcStrategy) -> Self {
-        Self { strategy }
+        Self
     }
 
     /// Solves the DC operating point.
@@ -85,62 +81,24 @@ impl DcSolver {
     /// * [`CircuitError::EmptyNetlist`] — nothing to solve.
     /// * [`CircuitError::FloatingNode`] — some node has no resistive or
     ///   source path to ground.
-    /// * [`CircuitError::Numeric`] — the factorization or iteration
-    ///   failed (e.g. a loop of ideal voltage sources).
+    /// * [`CircuitError::Numeric`] — the factorization failed (e.g. a
+    ///   loop of ideal voltage sources).
     pub fn solve(&self, net: &Netlist) -> Result<DcSolution, CircuitError> {
-        if net.element_count() == 0 {
-            return Err(CircuitError::EmptyNetlist);
+        let (branches, reducible) = lower_checked(net)?;
+        if reducible {
+            let mut plan = SparseDcPlan::build(net, &branches);
+            plan.set_mode(DcPlanMode::DirectCholesky)?;
+            return plan.solve(net);
         }
-        check_connectivity(net)?;
-        let branches = lower(net);
-        let reducible = branches.iter().all(|b| match b.kind {
-            BranchKind::Source { .. } => b.a == net.ground() || b.b == net.ground(),
-            _ => true,
-        }) && fixed_nodes_unique(net, &branches);
-
-        let unknowns = net.node_count() - 1
-            + branches
-                .iter()
-                .filter(|b| matches!(b.kind, BranchKind::Source { .. }))
-                .count();
-
-        let use_sparse = match self.strategy {
-            DcStrategy::Auto => reducible && unknowns > AUTO_SPARSE_THRESHOLD,
-            DcStrategy::DenseLu => false,
-            DcStrategy::SparseCg(_) => {
-                if !reducible {
-                    return Err(CircuitError::FloatingNode {
-                        label: "sparse path requires grounded voltage sources".to_owned(),
-                    });
-                }
-                true
-            }
-        };
-
-        let node_voltages = if use_sparse {
-            let settings = match self.strategy {
-                DcStrategy::SparseCg(s) => s,
-                _ => CgSettings::default(),
-            };
-            solve_sparse(net, &branches, &settings)?
-        } else {
-            solve_dense(net, &branches)?
-        };
-
-        let adjacency = build_adjacency(net);
-        let element_currents = recover_currents(net, &node_voltages, &adjacency);
-        Ok(DcSolution {
-            node_voltages,
-            element_currents,
-        })
+        solve_dense(net, &branches)
     }
 }
 
 /// A compiled sparse DC solve plan: symbolic analysis done once, numeric
 /// restamping and warm-started CG per solve.
 ///
-/// [`DcSolver::solve`] re-derives everything from the netlist on every
-/// call — connectivity, node elimination, COO assembly, sort-and-merge,
+/// [`DcSolver::solve`] compiles a fresh plan on every call —
+/// connectivity, node elimination, COO assembly, sort-and-merge,
 /// current-recovery scans. When the same topology is solved hundreds of
 /// times with different element values (Monte-Carlo sampling, design
 /// sweeps, placement annealing), that symbolic work dominates. A plan
@@ -192,7 +150,6 @@ pub struct SparseDcPlan {
     fixed_vals: Vec<f64>,
     x: Vec<f64>,
     ws: CgWorkspace,
-    settings: ResilientSettings,
     adjacency: Vec<Vec<(usize, f64)>>,
     last_report: Option<SolveReport>,
     mode: DcPlanMode,
@@ -303,28 +260,8 @@ fn dc_source_voltage(kind: &ElementKind) -> Option<f64> {
 }
 
 impl SparseDcPlan {
-    /// Compiles a plan with default CG settings.
-    ///
-    /// # Errors
-    ///
-    /// As [`SparseDcPlan::compile_with`].
-    pub fn compile(net: &Netlist) -> Result<Self, CircuitError> {
-        Self::compile_with(net, CgSettings::default())
-    }
-
-    /// Compiles a plan with explicit CG settings and the default
-    /// resilience ladder (restart + dense-LU fallback) around them.
-    ///
-    /// # Errors
-    ///
-    /// As [`SparseDcPlan::compile_resilient`].
-    pub fn compile_with(net: &Netlist, settings: CgSettings) -> Result<Self, CircuitError> {
-        Self::compile_resilient(net, settings.into())
-    }
-
     /// Compiles the symbolic side of the sparse solve for this netlist
-    /// topology, with full control of the resilience ladder (set
-    /// `allow_dense_fallback: false` to get hard CG errors back).
+    /// topology, in [`DcPlanMode::WarmCg`].
     ///
     /// # Errors
     ///
@@ -332,29 +269,37 @@ impl SparseDcPlan {
     /// * [`CircuitError::FloatingNode`] — disconnected nodes, or a
     ///   floating (ungrounded) voltage source/inductor, which the sparse
     ///   elimination cannot express.
-    pub fn compile_resilient(
-        net: &Netlist,
-        settings: ResilientSettings,
-    ) -> Result<Self, CircuitError> {
-        if net.element_count() == 0 {
-            return Err(CircuitError::EmptyNetlist);
-        }
-        check_connectivity(net)?;
-        let branches = lower(net);
-        let reducible = branches.iter().all(|b| match b.kind {
-            BranchKind::Source { .. } => b.a == net.ground() || b.b == net.ground(),
-            _ => true,
-        }) && fixed_nodes_unique(net, &branches);
+    pub fn compile(net: &Netlist) -> Result<Self, CircuitError> {
+        let (branches, reducible) = lower_checked(net)?;
         if !reducible {
             return Err(CircuitError::FloatingNode {
                 label: "sparse plan requires grounded voltage sources".to_owned(),
             });
         }
+        Ok(Self::build(net, &branches))
+    }
 
+    /// Compiles a plan in [`DcPlanMode::DirectCholesky`]: the
+    /// fill-reducing ordering, elimination tree, and factor pattern are
+    /// analyzed here, once, and every later solve only refactors
+    /// numerically.
+    ///
+    /// # Errors
+    ///
+    /// As [`SparseDcPlan::compile`].
+    pub fn compile_direct(net: &Netlist) -> Result<Self, CircuitError> {
+        let mut plan = Self::compile(net)?;
+        plan.set_mode(DcPlanMode::DirectCholesky)?;
+        Ok(plan)
+    }
+
+    /// Builds the plan for lowered `branches` of a connected, reducible
+    /// netlist.
+    fn build(net: &Netlist, branches: &[Branch]) -> Self {
         let n = net.node_count();
         let mut fixed_from = vec![FixedBy::Free; n];
         fixed_from[0] = FixedBy::Ground;
-        for b in &branches {
+        for b in branches {
             if let BranchKind::Source { .. } = b.kind {
                 let (node, sign) = if b.b == net.ground() {
                     (b.a.index(), 1.0)
@@ -377,7 +322,7 @@ impl SparseDcPlan {
         }
 
         let mut ops = Vec::with_capacity(branches.len());
-        for b in &branches {
+        for b in branches {
             let op = match b.kind {
                 BranchKind::Conductance(_) => {
                     let (na, nb) = (b.a.index(), b.b.index());
@@ -422,7 +367,7 @@ impl SparseDcPlan {
             .collect();
 
         vpd_obs::incr("plan.compiles");
-        Ok(Self {
+        Self {
             node_count: n,
             fingerprint,
             unknown_index,
@@ -433,7 +378,6 @@ impl SparseDcPlan {
             fixed_vals: vec![0.0; n],
             x: vec![0.0; m],
             ws: CgWorkspace::new(),
-            settings,
             adjacency: build_adjacency(net),
             last_report: None,
             csr,
@@ -441,34 +385,7 @@ impl SparseDcPlan {
             mode: DcPlanMode::WarmCg,
             sym: None,
             chol: None,
-        })
-    }
-
-    /// Compiles a plan in [`DcPlanMode::DirectCholesky`] with default
-    /// settings: the fill-reducing ordering, elimination tree, and factor
-    /// pattern are analyzed here, once, and every later solve only
-    /// refactors numerically.
-    ///
-    /// # Errors
-    ///
-    /// As [`SparseDcPlan::compile_resilient`].
-    pub fn compile_direct(net: &Netlist) -> Result<Self, CircuitError> {
-        Self::compile_direct_resilient(net, ResilientSettings::default())
-    }
-
-    /// Compiles a direct-mode plan with explicit ladder settings (the CG
-    /// tolerance doubles as the direct rung's residual acceptance bar).
-    ///
-    /// # Errors
-    ///
-    /// As [`SparseDcPlan::compile_resilient`].
-    pub fn compile_direct_resilient(
-        net: &Netlist,
-        settings: ResilientSettings,
-    ) -> Result<Self, CircuitError> {
-        let mut plan = Self::compile_resilient(net, settings)?;
-        plan.set_mode(DcPlanMode::DirectCholesky)?;
-        Ok(plan)
+        }
     }
 
     /// The solver mode backing [`SparseDcPlan::solve`].
@@ -549,7 +466,7 @@ impl SparseDcPlan {
     }
 
     /// Clears the warm start: the next solve starts from zero, exactly
-    /// reproducing a cold [`DcSolver`] sparse solve.
+    /// reproducing a freshly compiled plan's first solve.
     pub fn reset_guess(&mut self) {
         self.x.fill(0.0);
     }
@@ -612,18 +529,12 @@ impl SparseDcPlan {
                     chol,
                     &self.rhs,
                     &mut self.x,
-                    &self.settings,
+                    &LADDER,
                     &mut self.ws,
                 );
             }
         }
-        resilient_solve_into(
-            &self.csr,
-            &self.rhs,
-            &mut self.x,
-            &self.settings,
-            &mut self.ws,
-        )
+        resilient_solve_into(&self.csr, &self.rhs, &mut self.x, &LADDER, &mut self.ws)
     }
 
     /// Solves `k` closely-related configurations of one topology as a
@@ -1118,6 +1029,22 @@ fn check_connectivity(net: &Netlist) -> Result<(), CircuitError> {
     Ok(())
 }
 
+/// Validates `net` for a DC solve and lowers it, reporting whether the
+/// lowered netlist is reducible: every source branch grounded and no node
+/// pinned twice, so the sparse elimination applies.
+fn lower_checked(net: &Netlist) -> Result<(Vec<Branch>, bool), CircuitError> {
+    if net.element_count() == 0 {
+        return Err(CircuitError::EmptyNetlist);
+    }
+    check_connectivity(net)?;
+    let branches = lower(net);
+    let reducible = branches.iter().all(|b| match b.kind {
+        BranchKind::Source { .. } => b.a == net.ground() || b.b == net.ground(),
+        _ => true,
+    }) && fixed_nodes_unique(net, &branches);
+    Ok((branches, reducible))
+}
+
 /// `true` when no node is constrained by two different grounded sources
 /// (that would make the fast elimination ambiguous; dense MNA reports it
 /// as singular instead).
@@ -1135,7 +1062,9 @@ fn fixed_nodes_unique(net: &Netlist, branches: &[Branch]) -> bool {
     true
 }
 
-fn solve_dense(net: &Netlist, branches: &[Branch]) -> Result<Vec<f64>, CircuitError> {
+/// Dense MNA with voltage-source current unknowns, then branch-current
+/// recovery.
+fn solve_dense(net: &Netlist, branches: &[Branch]) -> Result<DcSolution, CircuitError> {
     let nv = net.node_count() - 1; // ground eliminated
     let ns = branches
         .iter()
@@ -1192,87 +1121,13 @@ fn solve_dense(net: &Netlist, branches: &[Branch]) -> Result<Vec<f64>, CircuitEr
     let lu = LuFactor::new(&a).map_err(CircuitError::from)?;
     let x = lu.solve(&rhs).map_err(CircuitError::from)?;
 
-    let mut voltages = vec![0.0; net.node_count()];
-    voltages[1..].copy_from_slice(&x[..net.node_count() - 1]);
-    Ok(voltages)
-}
-
-fn solve_sparse(
-    net: &Netlist,
-    branches: &[Branch],
-    settings: &CgSettings,
-) -> Result<Vec<f64>, CircuitError> {
-    let n = net.node_count();
-    // Fixed potentials: ground plus grounded-source nodes.
-    let mut fixed: Vec<Option<f64>> = vec![None; n];
-    fixed[0] = Some(0.0);
-    for b in branches {
-        if let BranchKind::Source { v, .. } = b.kind {
-            if b.b == net.ground() {
-                fixed[b.a.index()] = Some(v);
-            } else {
-                fixed[b.b.index()] = Some(-v);
-            }
-        }
-    }
-    // Map unknown nodes to compact indices.
-    let mut unknown_index: Vec<Option<usize>> = vec![None; n];
-    let mut unknown_nodes = Vec::new();
-    for node in 0..n {
-        if fixed[node].is_none() {
-            unknown_index[node] = Some(unknown_nodes.len());
-            unknown_nodes.push(node);
-        }
-    }
-    let m = unknown_nodes.len();
-    let mut coo = CooMatrix::new(m, m);
-    let mut rhs = vec![0.0; m];
-
-    for b in branches {
-        match b.kind {
-            BranchKind::Conductance(g) => {
-                let (na, nb) = (b.a.index(), b.b.index());
-                match (unknown_index[na], unknown_index[nb]) {
-                    (Some(i), Some(j)) => {
-                        coo.push(i, i, g);
-                        coo.push(j, j, g);
-                        coo.push(i, j, -g);
-                        coo.push(j, i, -g);
-                    }
-                    (Some(i), None) => {
-                        coo.push(i, i, g);
-                        rhs[i] += g * fixed[nb].unwrap_or(0.0);
-                    }
-                    (None, Some(j)) => {
-                        coo.push(j, j, g);
-                        rhs[j] += g * fixed[na].unwrap_or(0.0);
-                    }
-                    (None, None) => {}
-                }
-            }
-            BranchKind::Current(i_src) => {
-                if let Some(i) = unknown_index[b.a.index()] {
-                    rhs[i] -= i_src;
-                }
-                if let Some(j) = unknown_index[b.b.index()] {
-                    rhs[j] += i_src;
-                }
-            }
-            BranchKind::Source { .. } | BranchKind::Open => {}
-        }
-    }
-
-    let csr = coo.to_csr();
-    let (x, _report) = conjugate_gradient(&csr, &rhs, settings).map_err(CircuitError::from)?;
-
-    let mut voltages = vec![0.0; n];
-    for node in 0..n {
-        voltages[node] = match fixed[node] {
-            Some(v) => v,
-            None => x[unknown_index[node].expect("unknown node missing index")],
-        };
-    }
-    Ok(voltages)
+    let mut node_voltages = vec![0.0; net.node_count()];
+    node_voltages[1..].copy_from_slice(&x[..net.node_count() - 1]);
+    let element_currents = recover_currents(net, &node_voltages, &build_adjacency(net));
+    Ok(DcSolution {
+        node_voltages,
+        element_currents,
+    })
 }
 
 /// Per-node incident-element lists: for each node, `(element index,
@@ -1370,9 +1225,7 @@ mod tests {
     #[test]
     fn voltage_divider_dense() {
         let (net, vin, out) = divider();
-        let sol = DcSolver::with_strategy(DcStrategy::DenseLu)
-            .solve(&net)
-            .unwrap();
+        let sol = solve_dense(&net, &lower(&net)).unwrap();
         assert!((sol.voltage(vin).value() - 12.0).abs() < 1e-12);
         assert!((sol.voltage(out).value() - 4.0).abs() < 1e-12);
         assert!(sol.max_kcl_residual(&net).value() < 1e-9);
@@ -1381,11 +1234,13 @@ mod tests {
     #[test]
     fn voltage_divider_sparse_matches_dense() {
         let (net, vin, out) = divider();
-        let sol = DcSolver::with_strategy(DcStrategy::SparseCg(CgSettings::default()))
-            .solve(&net)
-            .unwrap();
+        let dense = solve_dense(&net, &lower(&net)).unwrap();
+        let sol = SparseDcPlan::compile(&net).unwrap().solve(&net).unwrap();
         assert!((sol.voltage(vin).value() - 12.0).abs() < 1e-9);
         assert!((sol.voltage(out).value() - 4.0).abs() < 1e-9);
+        for n in 0..net.node_count() {
+            assert!((sol.node_voltages()[n] - dense.node_voltages()[n]).abs() < 1e-9);
+        }
     }
 
     #[test]
@@ -1526,24 +1381,10 @@ mod tests {
     }
 
     #[test]
-    fn sparse_rejects_floating_source() {
-        let mut net = Netlist::new();
-        let a = net.node("a");
-        let b = net.node("b");
-        net.resistor(a, net.ground(), Ohms::new(1.0)).unwrap();
-        net.voltage_source(a, b, Volts::new(1.0)).unwrap();
-        net.resistor(b, net.ground(), Ohms::new(1.0)).unwrap();
-        assert!(
-            DcSolver::with_strategy(DcStrategy::SparseCg(CgSettings::default()))
-                .solve(&net)
-                .is_err()
-        );
-    }
-
-    #[test]
     fn auto_uses_sparse_for_large_reducible_grids() {
-        // A 25x25 resistor mesh (625 nodes) with a grounded source: the
-        // Auto strategy must still produce a correct solution.
+        // A 25x25 resistor mesh (625 nodes) with a grounded source is
+        // reducible: the one-shot solve is the direct sparse plan, and it
+        // must produce a correct solution.
         let mut net = Netlist::new();
         let side = 25;
         let mut ids = Vec::new();
@@ -1570,6 +1411,11 @@ mod tests {
         net.current_source(ids[side * side - 1], net.ground(), Amps::new(0.5))
             .unwrap();
         let sol = DcSolver::new().solve(&net).unwrap();
+        let direct = SparseDcPlan::compile_direct(&net)
+            .unwrap()
+            .solve(&net)
+            .unwrap();
+        assert_eq!(sol, direct);
         assert!((sol.voltage(ids[0]).value() - 1.0).abs() < 1e-9);
         // Pulling 0.5 A out of the far corner drops its voltage below 1 V.
         assert!(sol.voltage(ids[side * side - 1]).value() < 1.0);
@@ -1629,9 +1475,7 @@ mod tests {
         let (mut net, ids, load) = mesh(12, 0.25);
         let mut plan = SparseDcPlan::compile(&net).unwrap();
         let first = plan.solve(&net).unwrap();
-        let fresh = DcSolver::with_strategy(DcStrategy::SparseCg(CgSettings::default()))
-            .solve(&net)
-            .unwrap();
+        let fresh = DcSolver::new().solve(&net).unwrap();
         for n in 0..net.node_count() {
             assert!((first.node_voltages()[n] - fresh.node_voltages()[n]).abs() < 1e-8);
         }
@@ -1639,9 +1483,7 @@ mod tests {
         net.set_current(load, Amps::new(0.75)).unwrap();
         net.set_resistance(ElementId(0), Ohms::new(0.2)).unwrap();
         let restamped = plan.solve(&net).unwrap();
-        let fresh = DcSolver::with_strategy(DcStrategy::SparseCg(CgSettings::default()))
-            .solve(&net)
-            .unwrap();
+        let fresh = DcSolver::new().solve(&net).unwrap();
         for n in 0..net.node_count() {
             assert!((restamped.node_voltages()[n] - fresh.node_voltages()[n]).abs() < 1e-8);
         }
@@ -1747,9 +1589,7 @@ mod tests {
             plan.last_report().unwrap().method,
             vpd_numeric::SolveMethod::SparseCholesky
         );
-        let fresh = DcSolver::with_strategy(DcStrategy::SparseCg(CgSettings::default()))
-            .solve(&net)
-            .unwrap();
+        let fresh = SparseDcPlan::compile(&net).unwrap().solve(&net).unwrap();
         for n in 0..net.node_count() {
             assert!((restamped.node_voltages()[n] - fresh.node_voltages()[n]).abs() < 1e-7);
         }
@@ -1879,6 +1719,27 @@ mod tests {
     }
 
     #[test]
+    fn every_plan_solves_through_the_default_ladder() {
+        assert_eq!(LADDER, ResilientSettings::default());
+    }
+
+    #[test]
+    fn fully_pinned_netlist_solves_without_unknowns() {
+        // Every node is fixed by a grounded source: the reduced system is
+        // empty, and the currents still come out of KCL.
+        let mut net = Netlist::new();
+        let a = net.node("a");
+        let src = net
+            .voltage_source(a, net.ground(), Volts::new(2.0))
+            .unwrap();
+        let r = net.resistor(a, net.ground(), Ohms::new(4.0)).unwrap();
+        let sol = DcSolver::new().solve(&net).unwrap();
+        assert_eq!(sol.voltage(a).value(), 2.0);
+        assert_eq!(sol.current(r).value(), 0.5);
+        assert_eq!(sol.current(src).value(), -0.5);
+    }
+
+    #[test]
     fn plan_rejects_floating_source() {
         let mut net = Netlist::new();
         let a = net.node("a");
@@ -1938,9 +1799,8 @@ mod tests {
             }
             net.current_source(prev, net.ground(), Amps::new(i_load)).unwrap();
             net.resistor(prev, net.ground(), Ohms::new(10.0)).unwrap();
-            let dense = DcSolver::with_strategy(DcStrategy::DenseLu).solve(&net).unwrap();
-            let sparse = DcSolver::with_strategy(DcStrategy::SparseCg(CgSettings::default()))
-                .solve(&net).unwrap();
+            let dense = solve_dense(&net, &lower(&net)).unwrap();
+            let sparse = SparseDcPlan::compile(&net).unwrap().solve(&net).unwrap();
             for n in 0..net.node_count() {
                 prop_assert!((dense.node_voltages()[n] - sparse.node_voltages()[n]).abs() < 1e-7);
             }

@@ -1,10 +1,12 @@
 //! Circuit construction and simulation for power-delivery modeling.
 //!
 //! This crate is the in-repo substitute for the authors' (unpublished)
-//! PPDN modeling tools: a netlist builder, a modified-nodal-analysis DC
-//! solver with automatic dense/sparse path selection, 2-D power-grid
-//! mesh builders, and a backward-Euler transient simulator with PWM
-//! switches for converter waveform studies.
+//! PPDN modeling tools: a netlist builder, 2-D power-grid mesh builders,
+//! and one compiled path per analysis — [`SparseDcPlan`] for the DC
+//! operating point (with dense MNA behind [`DcSolver`] for floating
+//! sources and inductors), [`AcPlan`] for impedance and transfer
+//! sweeps, and [`TransientPlan`], a backward-Euler simulator with PWM
+//! switches for converter and load-step waveform studies.
 //!
 //! ```
 //! use vpd_circuit::{DcSolver, Netlist};
@@ -36,9 +38,9 @@ mod grid;
 mod netlist;
 mod transient;
 
-pub use ac::{log_sweep, log_sweep_checked, AcAnalysis, AcPlan, AcPoint};
-pub use dc::{DcPlanMode, DcSolution, DcSolver, DcStrategy, SparseDcPlan};
+pub use ac::{log_sweep, log_sweep_checked, AcPlan, AcPoint};
+pub use dc::{DcPlanMode, DcSolution, DcSolver, SparseDcPlan};
 pub use error::CircuitError;
 pub use grid::{EditedPoint, GridSummary, PowerGrid, Regulator, RegulatorEdit, RegulatorResponse};
 pub use netlist::{Element, ElementId, ElementKind, Netlist, NodeId, PwmSchedule, SwitchState};
-pub use transient::{transient, TransientPlan, TransientResult, TransientSettings};
+pub use transient::{TransientPlan, TransientResult, TransientSettings};

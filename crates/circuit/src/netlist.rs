@@ -317,6 +317,11 @@ impl Netlist {
         &self.elements
     }
 
+    /// The handles of [`Netlist::elements`], in the same order.
+    pub fn element_ids(&self) -> impl Iterator<Item = ElementId> {
+        (0..self.elements.len()).map(ElementId)
+    }
+
     /// One element by id.
     ///
     /// # Errors

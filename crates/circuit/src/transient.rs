@@ -5,7 +5,9 @@
 //! conductance matrix only changes when a switch changes state, LU
 //! factorizations are cached per switch configuration — a multi-phase
 //! converter with `k` switches re-factors at most `2^k` times, not once
-//! per step.
+//! per step. [`TransientPlan`] is the one transient path: compile a
+//! netlist once, then [`TransientPlan::run`] it (or
+//! [`TransientPlan::advance`] it chunk by chunk).
 
 use crate::netlist::{ElementKind, PwmSchedule, SwitchState};
 use crate::{CircuitError, ElementId, Netlist, NodeId};
@@ -119,289 +121,6 @@ impl TransientResult {
     }
 }
 
-/// Runs a backward-Euler transient simulation.
-///
-/// Initial conditions come from each capacitor's `v0` and inductor's
-/// `i0`.
-///
-/// ```
-/// use vpd_circuit::{transient, Netlist, TransientSettings, TransientResult};
-/// use vpd_units::{Farads, Ohms, Seconds, Volts};
-///
-/// # fn main() -> Result<(), vpd_circuit::CircuitError> {
-/// // RC charging: v(t) = 5·(1 − e^{−t/RC}), RC = 1 ms.
-/// let mut net = Netlist::new();
-/// let vin = net.node("vin");
-/// let out = net.node("out");
-/// net.voltage_source(vin, net.ground(), Volts::new(5.0))?;
-/// net.resistor(vin, out, Ohms::new(1000.0))?;
-/// net.capacitor(out, net.ground(), Farads::from_microfarads(1.0), Volts::ZERO)?;
-/// let settings = TransientSettings::new(
-///     Seconds::new(5e-3), Seconds::new(1e-6))?;
-/// let result = transient(&net, &settings)?;
-/// let v_end = *result.voltage(out).last().unwrap();
-/// assert!((v_end - 5.0).abs() < 0.05); // fully charged after 5·RC
-/// # Ok(())
-/// # }
-/// ```
-///
-/// # Errors
-///
-/// * [`CircuitError::EmptyNetlist`] — nothing to simulate.
-/// * [`CircuitError::Numeric`] — a step's linear solve failed.
-pub fn transient(
-    net: &Netlist,
-    settings: &TransientSettings,
-) -> Result<TransientResult, CircuitError> {
-    if net.element_count() == 0 {
-        return Err(CircuitError::EmptyNetlist);
-    }
-    let dt = settings.dt.value();
-    let steps = (settings.t_stop.value() / dt).round() as usize;
-    let n_nodes = net.node_count();
-
-    // Unknown layout: node voltages (ground eliminated) then source
-    // currents (voltage sources AND inductors get a current unknown —
-    // inductors are stamped as resistive companions instead, so only
-    // voltage sources here).
-    let nv = n_nodes - 1;
-    let source_ids: Vec<usize> = net
-        .elements()
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| matches!(e.kind, ElementKind::VoltageSource { .. }))
-        .map(|(i, _)| i)
-        .collect();
-    let dim = nv + source_ids.len();
-    let idx = |n: NodeId| -> Option<usize> {
-        let i = n.index();
-        (i > 0).then(|| i - 1)
-    };
-
-    // State: capacitor voltages and inductor currents.
-    let mut cap_v: HashMap<usize, f64> = HashMap::new();
-    let mut ind_i: HashMap<usize, f64> = HashMap::new();
-    for (i, e) in net.elements().iter().enumerate() {
-        match &e.kind {
-            ElementKind::Capacitor { v0, .. } => {
-                cap_v.insert(i, v0.value());
-            }
-            ElementKind::Inductor { i0, .. } => {
-                ind_i.insert(i, i0.value());
-            }
-            _ => {}
-        }
-    }
-
-    // LU cache keyed by the switch-state vector.
-    let mut lu_cache: HashMap<Vec<SwitchState>, LuFactor> = HashMap::new();
-
-    let mut times = Vec::with_capacity(steps + 1);
-    let mut node_v = vec![Vec::with_capacity(steps + 1); n_nodes];
-    let mut element_i = vec![Vec::with_capacity(steps + 1); net.element_count()];
-
-    let mut voltages = vec![0.0; n_nodes];
-
-    for step in 0..=steps {
-        let t = step as f64 * dt;
-
-        // Switch states at this time.
-        let switch_states: Vec<SwitchState> = net
-            .elements()
-            .iter()
-            .filter_map(|e| match &e.kind {
-                ElementKind::Switch {
-                    schedule, initial, ..
-                } => Some(schedule.map_or(*initial, |s| s.state_at(t))),
-                _ => None,
-            })
-            .collect();
-
-        // Assemble (or reuse) the conductance matrix for this switch
-        // configuration; the RHS is rebuilt every step.
-        let lu = match lu_cache.get(&switch_states) {
-            Some(lu) => lu,
-            None => {
-                let mut a = DenseMatrix::zeros(dim, dim);
-                let mut sw_iter = switch_states.iter();
-                let mut src_k = 0;
-                for e in net.elements() {
-                    match &e.kind {
-                        ElementKind::Resistor { r } => {
-                            stamp_g(&mut a, idx(e.a), idx(e.b), 1.0 / r.value())?;
-                        }
-                        ElementKind::Switch { r_on, r_off, .. } => {
-                            let state = sw_iter.next().expect("switch count mismatch");
-                            let r = match state {
-                                SwitchState::On => r_on.value(),
-                                SwitchState::Off => r_off.value(),
-                            };
-                            stamp_g(&mut a, idx(e.a), idx(e.b), 1.0 / r)?;
-                        }
-                        ElementKind::Capacitor { c, .. } => {
-                            stamp_g(&mut a, idx(e.a), idx(e.b), c.value() / dt)?;
-                        }
-                        ElementKind::Inductor { l, .. } => {
-                            stamp_g(&mut a, idx(e.a), idx(e.b), dt / l.value())?;
-                        }
-                        ElementKind::VoltageSource { .. } => {
-                            let row = nv + src_k;
-                            src_k += 1;
-                            if let Some(i) = idx(e.a) {
-                                a.add_at(i, row, 1.0)?;
-                                a.add_at(row, i, 1.0)?;
-                            }
-                            if let Some(j) = idx(e.b) {
-                                a.add_at(j, row, -1.0)?;
-                                a.add_at(row, j, -1.0)?;
-                            }
-                        }
-                        ElementKind::CurrentSource { .. }
-                        | ElementKind::StepCurrentSource { .. }
-                        | ElementKind::RampCurrentSource { .. } => {}
-                    }
-                }
-                let lu = LuFactor::new(&a)?;
-                lu_cache.entry(switch_states.clone()).or_insert(lu)
-            }
-        };
-
-        // RHS with companion-source history terms.
-        let mut rhs = vec![0.0; dim];
-        let mut src_k = 0;
-        for (i, e) in net.elements().iter().enumerate() {
-            match &e.kind {
-                ElementKind::CurrentSource { i: i_src } => {
-                    if let Some(ia) = idx(e.a) {
-                        rhs[ia] -= i_src.value();
-                    }
-                    if let Some(ib) = idx(e.b) {
-                        rhs[ib] += i_src.value();
-                    }
-                }
-                ElementKind::StepCurrentSource { before, after, at } => {
-                    let i_src = if t < at.value() {
-                        before.value()
-                    } else {
-                        after.value()
-                    };
-                    if let Some(ia) = idx(e.a) {
-                        rhs[ia] -= i_src;
-                    }
-                    if let Some(ib) = idx(e.b) {
-                        rhs[ib] += i_src;
-                    }
-                }
-                ElementKind::RampCurrentSource {
-                    before,
-                    after,
-                    at,
-                    rise,
-                } => {
-                    let i_src =
-                        ramp_value(before.value(), after.value(), at.value(), rise.value(), t);
-                    if let Some(ia) = idx(e.a) {
-                        rhs[ia] -= i_src;
-                    }
-                    if let Some(ib) = idx(e.b) {
-                        rhs[ib] += i_src;
-                    }
-                }
-                ElementKind::VoltageSource { v } => {
-                    rhs[nv + src_k] = v.value();
-                    src_k += 1;
-                }
-                ElementKind::Capacitor { c, .. } => {
-                    // i = C/dt (v_n − v_prev): history acts as a current
-                    // source of (C/dt)·v_prev from b to a (injects into a).
-                    let g = c.value() / dt;
-                    let hist = g * cap_v[&i];
-                    if let Some(ia) = idx(e.a) {
-                        rhs[ia] += hist;
-                    }
-                    if let Some(ib) = idx(e.b) {
-                        rhs[ib] -= hist;
-                    }
-                }
-                ElementKind::Inductor { .. } => {
-                    // i_n = i_prev + (dt/L)·v_n: history is a current
-                    // source i_prev flowing a → b.
-                    let hist = ind_i[&i];
-                    if let Some(ia) = idx(e.a) {
-                        rhs[ia] -= hist;
-                    }
-                    if let Some(ib) = idx(e.b) {
-                        rhs[ib] += hist;
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        let x = lu.solve(&rhs)?;
-        voltages[0] = 0.0;
-        voltages[1..n_nodes].copy_from_slice(&x[..n_nodes - 1]);
-
-        // Record + update state.
-        times.push(t);
-        for (n, v) in voltages.iter().enumerate() {
-            node_v[n].push(*v);
-        }
-        let mut sw_iter = switch_states.iter();
-        let mut src_k = 0;
-        for (i, e) in net.elements().iter().enumerate() {
-            let vab = voltages[e.a.index()] - voltages[e.b.index()];
-            let i_e = match &e.kind {
-                ElementKind::Resistor { r } => vab / r.value(),
-                ElementKind::Switch { r_on, r_off, .. } => {
-                    let state = sw_iter.next().expect("switch count mismatch");
-                    vab / match state {
-                        SwitchState::On => r_on.value(),
-                        SwitchState::Off => r_off.value(),
-                    }
-                }
-                ElementKind::CurrentSource { i } => i.value(),
-                ElementKind::StepCurrentSource { before, after, at } => {
-                    if t < at.value() {
-                        before.value()
-                    } else {
-                        after.value()
-                    }
-                }
-                ElementKind::RampCurrentSource {
-                    before,
-                    after,
-                    at,
-                    rise,
-                } => ramp_value(before.value(), after.value(), at.value(), rise.value(), t),
-                ElementKind::VoltageSource { .. } => {
-                    let cur = x[nv + src_k];
-                    src_k += 1;
-                    cur
-                }
-                ElementKind::Capacitor { c, .. } => {
-                    let g = c.value() / dt;
-                    let i_c = g * (vab - cap_v[&i]);
-                    cap_v.insert(i, vab);
-                    i_c
-                }
-                ElementKind::Inductor { l, .. } => {
-                    let i_l = ind_i[&i] + dt / l.value() * vab;
-                    ind_i.insert(i, i_l);
-                    i_l
-                }
-            };
-            element_i[i].push(i_e);
-        }
-    }
-
-    Ok(TransientResult {
-        times,
-        node_v,
-        element_i,
-    })
-}
-
 /// Value of a ramping current source at time `t`: `before` until `at`,
 /// linear to `after` over `rise`, then `after`. `rise = 0` degenerates
 /// to an ideal step (`t >= at` implies `t >= at + 0`), so the divide is
@@ -451,12 +170,12 @@ struct TranOp {
 }
 
 /// The compiled per-element operation. Conductances are pre-divided at
-/// compile time (`1/r`, `c/dt`, `dt/l`) from exactly the operands the
-/// legacy walk divides each build, so the stamps are bitwise identical.
+/// compile time (`1/r`, `c/dt`, `dt/l`) from the element values, so a
+/// plan restamped in place stamps exactly what a fresh compile would.
 #[derive(Clone, Debug)]
 enum TranOpKind {
     /// Fixed conductance (resistor). `r` is kept for the record pass,
-    /// which divides by resistance like the legacy walk.
+    /// which divides by resistance.
     Conductance { g: f64, r: f64 },
     /// A scheduled switch; consumes one slot of the switch-state vector.
     Switch {
@@ -489,11 +208,10 @@ enum TranOpKind {
 /// A compiled, reusable transient simulation.
 ///
 /// One netlist walk at [`TransientPlan::compile`] lowers every element
-/// to a [`TranOp`] with pre-divided companion conductances and
+/// to a compiled op with pre-divided companion conductances and
 /// pre-assigned source rows; [`TransientPlan::run`] then replays the op
-/// list with reusable matrix/RHS/solution buffers. The replay follows
-/// the exact stamp, solve, and record order of [`transient`], so the
-/// two paths produce bitwise-identical [`TransientResult`]s.
+/// list with reusable matrix/RHS/solution buffers, stamping, solving,
+/// and recording in netlist element order every step.
 ///
 /// The per-switch-configuration LU cache **persists across runs**:
 /// repeated runs at the same `dt` re-factor zero times, and the
@@ -511,21 +229,26 @@ enum TranOpKind {
 /// [`TransientPlan::result`].
 ///
 /// ```
-/// use vpd_circuit::{transient, Netlist, TransientPlan, TransientSettings};
+/// use vpd_circuit::{Netlist, TransientPlan, TransientSettings};
 /// use vpd_units::{Farads, Ohms, Seconds, Volts};
 ///
 /// # fn main() -> Result<(), vpd_circuit::CircuitError> {
+/// // RC charging: v(t) = V·(1 − e^{−t/RC}), RC = 1 ms.
 /// let mut net = Netlist::new();
 /// let vin = net.node("vin");
 /// let out = net.node("out");
-/// net.voltage_source(vin, net.ground(), Volts::new(5.0))?;
+/// let src = net.voltage_source(vin, net.ground(), Volts::new(5.0))?;
 /// net.resistor(vin, out, Ohms::new(1000.0))?;
 /// net.capacitor(out, net.ground(), Farads::from_microfarads(1.0), Volts::ZERO)?;
-/// let settings = TransientSettings::new(Seconds::new(1e-4), Seconds::new(1e-6))?;
+/// let settings = TransientSettings::new(Seconds::new(5e-3), Seconds::new(1e-6))?;
 /// let mut plan = TransientPlan::compile(&net, &settings)?;
-/// let fast = plan.run()?.clone();
-/// let slow = transient(&net, &settings)?;
-/// assert_eq!(fast, slow);
+/// let v_end = *plan.run()?.voltage(out).last().unwrap();
+/// assert!((v_end - 5.0).abs() < 0.05); // fully charged after 5·RC
+/// // Sweep the source: an RHS-only restamp, so nothing re-factors.
+/// plan.set_source(src, 2.5)?;
+/// let v_end = *plan.run()?.voltage(out).last().unwrap();
+/// assert!((v_end - 2.5).abs() < 0.025);
+/// assert_eq!(plan.cached_factorizations(), 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -939,7 +662,7 @@ impl TransientPlan {
     }
 
     /// Fills `sw_buf` with every switch's state at time `t`, in element
-    /// order — the same vector the legacy walk collects per step.
+    /// order.
     fn compute_switch_states(&mut self, t: f64) {
         self.sw_buf.clear();
         for op in &self.ops {
@@ -1008,8 +731,9 @@ impl TransientPlan {
         Ok(k)
     }
 
-    /// One backward-Euler step: the legacy loop body, replayed over the
-    /// compiled ops with reusable buffers.
+    /// One backward-Euler step over the compiled ops with reusable
+    /// buffers: assemble the right-hand side, solve against the cached
+    /// factor of this step's switch configuration, and record.
     fn step(&mut self) -> Result<(), CircuitError> {
         let t = self.next_step as f64 * self.dt;
         self.compute_switch_states(t);
@@ -1154,6 +878,15 @@ mod tests {
     use crate::PwmSchedule;
     use vpd_units::{Amps, Farads, Henries, Hertz, Ohms, Volts};
 
+    /// Compiles `net` and runs it from scratch.
+    fn run(net: &Netlist, settings: &TransientSettings) -> TransientResult {
+        TransientPlan::compile(net, settings)
+            .unwrap()
+            .run()
+            .unwrap()
+            .clone()
+    }
+
     #[test]
     fn rc_charge_matches_analytic() {
         let mut net = Netlist::new();
@@ -1170,7 +903,7 @@ mod tests {
         )
         .unwrap();
         let settings = TransientSettings::new(Seconds::new(2e-3), Seconds::new(1e-7)).unwrap();
-        let res = transient(&net, &settings).unwrap();
+        let res = run(&net, &settings);
         // Compare against 1 − e^{−t/RC} at several times.
         let rc = 1e-3;
         for (k, &t) in res.times().iter().enumerate().step_by(2000) {
@@ -1201,7 +934,7 @@ mod tests {
             )
             .unwrap();
         let settings = TransientSettings::new(Seconds::new(5e-6), Seconds::new(1e-9)).unwrap();
-        let res = transient(&net, &settings).unwrap();
+        let res = run(&net, &settings);
         let tau = 1e-6;
         for (k, &t) in res.times().iter().enumerate().step_by(1000) {
             let expected = 1.0 - (-t / tau).exp();
@@ -1252,7 +985,7 @@ mod tests {
         )
         .unwrap();
         let settings = TransientSettings::new(Seconds::new(2e-3), Seconds::new(5e-9)).unwrap();
-        let res = transient(&net, &settings).unwrap();
+        let res = run(&net, &settings);
         let settled = TransientResult::settled_mean(res.voltage(out), 0.2);
         assert!(
             (settled - duty).abs() < 0.02,
@@ -1291,7 +1024,7 @@ mod tests {
             Seconds::from_nanoseconds(2.0),
         )
         .unwrap();
-        let res = transient(&net, &settings).unwrap();
+        let res = run(&net, &settings);
         let i = res.current(step_id);
         let times = res.times();
         // Before the step: 10 A; after: 100 A.
@@ -1326,66 +1059,6 @@ mod tests {
         }
     }
 
-    /// A netlist exercising every op kind: PWM switches, R, L, C, a
-    /// voltage source, and all three current-source flavors.
-    fn full_coverage_netlist() -> (Netlist, NodeId) {
-        let f = Hertz::from_megahertz(2.0);
-        let mut net = Netlist::new();
-        let vin = net.node("vin");
-        let sw = net.node("sw");
-        let out = net.node("out");
-        net.voltage_source(vin, net.ground(), Volts::new(1.0))
-            .unwrap();
-        net.switch(
-            vin,
-            sw,
-            Ohms::from_milliohms(5.0),
-            Ohms::new(1e6),
-            Some(PwmSchedule::new(f, 0.4, 0.0).unwrap()),
-            SwitchState::Off,
-        )
-        .unwrap();
-        net.switch(
-            sw,
-            net.ground(),
-            Ohms::from_milliohms(5.0),
-            Ohms::new(1e6),
-            Some(PwmSchedule::new(f, 0.4, 0.0).unwrap().complementary()),
-            SwitchState::On,
-        )
-        .unwrap();
-        net.inductor(sw, out, Henries::from_microhenries(0.5), Amps::ZERO)
-            .unwrap();
-        net.capacitor(
-            out,
-            net.ground(),
-            Farads::from_microfarads(4.0),
-            Volts::ZERO,
-        )
-        .unwrap();
-        net.resistor(out, net.ground(), Ohms::new(2.0)).unwrap();
-        net.current_source(out, net.ground(), Amps::new(0.05))
-            .unwrap();
-        net.step_current_source(
-            out,
-            net.ground(),
-            Amps::new(0.01),
-            Amps::new(0.2),
-            Seconds::from_microseconds(3.0),
-        )
-        .unwrap();
-        net.ramp_current_source(
-            out,
-            net.ground(),
-            Amps::new(0.0),
-            Amps::new(0.1),
-            Seconds::from_microseconds(5.0),
-            Seconds::from_microseconds(1.0),
-        )
-        .unwrap();
-        (net, out)
-    }
-
     #[test]
     fn ramp_current_source_interpolates_and_holds() {
         let mut net = Netlist::new();
@@ -1406,7 +1079,7 @@ mod tests {
             Seconds::from_microseconds(1.0),
         )
         .unwrap();
-        let res = transient(&net, &settings).unwrap();
+        let res = run(&net, &settings);
         let i = res.current(ramp);
         // t = 0,1 µs: before; t = 2..6 µs: linear; t >= 6 µs: after.
         assert_eq!(i[0], 1.0);
@@ -1441,7 +1114,7 @@ mod tests {
                 Seconds::from_nanoseconds(20.0),
             )
             .unwrap();
-            transient(&net, &settings).unwrap()
+            run(&net, &settings)
         };
         assert_results_bitwise(&build(true), &build(false));
     }
@@ -1471,53 +1144,6 @@ mod tests {
         assert!(net
             .ramp_current_source(n, g, ok.0, ok.1, Seconds::ZERO, Seconds::ZERO)
             .is_ok());
-    }
-
-    #[test]
-    fn plan_matches_legacy_bitwise_with_all_element_kinds() {
-        let (net, _) = full_coverage_netlist();
-        let settings = TransientSettings::new(
-            Seconds::from_microseconds(8.0),
-            Seconds::from_nanoseconds(25.0),
-        )
-        .unwrap();
-        let legacy = transient(&net, &settings).unwrap();
-        let mut plan = TransientPlan::compile(&net, &settings).unwrap();
-        let fast = plan.run().unwrap();
-        assert_results_bitwise(fast, &legacy);
-        // Two switch phases → exactly two cached configurations.
-        assert_eq!(plan.cached_factorizations(), 2);
-        // A second run re-factors zero times and reproduces the bits.
-        let again = plan.run().unwrap().clone();
-        assert_eq!(plan.cached_factorizations(), 2);
-        assert_results_bitwise(&again, &legacy);
-    }
-
-    #[test]
-    fn plan_advance_streams_the_same_bits() {
-        let (net, out) = full_coverage_netlist();
-        let settings = TransientSettings::new(
-            Seconds::from_microseconds(4.0),
-            Seconds::from_nanoseconds(50.0),
-        )
-        .unwrap();
-        let legacy = transient(&net, &settings).unwrap();
-        let mut plan = TransientPlan::compile(&net, &settings).unwrap();
-        plan.start();
-        let mut chunks = 0;
-        loop {
-            let n = plan.advance(17).unwrap();
-            if n == 0 {
-                break;
-            }
-            chunks += 1;
-            assert!(plan.samples_done() <= plan.steps() + 1);
-        }
-        assert!(plan.finished());
-        assert!(chunks > 1, "expected multiple chunks");
-        assert_eq!(plan.samples_done(), plan.steps() + 1);
-        assert_results_bitwise(plan.result(), &legacy);
-        assert_eq!(plan.result().voltage(out).len(), legacy.voltage(out).len());
     }
 
     #[test]
@@ -1566,7 +1192,7 @@ mod tests {
         )
         .unwrap();
         let restamped = plan.run().unwrap();
-        let scratch = transient(&net_b, &settings).unwrap();
+        let scratch = run(&net_b, &settings);
         assert_results_bitwise(restamped, &scratch);
         // The restamp must not have invalidated the factorization.
         assert_eq!(plan.cached_factorizations(), 1);
@@ -1595,7 +1221,7 @@ mod tests {
         let swept = plan.run().unwrap();
         let mut net2 = net.clone();
         net2.set_voltage(vs, Volts::new(2.5)).unwrap();
-        let scratch = transient(&net2, &settings).unwrap();
+        let scratch = run(&net2, &settings);
         assert_results_bitwise(swept, &scratch);
         assert_eq!(plan.cached_factorizations(), 1);
         // Wrong-kind and out-of-range restamps are typed errors.
@@ -1659,7 +1285,7 @@ mod tests {
         assert_eq!(plan.cached_factorizations(), 2);
         let dying = PwmSchedule::always_on().with_failure_at(at).unwrap();
         let (baked, ..) = build(Some(dying));
-        let scratch = transient(&baked, &settings).unwrap();
+        let scratch = run(&baked, &settings);
         assert_results_bitwise(&restamped, &scratch);
         // The die rail must actually sag once the switch opens.
         let v = restamped.voltage(out);
@@ -1674,7 +1300,7 @@ mod tests {
         plan.set_switch_drive(sw, None, SwitchState::On).unwrap();
         let healthy_again = plan.run().unwrap().clone();
         assert_eq!(plan.cached_factorizations(), 2);
-        let healthy_oracle = transient(&healthy, &settings).unwrap();
+        let healthy_oracle = run(&healthy, &settings);
         assert_results_bitwise(&healthy_again, &healthy_oracle);
         // Wrong-kind, foreign-id, and bad-time restamps are typed
         // errors.
@@ -1704,9 +1330,14 @@ mod tests {
 
     #[test]
     fn empty_netlist_rejected() {
+        // Nodes alone are not a circuit: with no element to stamp there
+        // is nothing to simulate.
+        let mut net = Netlist::new();
+        net.node("a");
+        net.node("b");
         let settings = TransientSettings::new(Seconds::new(1e-3), Seconds::new(1e-6)).unwrap();
         assert!(matches!(
-            transient(&Netlist::new(), &settings),
+            TransientPlan::compile(&net, &settings),
             Err(CircuitError::EmptyNetlist)
         ));
     }

@@ -10,7 +10,7 @@
 //! "accurate system-level models" direction the paper's §I calls for.
 
 use crate::{Architecture, CoreError, SystemSpec};
-use vpd_circuit::{log_sweep, AcAnalysis, AcPoint, ElementId, Netlist, NodeId};
+use vpd_circuit::{log_sweep, AcPlan, AcPoint, ElementId, Netlist, NodeId};
 use vpd_units::{Amps, Farads, Henries, Hertz, Ohms, Volts};
 
 /// Element handles into the ladder built by
@@ -225,7 +225,7 @@ impl PdnModel {
     /// Propagates AC-solver failures.
     pub fn impedance_profile(&self, freqs: &[Hertz]) -> Result<Vec<AcPoint>, CoreError> {
         let (net, die) = self.netlist()?;
-        AcAnalysis::new(&net)
+        AcPlan::compile(&net)
             .impedance(die, freqs)
             .map_err(CoreError::Circuit)
     }

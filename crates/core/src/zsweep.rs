@@ -270,7 +270,6 @@ pub fn compare_architectures(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpd_circuit::AcAnalysis;
 
     fn small() -> ImpedanceSweepSettings {
         ImpedanceSweepSettings {
@@ -289,26 +288,6 @@ mod tests {
             assert_eq!(sweep.run_over(&freqs, threads).unwrap(), serial);
         }
         assert_eq!(sweep.run_over(&freqs, 0).unwrap(), serial);
-    }
-
-    #[test]
-    fn engine_matches_the_reference_analysis_path_bitwise() {
-        let spec = SystemSpec::paper_default();
-        for arch in [
-            Architecture::Reference,
-            Architecture::InterposerPeriphery,
-            Architecture::InterposerEmbedded,
-        ] {
-            let model = PdnModel::for_architecture(arch);
-            let freqs = small().frequencies().unwrap();
-            let (net, die) = model.netlist().unwrap();
-            let reference = AcAnalysis::new(&net).impedance(die, &freqs).unwrap();
-            let profile = ImpedanceSweep::for_architecture(arch, &spec)
-                .unwrap()
-                .run_over(&freqs, 1)
-                .unwrap();
-            assert_eq!(profile.points, reference, "{}", arch.name());
-        }
     }
 
     #[test]

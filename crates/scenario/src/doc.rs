@@ -27,6 +27,10 @@ pub const MAX_GRID_NODES: usize = 200;
 pub const MAX_FAULT_COUNT: usize = 1_000_000;
 /// Ceiling on `faults.k`.
 pub const MAX_FAULT_K: usize = 1_000;
+/// Ceiling on `faults.k × faults.count`: a random-k sweep materializes
+/// every drawn fault before it starts, so this bounds its memory. Every
+/// `k = 1` sweep stays legal.
+pub const MAX_FAULT_DRAWS: usize = 1_000_000;
 
 /// The `[spec]` section: raw document-unit values (volts, watts,
 /// A/mm²), defaults = the paper's 48 V → 1 V, 1 kW, 2 A/mm² system.
@@ -971,7 +975,20 @@ impl ScenarioDoc {
                         let k = r.count_entry("k", k_entry, 1, MAX_FAULT_K)?;
                         let count = match &count {
                             None => 32,
-                            Some(e) => r.count_entry("count", e, 1, MAX_FAULT_COUNT)?,
+                            Some(e) => {
+                                let n = r.count_entry("count", e, 1, MAX_FAULT_COUNT)?;
+                                if k * n > MAX_FAULT_DRAWS {
+                                    return Err(e.value_span.err(
+                                        "faults.count",
+                                        ScenarioErrorCode::OutOfRange,
+                                        format!(
+                                            "k × count is capped at {MAX_FAULT_DRAWS} fault \
+                                             draws, got {k} × {n}"
+                                        ),
+                                    ));
+                                }
+                                n
+                            }
                         };
                         let seed = match &seed {
                             None => 64023,

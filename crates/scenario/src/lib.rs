@@ -54,7 +54,7 @@ pub use builtin::{builtin_doc, builtin_docs, BUILTIN_NAMES};
 pub use compile::{FaultPlan, Scenario};
 pub use doc::{
     default_placement, solve_mode_name, CalibDoc, ConverterDoc, FaultsDoc, ScenarioDoc, SpecDoc,
-    TechBase, TechDoc, MAX_FAULT_COUNT, MAX_FAULT_K, MAX_GRID_NODES, MAX_MODULES,
+    TechBase, TechDoc, MAX_FAULT_COUNT, MAX_FAULT_DRAWS, MAX_FAULT_K, MAX_GRID_NODES, MAX_MODULES,
 };
 pub use error::{ScenarioError, ScenarioErrorCode};
 

@@ -92,8 +92,8 @@ impl ScenarioKey {
     /// * `analyze` and `mc` share `"session"` entries — the compiled
     ///   grid plan depends on (architecture, power, density), never on
     ///   the topology, samples, seed, or thread count. `mc` always runs
-    ///   at the paper defaults, so its key pins
-    ///   [`PAPER_POWER_W`]/[`PAPER_DENSITY`].
+    ///   at the paper defaults, so its key pins the paper's 1 kW and
+    ///   2 A/mm².
     /// * `sharing_sweep` keys on (placement, modules) only — setpoints
     ///   are RHS-only restamps against the same factorization, which is
     ///   also what makes the kind batchable. It does **not** share the

@@ -34,7 +34,7 @@ use std::sync::OnceLock;
 use vpd_converters::VrTopologyKind;
 use vpd_core::{Architecture, VrPlacement};
 use vpd_report::Json;
-use vpd_scenario::{builtin_doc, ScenarioDoc, BUILTIN_NAMES, MAX_FAULT_K};
+use vpd_scenario::{builtin_doc, ScenarioDoc, BUILTIN_NAMES, MAX_FAULT_DRAWS, MAX_FAULT_K};
 
 /// Version tag carried by every response. Version 1 is the original
 /// (unversioned) PR 5 protocol; version 2 added the `version` field
@@ -754,6 +754,15 @@ pub fn kind_specs() -> &'static [KindSpec] {
     })
 }
 
+/// Whether the kind runs a random-k fault sweep: one with both a
+/// `random_k` and a `count` param, whose product is capped at the
+/// `.vpd` grammar's `MAX_FAULT_DRAWS`.
+fn caps_fault_draws(spec: &KindSpec) -> bool {
+    ["random_k", "count"]
+        .iter()
+        .all(|name| spec.fields.iter().any(|f| f.name == *name))
+}
+
 /// Looks a kind's spec up in the table.
 #[must_use]
 pub fn kind_spec(kind: &str) -> Option<&'static KindSpec> {
@@ -818,11 +827,24 @@ pub fn kind_catalog() -> Json {
                         Json::obj(pairs)
                     })
                     .collect();
-            Json::obj([
+            let mut entry = vec![
                 ("kind", Json::from(spec.kind)),
                 ("doc", Json::from(spec.doc)),
                 ("params", Json::Array(params)),
-            ])
+            ];
+            if caps_fault_draws(spec) {
+                entry.push((
+                    "limits",
+                    Json::array([Json::obj([
+                        (
+                            "product",
+                            Json::array(["random_k", "count"].map(Json::from)),
+                        ),
+                        ("max", Json::from(MAX_FAULT_DRAWS)),
+                    ])]),
+                ));
+            }
+            Json::obj(entry)
         })
         .collect();
     Json::Array(kinds)
@@ -1164,6 +1186,21 @@ fn parse_work(kind: &str, p: &Params<'_>) -> Result<Work, (ErrorCode, String)> {
         values.push((f.name, parse_field(f, p)?));
     }
     let v = ParsedFields(values);
+    // Every drawn fault is materialized before a random-k sweep starts.
+    if caps_fault_draws(spec) {
+        if let Some(k) = v.optional_count("random_k") {
+            let count = v.count("count");
+            if k * count > MAX_FAULT_DRAWS {
+                return Err((
+                    ErrorCode::BadRequest,
+                    format!(
+                        "params `random_k` × `count` are capped at {MAX_FAULT_DRAWS} fault \
+                         draws, got {k} × {count}"
+                    ),
+                ));
+            }
+        }
+    }
     Ok(match kind {
         "ping" => Work::Ping,
         "stats" => Work::Stats,
@@ -1709,6 +1746,49 @@ mod tests {
             )),
             "{catalog}"
         );
+    }
+
+    #[test]
+    fn random_k_times_count_has_the_vpd_grammars_ceiling() {
+        for kind in ["faults", "fault_impedance"] {
+            let line = |k: usize, count: usize| {
+                format!(
+                    r#"{{"kind":"{kind}","params":{{"arch":"a2","random_k":{k},"count":{count}}}}}"#
+                )
+            };
+            // Every k = 1 request stays legal, and the product may reach
+            // the ceiling.
+            Request::parse_line(&line(1, 1_000_000)).unwrap();
+            Request::parse_line(&line(MAX_FAULT_K, MAX_FAULT_DRAWS / MAX_FAULT_K)).unwrap();
+            let e = Request::parse_line(&line(MAX_FAULT_K, MAX_FAULT_DRAWS / MAX_FAULT_K + 1))
+                .unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadRequest, "{kind}");
+            assert!(
+                e.message.contains("`random_k`") && e.message.contains("`count`"),
+                "{kind}: {e:?}"
+            );
+            // N-1 mode draws nothing, so `count` alone is not capped by it.
+            let n_minus_1 =
+                format!(r#"{{"kind":"{kind}","params":{{"arch":"a2","count":1000000}}}}"#);
+            Request::parse_line(&n_minus_1).unwrap();
+        }
+        // The catalog states the ceiling on exactly the random-k kinds.
+        let catalog = kind_catalog();
+        let Json::Array(kinds) = &catalog else {
+            panic!("catalog is an array")
+        };
+        let limit = format!(r#"[{{"product":["random_k","count"],"max":{MAX_FAULT_DRAWS}}}]"#);
+        for entry in kinds {
+            let kind = entry.get("kind").and_then(Json::as_str).unwrap();
+            let limits = entry.get("limits").map(Json::to_string);
+            let random_k = matches!(kind, "faults" | "fault_impedance");
+            assert_eq!(
+                limits.as_deref() == Some(limit.as_str()),
+                random_k,
+                "{kind}"
+            );
+            assert_eq!(limits.is_some(), random_k, "{kind}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ```
 
 use vertical_power_delivery::circuit::{
-    transient, Netlist, PwmSchedule, SwitchState, TransientResult, TransientSettings,
+    Netlist, PwmSchedule, SwitchState, TransientPlan, TransientResult, TransientSettings,
 };
 use vertical_power_delivery::prelude::*;
 
@@ -51,7 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Seconds::from_microseconds(40.0),
         Seconds::from_nanoseconds(0.5),
     )?;
-    let result = transient(&net, &settings)?;
+    let mut plan = TransientPlan::compile(&net, &settings)?;
+    let result = plan.run()?;
 
     let v_avg = TransientResult::settled_mean(result.voltage(out), 0.25);
     let i_avg = TransientResult::settled_mean(result.current(l_id), 0.25);

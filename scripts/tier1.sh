@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, full test suite, lint, and format check.
+# Tier-1 gate: release build, full test suite, lint, format, and rustdoc
+# checks.
 #
 # The workspace's `default-members` lists every package, so the plain
 # `cargo test` below runs the whole workspace suite. Third-party
@@ -86,10 +87,10 @@ cargo run --release -p vpd-bench --bin cholesky -- --smoke || fail=1
 step "observability smoke (metrics on == off, bitwise)"
 cargo run --release -p vpd-bench --bin obs -- --samples 8 || fail=1
 
-step "ac-sweep smoke (16 points, four paths bitwise identical)"
+step "ac-sweep smoke (16 points, three paths bitwise identical)"
 cargo run --release -p vpd-bench --bin ac -- --points 16 || fail=1
 
-step "transient bench smoke (4 runs, four engine paths bitwise identical)"
+step "transient bench smoke (4 runs, three engine paths bitwise identical)"
 cargo run --release -p vpd-bench --bin transient -- --runs 4 || fail=1
 
 step "BENCH_transient.json audit (checked-in speedups >= 1.0)"
@@ -461,6 +462,9 @@ cargo clippy --release --workspace --all-targets -- -D warnings || fail=1
 
 step "cargo fmt --check"
 cargo fmt --all --check || fail=1
+
+step "cargo doc (rustdoc warnings, broken intra-doc links included, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps || fail=1
 
 echo
 if [ "$fail" -ne 0 ]; then

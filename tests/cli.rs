@@ -33,6 +33,18 @@ fn bad_flags_exit_nonzero_and_name_the_flag() {
             &["faults", "--arch", "a2", "--dynamic", "--count", "0"],
             "--count",
         ),
+        (
+            &[
+                "faults",
+                "--arch",
+                "a2",
+                "--random-k",
+                "2",
+                "--count",
+                "500001",
+            ],
+            "--random-k",
+        ),
         // CLI-only subcommands share the same reader.
         (&["matrix", "--arch", "a1"], "--arch"),
         (&["recommend", "--top", "3"], "--top"),

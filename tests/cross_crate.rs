@@ -3,7 +3,7 @@
 //! analysis, and consistency between the transient and DC engines.
 
 use vertical_power_delivery::circuit::{
-    transient, DcSolver, Netlist, PwmSchedule, SwitchState, TransientResult, TransientSettings,
+    DcSolver, Netlist, PwmSchedule, SwitchState, TransientPlan, TransientResult, TransientSettings,
 };
 use vertical_power_delivery::converters::MultiStageConverter;
 use vertical_power_delivery::package::{LevelSpec, VerticalPath};
@@ -140,7 +140,8 @@ fn transient_buck_regulates_to_duty_ratio() {
         Seconds::from_nanoseconds(1.0),
     )
     .unwrap();
-    let result = transient(&net, &settings).unwrap();
+    let mut plan = TransientPlan::compile(&net, &settings).unwrap();
+    let result = plan.run().unwrap();
     let v_out = TransientResult::settled_mean(result.voltage(out), 0.2);
     assert!(
         (v_out - 1.0).abs() < 0.08,

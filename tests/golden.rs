@@ -1,0 +1,257 @@
+//! The golden result corpus: served results pinned across commits.
+//!
+//! Every `tests/golden/<case>.ndjson` file holds one NDJSON request line
+//! followed by the result documents that line produces, one per line:
+//! a single document for a plain request, the waveform chunks and then
+//! the summary for a `transient_stream`. [`golden_results_replay_bitwise`]
+//! replays each request through a cold `Dispatcher::new(0)` and compares
+//! the documents by value. Numbers are compared by their bits (the JSON
+//! spelling is the shortest round trip), and the first differing field
+//! is named by its path.
+//!
+//! Re-bless every case after a deliberate result change:
+//!
+//! ```text
+//! cargo test --test golden -- --ignored bless
+//! ```
+//!
+//! A new case is a new file holding only its request line; blessing
+//! fills in the documents.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+use vertical_power_delivery::report::Json;
+use vertical_power_delivery::serve::proto::kind_specs;
+use vertical_power_delivery::serve::{Dispatcher, Request, Work};
+
+/// Kinds that report server state rather than an analysis result.
+const UNPINNED_KINDS: [&str; 4] = ["ping", "stats", "kinds", "shutdown"];
+
+fn corpus_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
+/// Every case file, in name order.
+fn cases() -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = fs::read_dir(corpus_dir())
+        .expect("tests/golden exists")
+        .map(|e| e.expect("readable corpus entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ndjson"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "the golden corpus is empty");
+    files
+}
+
+fn case_name(path: &Path) -> String {
+    path.file_name()
+        .expect("case file name")
+        .to_string_lossy()
+        .into_owned()
+}
+
+/// A case file split into its request line and its blessed documents.
+fn read_case(path: &Path) -> (String, Vec<String>) {
+    let text = fs::read_to_string(path).expect("readable case file");
+    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+    let request = lines.next().expect("case file starts with a request line");
+    (request.to_owned(), lines.map(str::to_owned).collect())
+}
+
+/// The result documents one request line produces on `dispatcher`, in
+/// emission order, each serialized to its wire spelling.
+fn replay(dispatcher: &Dispatcher, line: &str) -> Result<Vec<String>, String> {
+    let req = Request::parse_line(line)
+        .map_err(|e| format!("request rejected: {}: {}", e.code.as_str(), e.message))?;
+    let engine = |(code, msg): (vertical_power_delivery::serve::ErrorCode, String)| {
+        format!("engine error {}: {msg}", code.as_str())
+    };
+    match req.work {
+        Work::TransientStream { arch, chunk } => {
+            let mut run = dispatcher
+                .begin_transient_stream(arch, chunk)
+                .map_err(engine)?;
+            let mut out = Vec::new();
+            while let Some(doc) = run.next_chunk().map_err(engine)? {
+                out.push(doc.to_string());
+            }
+            out.push(run.finish().to_string());
+            Ok(out)
+        }
+        work => dispatcher
+            .dispatch(&work)
+            .map(|(doc, _cached)| vec![doc.to_string()])
+            .map_err(engine),
+    }
+}
+
+fn join(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_owned()
+    } else {
+        format!("{path}.{key}")
+    }
+}
+
+/// The first difference between two documents, named by its field
+/// path (`report.points[3].z_ohm`), or `None` when they are equal with
+/// every number equal bit for bit.
+fn first_difference(path: &str, want: &Json, got: &Json) -> Option<String> {
+    let at = |what: String| {
+        Some(if path.is_empty() {
+            what
+        } else {
+            format!("{path}: {what}")
+        })
+    };
+    match (want, got) {
+        (Json::Num(a), Json::Num(b)) => {
+            if a.to_bits() == b.to_bits() {
+                None
+            } else {
+                at(format!("want {a:?}, got {b:?}"))
+            }
+        }
+        (Json::Object(a), Json::Object(b)) => {
+            for (i, (ka, va)) in a.iter().enumerate() {
+                match b.get(i) {
+                    Some((kb, vb)) if kb == ka => {
+                        if let Some(d) = first_difference(&join(path, ka), va, vb) {
+                            return Some(d);
+                        }
+                    }
+                    Some((kb, _)) => return at(format!("field {i} is `{kb}`, want `{ka}`")),
+                    None => return at(format!("missing field `{ka}`")),
+                }
+            }
+            b.get(a.len())
+                .and_then(|(k, _)| at(format!("unexpected field `{k}`")))
+        }
+        (Json::Array(a), Json::Array(b)) => {
+            if a.len() != b.len() {
+                return at(format!("{} items, want {}", b.len(), a.len()));
+            }
+            a.iter()
+                .zip(b)
+                .enumerate()
+                .find_map(|(i, (x, y))| first_difference(&format!("{path}[{i}]"), x, y))
+        }
+        _ if want == got => None,
+        _ => at(format!("want {want}, got {got}")),
+    }
+}
+
+/// Compares one case's replayed documents with its blessed ones.
+fn check_case(want: &[String], got: &[String]) -> Result<(), String> {
+    if want.len() != got.len() {
+        return Err(format!(
+            "{} result documents, blessed {}",
+            got.len(),
+            want.len()
+        ));
+    }
+    for (i, (w, g)) in want.iter().zip(got).enumerate() {
+        let w = Json::parse(w).map_err(|e| format!("blessed document {i} does not parse: {e}"))?;
+        let g = Json::parse(g).map_err(|e| format!("document {i} does not parse: {e}"))?;
+        if let Some(d) = first_difference("", &w, &g) {
+            return Err(format!("document {i}: {d}"));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn golden_results_replay_bitwise() {
+    let dispatcher = Dispatcher::new(0);
+    let mut failures = Vec::new();
+    for path in cases() {
+        let (request, want) = read_case(&path);
+        let outcome = replay(&dispatcher, &request).and_then(|got| check_case(&want, &got));
+        if let Err(e) = outcome {
+            failures.push(format!("{}: {e}", case_name(&path)));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "golden results moved (re-bless with `cargo test --test golden -- --ignored bless` \
+         only for a deliberate change):\n{}",
+        failures.join("\n")
+    );
+}
+
+#[test]
+fn corpus_covers_every_analysis_kind() {
+    let kinds: Vec<String> = cases()
+        .iter()
+        .map(|p| {
+            let (request, _) = read_case(p);
+            let doc = Json::parse(&request).expect("request line parses");
+            doc.get("kind")
+                .and_then(Json::as_str)
+                .expect("request has a kind")
+                .to_owned()
+        })
+        .collect();
+    for spec in kind_specs() {
+        if !UNPINNED_KINDS.contains(&spec.kind) {
+            assert!(
+                kinds.iter().any(|k| k == spec.kind),
+                "no golden case for kind `{}`",
+                spec.kind
+            );
+        }
+    }
+}
+
+/// Moves the first number of `doc` one ulp up and returns its path.
+fn nudge_first_number(path: &str, doc: &mut Json) -> Option<String> {
+    match doc {
+        Json::Num(x) => {
+            *x = f64::from_bits(x.to_bits() + 1);
+            Some(path.to_owned())
+        }
+        Json::Object(pairs) => pairs
+            .iter_mut()
+            .find_map(|(k, v)| nudge_first_number(&join(path, k), v)),
+        Json::Array(items) => items
+            .iter_mut()
+            .enumerate()
+            .find_map(|(i, v)| nudge_first_number(&format!("{path}[{i}]"), v)),
+        _ => None,
+    }
+}
+
+#[test]
+fn a_one_ulp_change_fails_and_names_its_field_path() {
+    let path = corpus_dir().join("droop-a2.ndjson");
+    let (_, want) = read_case(&path);
+    let mut doc = Json::parse(&want[0]).expect("blessed document parses");
+    let field = nudge_first_number("", &mut doc).expect("the droop document has a number");
+    assert_eq!(field, "report.v_before_v");
+    let err = check_case(&want, &[doc.to_string()]).expect_err("a one-ulp change must fail");
+    assert!(
+        err.contains("report.v_before_v"),
+        "failure does not name the field: {err}"
+    );
+    // The unperturbed document passes, so the failure is the ulp.
+    assert_eq!(check_case(&want, &want), Ok(()));
+}
+
+#[test]
+#[ignore = "rewrites tests/golden; run `cargo test --test golden -- --ignored bless`"]
+fn bless() {
+    let dispatcher = Dispatcher::new(0);
+    for path in cases() {
+        let (request, _) = read_case(&path);
+        let docs =
+            replay(&dispatcher, &request).unwrap_or_else(|e| panic!("{}: {e}", case_name(&path)));
+        let mut text = request;
+        for doc in docs {
+            text.push('\n');
+            text.push_str(&doc);
+        }
+        text.push('\n');
+        fs::write(&path, text).expect("writable case file");
+    }
+}

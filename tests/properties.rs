@@ -1,6 +1,9 @@
 //! Workspace-level property tests: invariants that must hold across
 //! arbitrary specifications, calibrations, and module counts.
 
+#[path = "support/reference.rs"]
+mod reference;
+
 use proptest::prelude::*;
 use vertical_power_delivery::circuit::{ElementId, Netlist, NodeId, PwmSchedule, SwitchState};
 use vertical_power_delivery::prelude::*;
@@ -204,7 +207,7 @@ proptest! {
         }
     }
 
-    /// The compiled transient plan is bitwise-identical to the legacy
+    /// The compiled transient plan is bitwise-identical to the reference
     /// interpreter on arbitrary RLC ladders with a PWM switch — same
     /// sample times, node voltages, and element currents, bit for bit.
     #[test]
@@ -217,19 +220,17 @@ proptest! {
         duty in 0.2_f64..0.8,
         after in 10.0_f64..400.0,
     ) {
-        use vertical_power_delivery::circuit::{
-            transient, TransientPlan, TransientSettings,
-        };
+        use vertical_power_delivery::circuit::{TransientPlan, TransientSettings};
         let (net, _, _) = random_ladder(stages, r, l, c, freq_mhz, duty, after);
         let settings = TransientSettings::new(
             Seconds::from_microseconds(1.0),
             Seconds::from_nanoseconds(5.0),
         ).unwrap();
-        let legacy = transient(&net, &settings).unwrap();
+        let want = reference::transient(&net, &settings).unwrap();
         let mut plan = TransientPlan::compile(&net, &settings).unwrap();
-        prop_assert_eq!(plan.run().unwrap(), &legacy);
+        reference::assert_waveforms_bitwise("first run", &net, plan.run().unwrap(), &want);
         // Replaying the compiled plan reproduces the same bits.
-        prop_assert_eq!(plan.run().unwrap(), &legacy);
+        reference::assert_waveforms_bitwise("replay", &net, plan.run().unwrap(), &want);
     }
 
     /// Restamping a compiled plan's load step is indistinguishable from
@@ -247,9 +248,7 @@ proptest! {
         second in 10.0_f64..400.0,
         at_ns in 0.0_f64..900.0,
     ) {
-        use vertical_power_delivery::circuit::{
-            transient, TransientPlan, TransientSettings,
-        };
+        use vertical_power_delivery::circuit::{TransientPlan, TransientSettings};
         let settings = TransientSettings::new(
             Seconds::from_microseconds(1.0),
             Seconds::from_nanoseconds(5.0),
@@ -269,8 +268,8 @@ proptest! {
             stages, r, l, c, freq_mhz, duty,
             first * 0.25, second, at_ns,
         );
-        let rebuilt = transient(&fresh, &settings).unwrap();
-        prop_assert_eq!(plan.run().unwrap(), &rebuilt);
+        let rebuilt = reference::transient(&fresh, &settings).unwrap();
+        reference::assert_waveforms_bitwise("restamped", &fresh, plan.run().unwrap(), &rebuilt);
         prop_assert_eq!(plan.cached_factorizations(), factorizations);
     }
 

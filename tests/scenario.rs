@@ -23,7 +23,10 @@ use vertical_power_delivery::core::{
     analyze, simulate_droop, solve_sharing, target_impedance, AnalysisOptions, Architecture,
     Calibration, FaultScenario, FaultSweep, LoadStep, PdnModel, SystemSpec, VrPlacement,
 };
-use vertical_power_delivery::scenario::{builtin_doc, builtin_docs, ScenarioDoc, BUILTIN_NAMES};
+use vertical_power_delivery::scenario::{
+    builtin_doc, builtin_docs, ScenarioDoc, BUILTIN_NAMES, MAX_FAULT_COUNT, MAX_FAULT_DRAWS,
+    MAX_FAULT_K,
+};
 use vertical_power_delivery::units::{Seconds, Volts};
 
 fn scenarios_dir() -> std::path::PathBuf {
@@ -301,6 +304,24 @@ fn bad_corpus_fails_with_named_codes_at_exact_positions() {
             "{stem}.vpd display: {shown}"
         );
     }
+}
+
+#[test]
+fn fault_draws_are_capped_at_the_wires_ceiling() {
+    let doc = |k: usize, count: usize| {
+        format!(
+            "[scenario]\narchitecture = \"a2\"\n\n[faults]\nmode = \"random-k\"\n\
+             k = {k}\ncount = {count}\n"
+        )
+    };
+    // Every k = 1 sweep stays legal, and k × count may reach the ceiling.
+    ScenarioDoc::parse(&doc(1, MAX_FAULT_COUNT)).unwrap();
+    ScenarioDoc::parse(&doc(MAX_FAULT_K, MAX_FAULT_DRAWS / MAX_FAULT_K)).unwrap();
+    let err = ScenarioDoc::parse(&doc(MAX_FAULT_K, MAX_FAULT_DRAWS / MAX_FAULT_K + 1))
+        .expect_err("k × count above the ceiling must be rejected");
+    assert_eq!(err.code.as_str(), "out-of-range");
+    assert_eq!(err.field, "faults.count");
+    assert_eq!((err.line, err.column), (7, 9));
 }
 
 #[test]

@@ -1,17 +1,21 @@
 //! Transient correctness suite: golden waveform statistics per
-//! architecture, plan-vs-legacy bitwise identity, and the paper's
+//! architecture, plan-vs-reference bitwise identity, and the paper's
 //! A0-vs-A2 droop ordering, pinned against the paper-scale stimulus
 //! (25% → 100% of the 1 kA POL current at 5 µs, 60 µs @ 10 ns).
 //!
 //! The golden numbers were produced by this engine and freeze its
 //! behaviour: any change to companion stamping, LU pivoting, or the
-//! settled-statistics windows shows up here first.
+//! settled-statistics windows shows up here first. The reference is the
+//! step-by-step interpreter in `support/reference.rs`.
 
 // Goldens are pinned at full f64 precision on purpose.
 #![allow(clippy::excessive_precision)]
 
+#[path = "support/reference.rs"]
+mod reference;
+
 use vertical_power_delivery::circuit::{
-    transient, ElementId, Netlist, TransientPlan, TransientResult, TransientSettings,
+    ElementId, Netlist, PwmSchedule, SwitchState, TransientPlan, TransientResult, TransientSettings,
 };
 use vertical_power_delivery::core::{simulate_droop, LoadStep, PdnModel};
 use vertical_power_delivery::prelude::*;
@@ -83,8 +87,8 @@ fn golden_settled_statistics_per_architecture() {
         assert_eq!(name, gname);
         let (net, die) = stepped_netlist(arch);
         let settings = TransientSettings::new(sim, dt).unwrap();
-        let r = transient(&net, &settings).unwrap();
-        let v = r.voltage(die);
+        let mut plan = TransientPlan::compile(&net, &settings).unwrap();
+        let v = plan.run().unwrap().voltage(die);
         assert!(
             (TransientResult::settled_mean(v, TAIL) - mean).abs() < 1e-9,
             "{name}: settled mean {} vs golden {mean}",
@@ -140,7 +144,7 @@ fn golden_droop_per_architecture() {
 fn plan_is_bitwise_identical_to_legacy_transient() {
     // The compiled plan replays the same ops the interpreter walks, so
     // every node voltage, element current, and sample time must match
-    // the legacy engine bit for bit — not approximately.
+    // the reference bit for bit — not approximately.
     let (sim, dt) = (
         Seconds::from_microseconds(20.0),
         Seconds::from_nanoseconds(20.0),
@@ -148,11 +152,12 @@ fn plan_is_bitwise_identical_to_legacy_transient() {
     for (name, arch) in architectures() {
         let (net, _) = stepped_netlist(arch);
         let settings = TransientSettings::new(sim, dt).unwrap();
-        let legacy = transient(&net, &settings).unwrap();
+        let want = reference::transient(&net, &settings).unwrap();
         let mut plan = TransientPlan::compile(&net, &settings).unwrap();
-        assert_eq!(plan.run().unwrap(), &legacy, "{name}: plan != legacy");
+        reference::assert_waveforms_bitwise(name, &net, plan.run().unwrap(), &want);
         // A second run of the same plan reproduces the same bits.
-        assert_eq!(plan.run().unwrap(), &legacy, "{name}: rerun differs");
+        let rerun = format!("{name} rerun");
+        reference::assert_waveforms_bitwise(&rerun, &net, plan.run().unwrap(), &want);
     }
 }
 
@@ -197,8 +202,9 @@ fn restamped_plan_matches_a_rebuilt_netlist_bitwise() {
         plan.set_load_step(el, step.base, step.after, step.at)
             .unwrap();
         let (fresh_net, _) = build(step);
-        let fresh = transient(&fresh_net, &settings).unwrap();
-        assert_eq!(plan.run().unwrap(), &fresh, "restamp at {:?}", step);
+        let fresh = reference::transient(&fresh_net, &settings).unwrap();
+        let what = format!("restamp at {step:?}");
+        reference::assert_waveforms_bitwise(&what, &fresh_net, plan.run().unwrap(), &fresh);
     }
     // The whole sweep shares one system matrix: nothing re-factored.
     assert_eq!(plan.cached_factorizations(), 1);
@@ -242,5 +248,114 @@ fn reference_droops_worse_than_interposer_embedded() {
         a2.droop.value() < budget,
         "A2 busts the budget: {}",
         a2.droop
+    );
+}
+
+/// A netlist exercising every element kind the plan compiles: PWM
+/// switches, R, L, C, a voltage source, and all three current-source
+/// flavors.
+fn full_coverage_netlist() -> (Netlist, vertical_power_delivery::circuit::NodeId) {
+    let f = Hertz::from_megahertz(2.0);
+    let mut net = Netlist::new();
+    let vin = net.node("vin");
+    let sw = net.node("sw");
+    let out = net.node("out");
+    net.voltage_source(vin, net.ground(), Volts::new(1.0))
+        .unwrap();
+    net.switch(
+        vin,
+        sw,
+        Ohms::from_milliohms(5.0),
+        Ohms::new(1e6),
+        Some(PwmSchedule::new(f, 0.4, 0.0).unwrap()),
+        SwitchState::Off,
+    )
+    .unwrap();
+    net.switch(
+        sw,
+        net.ground(),
+        Ohms::from_milliohms(5.0),
+        Ohms::new(1e6),
+        Some(PwmSchedule::new(f, 0.4, 0.0).unwrap().complementary()),
+        SwitchState::On,
+    )
+    .unwrap();
+    net.inductor(sw, out, Henries::from_microhenries(0.5), Amps::ZERO)
+        .unwrap();
+    net.capacitor(
+        out,
+        net.ground(),
+        Farads::from_microfarads(4.0),
+        Volts::ZERO,
+    )
+    .unwrap();
+    net.resistor(out, net.ground(), Ohms::new(2.0)).unwrap();
+    net.current_source(out, net.ground(), Amps::new(0.05))
+        .unwrap();
+    net.step_current_source(
+        out,
+        net.ground(),
+        Amps::new(0.01),
+        Amps::new(0.2),
+        Seconds::from_microseconds(3.0),
+    )
+    .unwrap();
+    net.ramp_current_source(
+        out,
+        net.ground(),
+        Amps::new(0.0),
+        Amps::new(0.1),
+        Seconds::from_microseconds(5.0),
+        Seconds::from_microseconds(1.0),
+    )
+    .unwrap();
+    (net, out)
+}
+
+#[test]
+fn plan_matches_legacy_bitwise_with_all_element_kinds() {
+    let (net, _) = full_coverage_netlist();
+    let settings = TransientSettings::new(
+        Seconds::from_microseconds(8.0),
+        Seconds::from_nanoseconds(25.0),
+    )
+    .unwrap();
+    let want = reference::transient(&net, &settings).unwrap();
+    let mut plan = TransientPlan::compile(&net, &settings).unwrap();
+    reference::assert_waveforms_bitwise("first run", &net, plan.run().unwrap(), &want);
+    // Two switch phases → exactly two cached configurations.
+    assert_eq!(plan.cached_factorizations(), 2);
+    // A second run re-factors zero times and reproduces the bits.
+    reference::assert_waveforms_bitwise("second run", &net, plan.run().unwrap(), &want);
+    assert_eq!(plan.cached_factorizations(), 2);
+}
+
+#[test]
+fn plan_advance_streams_the_same_bits() {
+    let (net, out) = full_coverage_netlist();
+    let settings = TransientSettings::new(
+        Seconds::from_microseconds(4.0),
+        Seconds::from_nanoseconds(50.0),
+    )
+    .unwrap();
+    let want = reference::transient(&net, &settings).unwrap();
+    let mut plan = TransientPlan::compile(&net, &settings).unwrap();
+    plan.start();
+    let mut chunks = 0;
+    loop {
+        let n = plan.advance(17).unwrap();
+        if n == 0 {
+            break;
+        }
+        chunks += 1;
+        assert!(plan.samples_done() <= plan.steps() + 1);
+    }
+    assert!(plan.finished());
+    assert!(chunks > 1, "expected multiple chunks");
+    assert_eq!(plan.samples_done(), plan.steps() + 1);
+    reference::assert_waveforms_bitwise("streamed", &net, plan.result(), &want);
+    assert_eq!(
+        plan.result().voltage(out).len(),
+        want.node_v[out.index()].len()
     );
 }
