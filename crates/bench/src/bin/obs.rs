@@ -2,7 +2,9 @@
 //! `BENCH_obs.json`.
 //!
 //! Two serial workloads are timed with metrics disabled and enabled:
-//! the Monte-Carlo tolerance sweep, and an A2 fault sweep over a seeded
+//! the Monte-Carlo tolerance sweep (a nominal solve, the nominal
+//! regulator response, then every sample from that response), and an
+//! A2 fault sweep over a seeded
 //! random-3 scenario set kept to the draws that carry a region or sheet
 //! fault, so every scenario takes the instrumented restamp path (restamp,
 //! warm-started CG, current recovery). Off and on trials alternate in
@@ -15,8 +17,9 @@
 //! * **Overhead bound** — the median instrumented time stays within
 //!   3 % of uninstrumented.
 //! * **Snapshot sanity** — the counters recorded while metrics were on
-//!   match the work performed, and the fault half restamped: no
-//!   scenario was answered by the low-rank path.
+//!   match the work performed: every Monte-Carlo sample was answered
+//!   from the response, and the fault half restamped (no scenario was
+//!   answered by the low-rank path).
 //!
 //! ```sh
 //! cargo run --release -p vpd-bench --bin obs              # full, writes JSON
@@ -225,6 +228,11 @@ fn main() {
     assert_eq!(
         mc.snapshot.counter("mc.samples"),
         Some(runs * mc_samples as u64)
+    );
+    assert_eq!(
+        mc.snapshot.counter("mc.lowrank_samples"),
+        Some(runs * mc_samples as u64),
+        "a Monte-Carlo sample took the restamp path"
     );
     assert!(mc.snapshot.counter("cg.solves").unwrap_or(0) > 0);
     let f = &faults.snapshot;

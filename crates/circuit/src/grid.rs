@@ -10,7 +10,8 @@ use crate::{
     SparseDcPlan,
 };
 use vpd_numeric::{
-    CgSettings, DenseMatrix, LuFactor, SolveReport, SparseCholesky, SymbolicCholesky,
+    CgSettings, CholeskyFactor, DenseMatrix, LuFactor, SolveReport, SparseCholesky,
+    SymbolicCholesky,
 };
 use vpd_units::{Amps, Meters, Ohms, Volts, Watts};
 
@@ -569,6 +570,7 @@ impl PowerGrid {
         let Self {
             net,
             nodes,
+            mesh_edges,
             regulators,
             plan,
             ..
@@ -587,6 +589,7 @@ impl PowerGrid {
                 let view = GridView {
                     net,
                     nodes,
+                    mesh_edges,
                     regulators,
                 };
                 visit(view, sol)
@@ -605,6 +608,7 @@ impl PowerGrid {
         GridView {
             net: &self.net,
             nodes: &self.nodes,
+            mesh_edges: &self.mesh_edges,
             regulators: &self.regulators,
         }
     }
@@ -612,7 +616,10 @@ impl PowerGrid {
     /// Builds the [`RegulatorResponse`] of the grid's current values:
     /// factors the reduced nodal matrix with [`SparseCholesky`], solves
     /// the nominal voltages and one column of `A⁻¹` per regulator site
-    /// (a block solve), then drops the factor.
+    /// (a block solve), then drops the factor. When every mesh edge has
+    /// one resistance and every regulator one droop and one setpoint, it
+    /// also solves the nominal drop below that setpoint, which is what
+    /// [`RegulatorResponse::solve_uniform`] answers from.
     ///
     /// Returns `Ok(None)` when the factor plus the columns would exceed a
     /// fixed 4 MiB cap ([`RegulatorResponse::fits`], checked on the
@@ -702,6 +709,26 @@ impl PowerGrid {
             let k = chunk.len() / n;
             chol.solve_block_into(chunk, k)?;
         }
+        let plan = self.plan.as_ref().expect("plan was just ensured");
+        let uniform = match self.uniform_values(&conductance, &setpoint)? {
+            Some((sheet, droop_conductance)) => {
+                let loads = self.load_vector(plan)?;
+                let drop = chol.solve(&loads)?;
+                let load_drop = loads.iter().zip(&drop).map(|(i, d)| i * d).sum();
+                let mut modules = vec![0.0; sites];
+                for &c in &column_of {
+                    modules[c] += 1.0;
+                }
+                Some(UniformNominal {
+                    sheet,
+                    conductance: droop_conductance,
+                    drop,
+                    load_drop,
+                    modules,
+                })
+            }
+            None => None,
+        };
         vpd_obs::incr("grid.regulator_responses");
         Ok(Some(RegulatorResponse {
             x0,
@@ -710,7 +737,53 @@ impl PowerGrid {
             column_of,
             conductance,
             setpoint,
+            uniform,
         }))
+    }
+
+    /// The one mesh-edge resistance and the one droop conductance, when
+    /// every edge and every regulator share them and every regulator one
+    /// setpoint (bit for bit); `None` otherwise.
+    fn uniform_values(
+        &self,
+        conductance: &[f64],
+        setpoint: &[f64],
+    ) -> Result<Option<(f64, f64)>, CircuitError> {
+        let shared = |xs: &[f64]| {
+            xs.first()
+                .copied()
+                .filter(|x| xs.iter().all(|y| y.to_bits() == x.to_bits()))
+        };
+        let (Some(droop_conductance), Some(_)) = (shared(conductance), shared(setpoint)) else {
+            return Ok(None);
+        };
+        let mut sheet = Vec::with_capacity(self.mesh_edges.len());
+        for &id in &self.mesh_edges {
+            let ElementKind::Resistor { r } = self.net.element(id)?.kind else {
+                return Err(CircuitError::UnknownElement { index: id.index() });
+            };
+            sheet.push(r.value());
+        }
+        Ok(shared(&sheet).map(|r| (r, droop_conductance)))
+    }
+
+    /// The load currents drawn out of each reduced-system unknown: the
+    /// `I` of `A·d = I`, where `d` is the drop below a shared setpoint.
+    fn load_vector(&self, plan: &SparseDcPlan) -> Result<Vec<f64>, CircuitError> {
+        let mut loads = vec![0.0; plan.unknown_count()];
+        for &id in &self.loads {
+            let e = self.net.element(id)?;
+            let ElementKind::CurrentSource { i } = e.kind else {
+                return Err(CircuitError::UnknownElement { index: id.index() });
+            };
+            if let Some(u) = plan.unknown_of(e.a) {
+                loads[u] += i.value();
+            }
+            if let Some(u) = plan.unknown_of(e.b) {
+                loads[u] -= i.value();
+            }
+        }
+        Ok(loads)
     }
 
     /// Seeds the next [`PowerGrid::solve_cached`]'s warm start from a
@@ -795,6 +868,7 @@ impl PowerGrid {
 struct GridView<'a> {
     net: &'a Netlist,
     nodes: &'a [NodeId],
+    mesh_edges: &'a [ElementId],
     regulators: &'a [Regulator],
 }
 
@@ -815,23 +889,14 @@ impl GridView<'_> {
         Volts::new(vmin)
     }
 
+    /// The mesh edges are the grid's only resistors besides the droops,
+    /// and they were added first, in the order `mesh_edges` lists them:
+    /// this sums the same elements in the same order as a walk over every
+    /// element that skips the droops, without testing each one.
     fn grid_loss(&self, sol: &DcSolution) -> Watts {
-        let droop_ids: Vec<usize> = self
-            .regulators
+        self.mesh_edges
             .iter()
-            .map(|r| r.droop_element.index())
-            .collect();
-        self.net
-            .elements()
-            .iter()
-            .enumerate()
-            .filter(|(i, e)| {
-                matches!(e.kind, ElementKind::Resistor { .. }) && !droop_ids.contains(i)
-            })
-            .map(|(i, _)| {
-                sol.dissipated_power(self.net, ElementId(i))
-                    .unwrap_or(Watts::ZERO)
-            })
+            .map(|&id| sol.dissipated_power(self.net, id).unwrap_or(Watts::ZERO))
             .sum()
     }
 
@@ -888,6 +953,40 @@ pub struct RegulatorResponse {
     conductance: Vec<f64>,
     /// Nominal setpoint of each regulator.
     setpoint: Vec<f64>,
+    /// The nominal drop a uniform query updates; `None` unless the mesh
+    /// and the regulators were uniform when the response was built.
+    uniform: Option<UniformNominal>,
+}
+
+/// What [`RegulatorResponse::solve_uniform`] reads beyond the site
+/// columns: the nominal uniform values and the nominal drop `d₀ = A⁻¹·I`
+/// below the shared setpoint.
+#[derive(Clone, Debug)]
+struct UniformNominal {
+    /// The one mesh-edge resistance.
+    sheet: f64,
+    /// The one droop conductance `g₀`.
+    conductance: f64,
+    /// `d₀`, one entry per mesh node.
+    drop: Vec<f64>,
+    /// `Iᵀ·d₀`.
+    load_drop: f64,
+    /// Regulators at each site (the diagonal of `M`).
+    modules: Vec<f64>,
+}
+
+/// The operating point a [`RegulatorResponse::solve_uniform`] query
+/// answers.
+#[derive(Clone, PartialEq, Debug)]
+pub struct UniformPoint {
+    /// Output current of each regulator, in attachment order.
+    pub currents: Vec<Amps>,
+    /// Power lost in the mesh resistors ([`PowerGrid::grid_loss`]).
+    pub grid_loss: Watts,
+    /// Power lost in the droop resistors.
+    pub droop_loss: Watts,
+    /// The largest drop of a mesh node below the shared setpoint.
+    pub worst_drop: Volts,
 }
 
 /// A regulator's replacement droop and setpoint, for
@@ -1009,6 +1108,105 @@ impl RegulatorResponse {
         Ok(Some(EditedPoint {
             currents,
             min_voltage,
+        }))
+    }
+
+    /// Solves the grid with every mesh edge at `sheet` and every
+    /// regulator at droop `droop`, loads and setpoint left nominal: the
+    /// Monte-Carlo sample's question.
+    ///
+    /// With a shared setpoint `V` and current-sink loads `I`, the drop
+    /// `d = V·1 − x` solves `(g_s·L + g·P)·d = I` whatever `V` is. Scaling
+    /// the sheet conductance by `c` and setting the droop conductance to
+    /// `g` turns that into `c·(A₀ + δ·U·M·Uᵀ)·d = I` with `δ = g/c − g₀`,
+    /// where `M` counts the regulators at each site. With `Z = A₀⁻¹·U`,
+    /// `S = UᵀZ`, `d₀ = A₀⁻¹·I` and `s₀ = Uᵀd₀`, the symmetric positive
+    /// definite `k × k` system `(M⁻¹ + δ·S)·y = δ·s₀` gives the site drops
+    /// `(s₀ − S·y)/c`, the dissipated power `Iᵀd = (Iᵀd₀ − s₀ᵀy)/c` (`A₀`
+    /// is symmetric, so `ZᵀI = s₀`), and the worst drop
+    /// `max(d₀ − Z·y)/c`, the one `O(n·k)` step.
+    ///
+    /// The eigenvalues of `M^½·S·M^½` lie in `(0, 1/g₀]`, so the update's
+    /// condition number is at most `max(r, 1/r)` with `r = g/(c·g₀)`;
+    /// that closed form is checked against the same 1e6 ceiling as
+    /// [`RegulatorResponse::solve`], with no extra solves.
+    ///
+    /// Returns `Ok(None)` when the response was built from a non-uniform
+    /// grid, or when the bound or the factorization refuses the update;
+    /// restamping and solving is then the way to answer it.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::InvalidValue`] for a non-positive or non-finite
+    /// sheet resistance or droop.
+    pub fn solve_uniform(
+        &self,
+        sheet: Ohms,
+        droop: Ohms,
+    ) -> Result<Option<UniformPoint>, CircuitError> {
+        for (element, r) in [("mesh sheet resistance", sheet), ("regulator droop", droop)] {
+            if !(r.value().is_finite() && r.value() > 0.0) {
+                return Err(CircuitError::InvalidValue {
+                    element,
+                    value: r.value(),
+                });
+            }
+        }
+        let Some(nominal) = &self.uniform else {
+            return Ok(None);
+        };
+        let c = nominal.sheet / sheet.value();
+        let g = 1.0 / droop.value();
+        // Positive (or infinite) for valid inputs, so never NaN here.
+        let r = g / (c * nominal.conductance);
+        if r.max(1.0 / r) > Self::MAX_AMPLIFICATION {
+            return Ok(None);
+        }
+        let delta = g / c - nominal.conductance;
+        let n = self.x0.len();
+        let k = self.site_unknown.len();
+        let column = |j: usize| &self.columns[j * n..(j + 1) * n];
+        // S is symmetric up to rounding: read its lower triangle only.
+        let s = |i: usize, j: usize| column(i.min(j))[self.site_unknown[i.max(j)]];
+        let s0: Vec<f64> = self.site_unknown.iter().map(|&u| nominal.drop[u]).collect();
+        let m = DenseMatrix::from_fn(k, k, |i, j| {
+            let diagonal = if i == j {
+                1.0 / nominal.modules[i]
+            } else {
+                0.0
+            };
+            diagonal + delta * s(i, j)
+        });
+        let Ok(chol) = CholeskyFactor::new(&m) else {
+            return Ok(None);
+        };
+        let y = chol.solve(&s0.iter().map(|v| delta * v).collect::<Vec<_>>())?;
+        if !y.iter().all(|v| v.is_finite()) {
+            return Ok(None);
+        }
+        let site_drop: Vec<f64> = (0..k)
+            .map(|i| (s0[i] - (0..k).map(|j| s(i, j) * y[j]).sum::<f64>()) / c)
+            .collect();
+        let currents: Vec<Amps> = self
+            .column_of
+            .iter()
+            .map(|&site| Amps::new(g * site_drop[site]))
+            .collect();
+        let droop_loss: Watts = currents.iter().map(|i| i.dissipation_in(droop)).sum();
+        let dissipated =
+            (nominal.load_drop - s0.iter().zip(&y).map(|(a, b)| a * b).sum::<f64>()) / c;
+        let mut drop = nominal.drop.clone();
+        for (j, &yj) in y.iter().enumerate() {
+            for (d, z) in drop.iter_mut().zip(column(j)) {
+                *d -= z * yj;
+            }
+        }
+        let worst = drop.iter().copied().fold(f64::NEG_INFINITY, f64::max) / c;
+        Ok(Some(UniformPoint {
+            currents,
+            grid_loss: Watts::new(dissipated) - droop_loss,
+            droop_loss,
+            worst_drop: Volts::new(worst),
         }))
     }
 
@@ -1348,6 +1546,62 @@ mod tests {
                 Err(CircuitError::InvalidValue { .. })
             ));
         }
+    }
+
+    #[test]
+    fn uniform_queries_match_restamped_direct_solves() {
+        let (sheet, droop) = (Ohms::from_milliohms(2.0), Ohms::from_milliohms(0.5));
+        let mut grid = response_grid(droop);
+        let response = grid.regulator_response().unwrap().unwrap();
+        // Unchanged, both moved, and each moved alone; the shared node
+        // carries two regulators (M = 2 there).
+        for (sheet_scale, droop_scale) in [(1.0, 1.0), (1.2, 0.8), (0.8, 1.0), (1.0, 1.5)] {
+            let (s, d) = (sheet * sheet_scale, droop * droop_scale);
+            let point = response.solve_uniform(s, d).unwrap().unwrap();
+            let mut exact = response_grid(droop);
+            exact.set_solve_mode(DcPlanMode::DirectCholesky).unwrap();
+            exact.set_sheet_resistance(s).unwrap();
+            for k in 0..exact.regulators().len() {
+                exact.set_regulator_droop(k, d).unwrap();
+            }
+            let sol = exact.solve_cached().unwrap();
+            let want = exact.summarize(&sol);
+            for (a, b) in point.currents.iter().zip(&want.currents) {
+                assert!((a.value() - b.value()).abs() < 1e-9, "{a} vs {b}");
+            }
+            let drop = Volts::new(1.0) - want.min_voltage;
+            let dv = (point.worst_drop.value() - drop.value()).abs();
+            assert!(dv < 1e-12, "worst drop off by {dv:e}");
+            let loss = want.grid_loss.value();
+            assert!((point.grid_loss.value() - loss).abs() < 1e-12 * loss);
+            let droop_loss: f64 = want
+                .currents
+                .iter()
+                .map(|i| i.dissipation_in(d).value())
+                .sum();
+            assert!((point.droop_loss.value() - droop_loss).abs() < 1e-12 * droop_loss);
+        }
+
+        // The closed-form guard: r = g/(c·g₀) beyond 1e6 either way.
+        assert_eq!(response.solve_uniform(sheet, droop * 2e6).unwrap(), None);
+        assert_eq!(response.solve_uniform(sheet * 2e6, droop).unwrap(), None);
+        for (s, d) in [
+            (0.0, 1e-3),
+            (f64::NAN, 1e-3),
+            (1e-3, -1.0),
+            (1e-3, f64::INFINITY),
+        ] {
+            assert!(matches!(
+                response.solve_uniform(Ohms::new(s), Ohms::new(d)),
+                Err(CircuitError::InvalidValue { .. })
+            ));
+        }
+
+        // A response built with unequal droops answers no uniform query.
+        let mut uneven = response_grid(droop);
+        uneven.set_regulator_droop(2, droop * 2.0).unwrap();
+        let response = uneven.regulator_response().unwrap().unwrap();
+        assert_eq!(response.solve_uniform(sheet, droop).unwrap(), None);
     }
 
     #[test]

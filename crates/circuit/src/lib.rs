@@ -41,6 +41,8 @@ mod transient;
 pub use ac::{log_sweep, log_sweep_checked, AcPlan, AcPoint};
 pub use dc::{DcPlanMode, DcSolution, DcSolver, SparseDcPlan};
 pub use error::CircuitError;
-pub use grid::{EditedPoint, GridSummary, PowerGrid, Regulator, RegulatorEdit, RegulatorResponse};
+pub use grid::{
+    EditedPoint, GridSummary, PowerGrid, Regulator, RegulatorEdit, RegulatorResponse, UniformPoint,
+};
 pub use netlist::{Element, ElementId, ElementKind, Netlist, NodeId, PwmSchedule, SwitchState};
 pub use transient::{TransientPlan, TransientResult, TransientSettings};

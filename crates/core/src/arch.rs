@@ -7,7 +7,7 @@ use crate::gridshare::{
 use crate::loss::{LossBreakdown, LossKind, LossSegment};
 use crate::placement::{modules_required, VrPlacement};
 use crate::{Calibration, CoreError, SystemSpec};
-use vpd_circuit::DcPlanMode;
+use vpd_circuit::{DcPlanMode, RegulatorResponse};
 use vpd_converters::{Converter, TopologyCharacteristics, VrTopologyKind};
 use vpd_package::{required_platform_area, InterconnectTech, ViaAllocation};
 use vpd_units::{Amps, SquareMeters, Volts, Watts};
@@ -672,9 +672,11 @@ pub(crate) fn session_placement(
 /// its solve plan on every call; a session builds the
 /// [`SharingSolver`](crate::SharingSolver) once per architecture and
 /// merely restamps element values for each subsequent evaluation, so
-/// Monte-Carlo samples, topology columns, and bus/spec sweep points all
-/// reuse the same symbolic work — and can warm-start from an anchored
-/// nominal solution.
+/// topology columns and bus/spec sweep points all reuse the same
+/// symbolic work — and can warm-start from an anchored nominal solution.
+/// A Monte-Carlo run ([`crate::run_tolerance_with`]) also leaves the
+/// nominal regulator response with the session, and later runs answer
+/// their samples from it while the nominal grid inputs stay the same.
 ///
 /// The mesh resolution is pinned at construction
 /// (`calib.grid_nodes_per_side`); later calibrations passed to
@@ -706,70 +708,64 @@ pub(crate) fn session_placement(
 /// ```
 #[derive(Clone, Debug)]
 pub struct AnalysisSession {
+    pipeline: Pipeline,
+    solver: SharingSolver,
+    /// The nominal regulator response the first Monte-Carlo run built,
+    /// with the grid inputs it was built from (see
+    /// [`AnalysisSession::prepare_response`]); the response itself is
+    /// `None` when the mesh is above its size cap.
+    response: Option<(Vec<u64>, Option<RegulatorResponse>)>,
+}
+
+/// What an analysis reads besides the grid: the capacity check before
+/// the solve and the loss breakdown after it.
+#[derive(Clone, Copy, Debug)]
+struct Pipeline {
     architecture: Architecture,
     spec: SystemSpec,
     opts: AnalysisOptions,
     placement: VrPlacement,
     n_vrs: usize,
-    solver: SharingSolver,
 }
 
-impl AnalysisSession {
-    /// Builds the session's grid and compiles its solve plan.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::InvalidSpec`] for a zero module count.
-    /// * [`CoreError::Circuit`] if the grid cannot be built.
-    pub fn new(
-        architecture: Architecture,
-        spec: &SystemSpec,
-        calib: &Calibration,
-        opts: &AnalysisOptions,
-    ) -> Result<Self, CoreError> {
-        let (placement, n_vrs) = session_placement(architecture, opts);
-        let (sites, droop) = placement_sites(placement, calib, n_vrs);
-        let mut solver = SharingSolver::new(spec, calib, &sites, droop)?;
-        solver.set_solve_mode(opts.solve_mode)?;
-        Ok(Self {
-            architecture,
-            spec: *spec,
-            opts: *opts,
-            placement,
-            n_vrs,
-            solver,
-        })
-    }
-
-    /// Analyzes the session's architecture for one (topology,
-    /// calibration) point, reusing the compiled grid. Matches
-    /// [`analyze`] to solver tolerance.
-    ///
-    /// # Errors
-    ///
-    /// As for [`analyze`].
-    pub fn analyze(
-        &mut self,
-        topology: VrTopologyKind,
-        calib: &Calibration,
-    ) -> Result<ArchitectureReport, CoreError> {
-        // Capacity validation first, preserving `analyze`'s error order
-        // (a hopeless module count fails before any solve).
+impl Pipeline {
+    /// Capacity validation, run before any solve to preserve
+    /// [`analyze`]'s error order (a hopeless module count fails first).
+    fn check_capacity(&self, topology: VrTopologyKind) -> Result<(), CoreError> {
         match self.architecture {
-            Architecture::Reference => {}
+            Architecture::Reference => Ok(()),
             Architecture::InterposerPeriphery | Architecture::InterposerEmbedded => {
                 let ch = TopologyCharacteristics::table_ii(topology);
-                check_capacity(ch.max_load, self.n_vrs, self.spec.pol_current())?;
+                check_capacity(ch.max_load, self.n_vrs, self.spec.pol_current())
             }
             Architecture::TwoStage { bus } => {
                 let conv2 = second_stage_converter(bus)?;
-                check_capacity(conv2.max_load(), self.n_vrs, self.spec.pol_current())?;
+                check_capacity(conv2.max_load(), self.n_vrs, self.spec.pol_current())
             }
         }
+    }
 
-        self.solver
-            .restamp(&self.spec, calib, placement_droop(self.placement, calib))?;
-        let sharing = self.solver.solve()?;
+    /// The restamp path: restamp `solver` to this spec and `calib`,
+    /// solve, and finish.
+    fn analyze(
+        &self,
+        solver: &mut SharingSolver,
+        topology: VrTopologyKind,
+        calib: &Calibration,
+    ) -> Result<ArchitectureReport, CoreError> {
+        self.check_capacity(topology)?;
+        solver.restamp(&self.spec, calib, placement_droop(self.placement, calib))?;
+        let sharing = solver.solve()?;
+        self.finish(topology, calib, sharing)
+    }
+
+    /// Everything downstream of the die-grid solve.
+    fn finish(
+        &self,
+        topology: VrTopologyKind,
+        calib: &Calibration,
+        sharing: SharingReport,
+    ) -> Result<ArchitectureReport, CoreError> {
         match self.architecture {
             Architecture::Reference => finish_reference(&self.spec, calib, self.n_vrs, sharing),
             Architecture::InterposerPeriphery | Architecture::InterposerEmbedded => {
@@ -795,6 +791,136 @@ impl AnalysisSession {
             ),
         }
     }
+}
+
+impl AnalysisSession {
+    /// Builds the session's grid and compiles its solve plan.
+    ///
+    /// # Errors
+    ///
+    /// * [`CoreError::InvalidSpec`] for a zero module count.
+    /// * [`CoreError::Circuit`] if the grid cannot be built.
+    pub fn new(
+        architecture: Architecture,
+        spec: &SystemSpec,
+        calib: &Calibration,
+        opts: &AnalysisOptions,
+    ) -> Result<Self, CoreError> {
+        let (placement, n_vrs) = session_placement(architecture, opts);
+        let (sites, droop) = placement_sites(placement, calib, n_vrs);
+        let mut solver = SharingSolver::new(spec, calib, &sites, droop)?;
+        solver.set_solve_mode(opts.solve_mode)?;
+        Ok(Self {
+            pipeline: Pipeline {
+                architecture,
+                spec: *spec,
+                opts: *opts,
+                placement,
+                n_vrs,
+            },
+            solver,
+            response: None,
+        })
+    }
+
+    /// Analyzes the session's architecture for one (topology,
+    /// calibration) point, reusing the compiled grid. Matches
+    /// [`analyze`] to solver tolerance.
+    ///
+    /// # Errors
+    ///
+    /// As for [`analyze`].
+    pub fn analyze(
+        &mut self,
+        topology: VrTopologyKind,
+        calib: &Calibration,
+    ) -> Result<ArchitectureReport, CoreError> {
+        self.pipeline.analyze(&mut self.solver, topology, calib)
+    }
+
+    /// [`AnalysisSession::analyze`] on a clone of this session's solver,
+    /// leaving the session untouched: the restamp path of a parallel
+    /// sweep whose workers share the session.
+    pub(crate) fn analyze_on(
+        &self,
+        solver: &mut SharingSolver,
+        topology: VrTopologyKind,
+        calib: &Calibration,
+    ) -> Result<ArchitectureReport, CoreError> {
+        self.pipeline.analyze(solver, topology, calib)
+    }
+
+    /// The session's grid solver, for workers to clone.
+    pub(crate) fn solver(&self) -> &SharingSolver {
+        &self.solver
+    }
+
+    /// Makes the stored regulator response that of the nominal grid for
+    /// `base` at the session's spec. A stored response is kept only when
+    /// it was built from bit-identical grid inputs (sheet resistance,
+    /// droop, setpoint and every load current) and rebuilt otherwise, so
+    /// a reused session answers exactly as a fresh one. Only the
+    /// Monte-Carlo engine calls this: [`AnalysisSession::analyze`] never
+    /// builds a response.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Circuit`] if the grid cannot be restamped or its
+    /// plan compiled.
+    pub(crate) fn prepare_response(&mut self, base: &Calibration) -> Result<(), CoreError> {
+        let p = self.pipeline;
+        let droop = placement_droop(p.placement, base);
+        let n = self.solver.grid_side();
+        let loads = base.power_map.node_currents(n, n, p.spec.pol_current());
+        let inputs: Vec<u64> = [
+            base.grid_sheet_resistance.value(),
+            droop.value(),
+            p.spec.pol_voltage().value(),
+        ]
+        .into_iter()
+        .chain(loads.iter().flatten().map(|i| i.value()))
+        .map(f64::to_bits)
+        .collect();
+        if self
+            .response
+            .as_ref()
+            .is_some_and(|(built, _)| *built == inputs)
+        {
+            return Ok(());
+        }
+        self.solver.restamp(&p.spec, base, droop)?;
+        let response = self.solver.regulator_response()?;
+        self.response = Some((inputs, response));
+        Ok(())
+    }
+
+    /// [`AnalysisSession::analyze`] answered from the response of the
+    /// last [`AnalysisSession::prepare_response`], with no restamp and
+    /// no solve: `calib` may move the sheet resistance and the droop
+    /// away from that nominal, and nothing else the grid reads (the
+    /// Monte-Carlo perturbation). `Ok(None)` when the session holds no
+    /// response or the response refuses the update.
+    ///
+    /// # Errors
+    ///
+    /// As for [`analyze`], past the grid solve.
+    pub(crate) fn analyze_uniform(
+        &self,
+        topology: VrTopologyKind,
+        calib: &Calibration,
+    ) -> Result<Option<ArchitectureReport>, CoreError> {
+        let Some((_, Some(response))) = &self.response else {
+            return Ok(None);
+        };
+        let p = &self.pipeline;
+        p.check_capacity(topology)?;
+        let droop = placement_droop(p.placement, calib);
+        let Ok(Some(point)) = response.solve_uniform(calib.grid_sheet_resistance, droop) else {
+            return Ok(None);
+        };
+        p.finish(topology, calib, SharingReport::from_uniform(point))
+            .map(Some)
+    }
 
     /// Switches the analyzed architecture without rebuilding the grid —
     /// legal only when the new architecture shares this session's
@@ -805,21 +931,21 @@ impl AnalysisSession {
     /// [`CoreError::InvalidSpec`] when the switch would change the
     /// regulator sites.
     pub fn set_architecture(&mut self, architecture: Architecture) -> Result<(), CoreError> {
-        let (placement, n_vrs) = session_placement(architecture, &self.opts);
-        if placement != self.placement || n_vrs != self.n_vrs {
+        let (placement, n_vrs) = session_placement(architecture, &self.pipeline.opts);
+        if placement != self.pipeline.placement || n_vrs != self.pipeline.n_vrs {
             return Err(CoreError::InvalidSpec {
                 what: "architecture switch changes regulator placement",
                 value: n_vrs as f64,
             });
         }
-        self.architecture = architecture;
+        self.pipeline.architecture = architecture;
         Ok(())
     }
 
     /// Replaces the system spec (power/density sweeps); loads are
     /// restamped on the next [`AnalysisSession::analyze`].
     pub fn set_spec(&mut self, spec: &SystemSpec) {
-        self.spec = *spec;
+        self.pipeline.spec = *spec;
     }
 
     /// Pins the warm-start anchor to the most recent solution so all

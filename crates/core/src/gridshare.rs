@@ -10,7 +10,9 @@
 
 use crate::placement::{below_die_sites, periphery_sites, VrPlacement};
 use crate::{Calibration, CoreError, SystemSpec};
-use vpd_circuit::{DcPlanMode, DcSolution, GridSummary, PowerGrid, RegulatorResponse};
+use vpd_circuit::{
+    DcPlanMode, DcSolution, GridSummary, PowerGrid, RegulatorResponse, UniformPoint,
+};
 use vpd_numeric::SolveReport;
 use vpd_units::{Amps, Ohms, Volts, Watts};
 
@@ -24,6 +26,16 @@ pub struct SharingReport {
 }
 
 impl SharingReport {
+    /// The report of a [`RegulatorResponse::solve_uniform`] answer.
+    pub(crate) fn from_uniform(point: UniformPoint) -> Self {
+        Self {
+            per_vr: point.currents,
+            grid_loss: point.grid_loss,
+            droop_loss: point.droop_loss,
+            worst_drop: point.worst_drop,
+        }
+    }
+
     /// Per-module output currents, in site order.
     #[must_use]
     pub fn per_vr(&self) -> &[Amps] {

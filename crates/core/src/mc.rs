@@ -4,19 +4,27 @@
 //!
 //! The sweep is built for throughput and reproducibility at once:
 //!
-//! * One [`AnalysisSession`] per run compiles the die-grid solve plan
-//!   once; every sample merely restamps element values.
-//! * The nominal solution is solved first and **anchored** — every
-//!   sample's conjugate gradient warm-starts from that same point, so a
-//!   sample's result depends only on its own perturbed calibration,
-//!   never on which sample ran before it.
+//! * A sample moves only two things the die grid reads: the sheet
+//!   resistance of every mesh edge and the droop of every module. The
+//!   session's nominal regulator response answers exactly that question
+//!   with one small dense solve
+//!   ([`vpd_circuit::RegulatorResponse::solve_uniform`]), so a sample
+//!   costs no restamp, no mesh solve and no session clone. The response
+//!   is built on a session's first run and kept while the nominal grid
+//!   inputs stay bit-identical.
+//! * A sample the response cannot answer (a mesh above its size cap, an
+//!   update its guard refuses) takes the restamp path: a per-worker clone
+//!   of the session's solver restamps its values and warm-starts from
+//!   the **anchored** nominal solution, so its result depends only on
+//!   its own perturbed calibration, never on which sample ran before it.
 //! * Every sample draws from its own RNG stream derived from
-//!   `(seed, sample index)`.
+//!   `(seed, sample index)`, and the route a sample takes depends on its
+//!   draws alone.
 //!
 //! Together those make the parallel run ([`McSettings::threads`])
 //! bitwise-identical to the serial one for the same seed.
 
-use crate::arch::{AnalysisOptions, AnalysisSession, Architecture};
+use crate::arch::{AnalysisOptions, AnalysisSession, Architecture, ArchitectureReport};
 use crate::par::par_map_with;
 use crate::{Calibration, CoreError, SystemSpec};
 use rand::rngs::StdRng;
@@ -114,6 +122,41 @@ pub(crate) fn sample_rng(seed: u64, index: usize) -> StdRng {
     StdRng::seed_from_u64(z ^ (z >> 31))
 }
 
+/// One sample's draws from its own RNG stream: the perturbed
+/// calibration, then the conversion-loss factor.
+struct Draw {
+    calib: Calibration,
+    conv_factor: f64,
+}
+
+impl Draw {
+    fn new(base: &Calibration, settings: &McSettings, index: usize) -> Self {
+        let mut rng = sample_rng(settings.seed, index);
+        let rt = settings.resistance_tolerance;
+        let calib = Calibration {
+            horizontal_pol_resistance: perturb(base.horizontal_pol_resistance, &mut rng, rt),
+            horizontal_hv_resistance: perturb(base.horizontal_hv_resistance, &mut rng, rt),
+            interposer_bus_resistance: perturb(base.interposer_bus_resistance, &mut rng, rt),
+            grid_sheet_resistance: perturb(base.grid_sheet_resistance, &mut rng, rt),
+            vr_droop_periphery: perturb(base.vr_droop_periphery, &mut rng, rt),
+            vr_droop_below_die: perturb(base.vr_droop_below_die, &mut rng, rt),
+            ..*base
+        };
+        let ct = settings.conversion_tolerance;
+        let conv_factor = 1.0 + rng.gen_range(-ct..=ct);
+        Self { calib, conv_factor }
+    }
+
+    /// The sample's total loss as percent of the POL power, with the
+    /// conversion-curve uncertainty applied as a multiplicative factor on
+    /// the conversion share of the total.
+    fn loss_percent(&self, report: &ArchitectureReport) -> f64 {
+        let b = &report.breakdown;
+        let loss = b.total().value() + b.conversion_loss().value() * (self.conv_factor - 1.0);
+        100.0 * loss / b.pol_power().value()
+    }
+}
+
 /// Runs the tolerance analysis for one configuration, returning the
 /// loss-percent distribution summary.
 ///
@@ -139,13 +182,16 @@ pub fn run_tolerance(
 }
 
 /// [`run_tolerance`] over a caller-provided session, letting a compiled
-/// grid plan be amortized across runs (the serve-layer scenario cache).
+/// grid plan and its nominal regulator response be amortized across runs
+/// (the serve-layer scenario cache).
 ///
 /// The summary is bitwise-identical to [`run_tolerance`] for the same
 /// configuration whether the session is freshly built or reused: the
-/// nominal point is re-solved and re-anchored here, and a warm re-solve
-/// of an identical system converges at iteration zero to the anchored
-/// solution, so every sample starts from the same point either way.
+/// nominal point is re-solved and re-anchored here, a stored response is
+/// reused only when it was built from bit-identical nominal grid inputs,
+/// and a warm re-solve of an identical system converges at iteration
+/// zero to the anchored solution, so every sample starts from the same
+/// point either way.
 ///
 /// # Errors
 ///
@@ -158,43 +204,13 @@ pub fn run_tolerance_with(
 ) -> Result<McSummary, CoreError> {
     let _span = vpd_obs::span("mc.run_ns");
     let timer = vpd_obs::is_enabled().then(std::time::Instant::now);
-    // Solve the nominal point once and anchor it: every sample then
-    // warm-starts from the same solution, so per-sample results are
-    // independent of sample order and worker assignment.
-    session.analyze(topology, base)?;
-    session.anchor();
-
-    let indices: Vec<usize> = (0..settings.samples).collect();
-    let rt = settings.resistance_tolerance;
-    let ct = settings.conversion_tolerance;
-    let sample = |sess: &mut AnalysisSession, &i: &usize| -> Result<f64, CoreError> {
-        let mut rng = sample_rng(settings.seed, i);
-        let calib = Calibration {
-            horizontal_pol_resistance: perturb(base.horizontal_pol_resistance, &mut rng, rt),
-            horizontal_hv_resistance: perturb(base.horizontal_hv_resistance, &mut rng, rt),
-            interposer_bus_resistance: perturb(base.interposer_bus_resistance, &mut rng, rt),
-            grid_sheet_resistance: perturb(base.grid_sheet_resistance, &mut rng, rt),
-            vr_droop_periphery: perturb(base.vr_droop_periphery, &mut rng, rt),
-            vr_droop_below_die: perturb(base.vr_droop_below_die, &mut rng, rt),
-            ..*base
-        };
-        let report = sess.analyze(topology, &calib)?;
-        // Conversion-curve uncertainty applied as a multiplicative factor
-        // on the conversion share of the total.
-        let conv_factor = 1.0 + rng.gen_range(-ct..=ct);
-        let b = &report.breakdown;
-        let loss = b.total().value() + b.conversion_loss().value() * (conv_factor - 1.0);
-        Ok(100.0 * loss / b.pol_power().value())
-    };
-    let results = par_map_with(settings.threads, &indices, &*session, sample);
-    let mut samples = Vec::with_capacity(results.len());
-    for r in results {
-        samples.push(r?);
-    }
+    let (samples, lowrank) = sample_losses(session, topology, base, settings)?;
     // Accounting only: recorded after all samples are computed, so the
     // summary bits cannot depend on whether metrics are enabled.
     vpd_obs::incr("mc.runs");
     vpd_obs::add("mc.samples", samples.len() as u64);
+    vpd_obs::add("mc.lowrank_samples", lowrank as u64);
+    vpd_obs::add("mc.lowrank_fallbacks", (samples.len() - lowrank) as u64);
     if let Some(start) = timer {
         let secs = start.elapsed().as_secs_f64();
         if secs > 0.0 {
@@ -204,9 +220,65 @@ pub fn run_tolerance_with(
     Ok(McSummary::from_samples(samples))
 }
 
+/// Every sample's loss percent, in sample order, and how many samples
+/// the nominal regulator response answered.
+fn sample_losses(
+    session: &mut AnalysisSession,
+    topology: VrTopologyKind,
+    base: &Calibration,
+    settings: &McSettings,
+) -> Result<(Vec<f64>, usize), CoreError> {
+    // Solve the nominal point once and anchor it: restamp-path samples
+    // then warm-start from the same solution, so per-sample results are
+    // independent of sample order and worker assignment.
+    session.analyze(topology, base)?;
+    session.anchor();
+    session.prepare_response(base)?;
+    let session = &*session;
+    let draws: Vec<Draw> = (0..settings.samples)
+        .map(|i| Draw::new(base, settings, i))
+        .collect();
+    let uniform = par_map_with(settings.threads, &draws, &(), |(), draw| {
+        session
+            .analyze_uniform(topology, &draw.calib)
+            .map(|report| report.map(|r| draw.loss_percent(&r)))
+    });
+    let restamp: Vec<&Draw> = draws
+        .iter()
+        .zip(&uniform)
+        .filter(|(_, answer)| matches!(answer, Ok(None)))
+        .map(|(draw, _)| draw)
+        .collect();
+    // No restamp work, no solver clone.
+    let mut restamped = if restamp.is_empty() {
+        Vec::new()
+    } else {
+        par_map_with(
+            settings.threads,
+            &restamp,
+            session.solver(),
+            |solver, draw| {
+                session
+                    .analyze_on(solver, topology, &draw.calib)
+                    .map(|r| draw.loss_percent(&r))
+            },
+        )
+    }
+    .into_iter();
+    let mut losses = Vec::with_capacity(draws.len());
+    for answer in uniform {
+        losses.push(match answer? {
+            Some(loss) => loss,
+            None => restamped.next().expect("one result per restamped sample")?,
+        });
+    }
+    Ok((losses, draws.len() - restamp.len()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpd_units::Watts;
 
     fn summary(arch: Architecture) -> McSummary {
         run_tolerance(
@@ -263,38 +335,46 @@ mod tests {
         use vpd_circuit::DcPlanMode;
         let spec = SystemSpec::paper_default();
         let calib = Calibration::paper_default();
+        let arch = Architecture::InterposerEmbedded;
+        let topo = VrTopologyKind::Dsch;
         let settings = McSettings {
             samples: 24,
             threads: 1,
             ..McSettings::default()
         };
-        let cg = run_tolerance(
-            Architecture::InterposerEmbedded,
-            VrTopologyKind::Dsch,
-            &spec,
-            &calib,
-            &settings,
-        )
-        .unwrap();
-
         let opts = AnalysisOptions {
             solve_mode: DcPlanMode::DirectCholesky,
             ..AnalysisOptions::default()
         };
-        let mut session =
-            AnalysisSession::new(Architecture::InterposerEmbedded, &spec, &calib, &opts).unwrap();
+        let mut session = AnalysisSession::new(arch, &spec, &calib, &opts).unwrap();
         assert_eq!(session.solve_mode(), DcPlanMode::DirectCholesky);
-        let direct =
-            run_tolerance_with(&mut session, VrTopologyKind::Dsch, &calib, &settings).unwrap();
-        // Exact per-sample solves land within solver tolerance of CG.
-        assert!((direct.mean - cg.mean).abs() < 1e-6, "{direct:?} vs {cg:?}");
-        assert!((direct.p95 - cg.p95).abs() < 1e-6);
+        let (losses, lowrank) = sample_losses(&mut session, topo, &calib, &settings).unwrap();
+        assert_eq!(
+            lowrank, settings.samples,
+            "every sample takes the uniform path"
+        );
+
+        // Every sample agrees with the restamp path: an exact direct-mode
+        // analysis of the same draws.
+        let mut restamp = AnalysisSession::new(arch, &spec, &calib, &opts).unwrap();
+        for (i, &loss) in losses.iter().enumerate() {
+            let draw = Draw::new(&calib, &settings, i);
+            let report = restamp.analyze(topo, &draw.calib).unwrap();
+            let exact = draw.loss_percent(&report);
+            assert!((loss - exact).abs() < 1e-9, "sample {i}: {loss} vs {exact}");
+        }
+
+        // The response does not depend on the plan mode, so a warm-CG
+        // session's run is bitwise the same.
+        let direct = McSummary::from_samples(losses);
+        let cg = run_tolerance(arch, topo, &spec, &calib, &settings).unwrap();
+        assert_eq!(direct, cg);
 
         // And the thread-count independence contract holds per mode.
         for threads in [3, 8] {
             let par = run_tolerance_with(
                 &mut session,
-                VrTopologyKind::Dsch,
+                topo,
                 &calib,
                 &McSettings {
                     threads,
@@ -303,6 +383,148 @@ mod tests {
             )
             .unwrap();
             assert_eq!(direct, par, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn reused_sessions_answer_bitwise_like_fresh_ones() {
+        let spec = SystemSpec::paper_default();
+        let calib = Calibration::paper_default();
+        let arch = Architecture::InterposerPeriphery;
+        let topo = VrTopologyKind::Dsch;
+        let settings = McSettings {
+            samples: 8,
+            threads: 2,
+            ..McSettings::default()
+        };
+        let opts = AnalysisOptions::default();
+        let fresh = |spec: &SystemSpec, calib: &Calibration| {
+            run_tolerance(arch, topo, spec, calib, &settings).unwrap()
+        };
+        let mut session = AnalysisSession::new(arch, &spec, &calib, &opts).unwrap();
+        let first = run_tolerance_with(&mut session, topo, &calib, &settings).unwrap();
+        assert_eq!(first, fresh(&spec, &calib));
+        // The stored response is reused...
+        assert_eq!(
+            run_tolerance_with(&mut session, topo, &calib, &settings).unwrap(),
+            first
+        );
+        // ...and rebuilt when the spec moves the loads and comes back.
+        let lighter = SystemSpec::new(
+            spec.pcb_voltage(),
+            spec.pol_voltage(),
+            Watts::new(800.0),
+            spec.current_density(),
+        )
+        .unwrap();
+        session.set_spec(&lighter);
+        let moved = run_tolerance_with(&mut session, topo, &calib, &settings).unwrap();
+        assert_eq!(moved, fresh(&lighter, &calib));
+        assert_ne!(moved, first);
+        session.set_spec(&spec);
+        assert_eq!(
+            run_tolerance_with(&mut session, topo, &calib, &settings).unwrap(),
+            first
+        );
+        // A new base sheet resistance rebuilds it too.
+        let mut thicker = calib;
+        thicker.grid_sheet_resistance = calib.grid_sheet_resistance * 0.9;
+        assert_eq!(
+            run_tolerance_with(&mut session, topo, &thicker, &settings).unwrap(),
+            fresh(&spec, &thicker)
+        );
+    }
+
+    #[test]
+    fn meshes_above_the_response_cap_take_the_restamp_path() {
+        let spec = SystemSpec::paper_default();
+        let calib = Calibration {
+            grid_nodes_per_side: 96,
+            ..Calibration::paper_default()
+        };
+        let settings = McSettings {
+            samples: 2,
+            threads: 2,
+            ..McSettings::default()
+        };
+        let mut session = AnalysisSession::new(
+            Architecture::InterposerEmbedded,
+            &spec,
+            &calib,
+            &AnalysisOptions::default(),
+        )
+        .unwrap();
+        let (losses, lowrank) =
+            sample_losses(&mut session, VrTopologyKind::Dsch, &calib, &settings).unwrap();
+        assert_eq!(lowrank, 0, "no response above the cap");
+        assert_eq!(losses.len(), 2);
+        assert!(losses.iter().all(|l| l.is_finite() && *l > 0.0));
+        // The restamp path keeps its thread-count independence.
+        let serial = McSettings {
+            threads: 1,
+            ..settings
+        };
+        let (again, _) =
+            sample_losses(&mut session, VrTopologyKind::Dsch, &calib, &serial).unwrap();
+        assert_eq!(losses, again);
+    }
+
+    /// One session per Fig. 7 configuration with its response prepared,
+    /// and one direct-mode session beside it for exact restamps.
+    fn fig7_sessions() -> &'static [(AnalysisSession, AnalysisSession)] {
+        use std::sync::OnceLock;
+        use vpd_circuit::DcPlanMode;
+        static SESSIONS: OnceLock<Vec<(AnalysisSession, AnalysisSession)>> = OnceLock::new();
+        SESSIONS.get_or_init(|| {
+            let spec = SystemSpec::paper_default();
+            let calib = Calibration::paper_default();
+            let direct = AnalysisOptions {
+                solve_mode: DcPlanMode::DirectCholesky,
+                ..AnalysisOptions::default()
+            };
+            Architecture::paper_set()
+                .into_iter()
+                .map(|arch| {
+                    let mut uniform =
+                        AnalysisSession::new(arch, &spec, &calib, &AnalysisOptions::default())
+                            .unwrap();
+                    uniform.prepare_response(&calib).unwrap();
+                    let exact = AnalysisSession::new(arch, &spec, &calib, &direct).unwrap();
+                    (uniform, exact)
+                })
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// The uniform path against per-sample exact restamps, on all five
+        /// Fig. 7 configurations, within DESIGN §13.4's tolerances: 1e-6 A
+        /// per module and 1e-8 V on the worst drop.
+        #[test]
+        fn prop_uniform_path_matches_direct_restamps(
+            seed in 0_u64..1_000_000,
+            tolerance in 0.0_f64..0.5,
+        ) {
+            let calib = Calibration::paper_default();
+            let settings = McSettings {
+                resistance_tolerance: tolerance,
+                seed,
+                ..McSettings::default()
+            };
+            for (uniform, exact) in fig7_sessions() {
+                let draw = Draw::new(&calib, &settings, 0);
+                let topo = VrTopologyKind::Dsch;
+                let got = uniform.analyze_uniform(topo, &draw.calib).unwrap().unwrap();
+                let mut solver = exact.solver().clone();
+                let want = exact.analyze_on(&mut solver, topo, &draw.calib).unwrap();
+                for (a, b) in got.sharing.per_vr().iter().zip(want.sharing.per_vr()) {
+                    proptest::prop_assert!((a.value() - b.value()).abs() < 1e-6, "{a} vs {b}");
+                }
+                let dv = (got.sharing.worst_drop() - want.sharing.worst_drop()).value().abs();
+                proptest::prop_assert!(dv < 1e-8, "worst drop off by {dv:e}");
+            }
         }
     }
 

@@ -182,6 +182,11 @@ rec = lines[0]
 assert rec["label"] == "mc", rec["label"]
 assert rec["counters"]["mc.samples"] == 4, rec["counters"]
 assert rec["counters"]["cg.solves"] > 0, rec["counters"]
+# Every sample is answered from the nominal regulator response: the only
+# restamps are the nominal solve's and the response build's.
+assert rec["counters"]["mc.lowrank_samples"] == 4, rec["counters"]
+assert rec["counters"]["mc.lowrank_fallbacks"] == 0, rec["counters"]
+assert rec["counters"]["plan.restamps"] <= 2, rec["counters"]
 for value in rec["gauges"].values():
     assert value is None or math.isfinite(value), "non-finite gauge"
 print("CLI smoke OK: JSON output and NDJSON metrics both parse and are finite")

@@ -7,7 +7,8 @@
 //! replays each request through a cold `Dispatcher::new(0)` and compares
 //! the documents by value. Numbers are compared by their bits (the JSON
 //! spelling is the shortest round trip), and the first differing field
-//! is named by its path.
+//! is named by its path. The only exceptions are the fields listed in
+//! [`TOLERANCES`], each with the reason its numbers may move.
 //!
 //! Re-bless every case after a deliberate result change:
 //!
@@ -27,6 +28,38 @@ use vertical_power_delivery::serve::{Dispatcher, Request, Work};
 
 /// Kinds that report server state rather than an analysis result.
 const UNPINNED_KINDS: [&str; 4] = ["ping", "stats", "kinds", "shutdown"];
+
+/// A declared tolerance: under `path` (a field path or a prefix of one)
+/// in `case`'s documents, a number may differ from its blessed value by
+/// at most `abs`. Every number no entry covers stays bit-exact.
+struct Tolerance {
+    case: &'static str,
+    path: &'static str,
+    abs: f64,
+    reason: &'static str,
+}
+
+const TOLERANCES: &[Tolerance] = &[Tolerance {
+    case: "mc-a1-dsch.ndjson",
+    path: "summary",
+    abs: 1e-6,
+    reason: "Monte-Carlo samples are answered from the exact nominal regulator response \
+             instead of warm-CG restamps; 1e-6 percentage points is the bound mc.rs holds \
+             between direct and warm-CG sessions",
+}];
+
+/// The tolerances declared for one case file.
+fn tolerances_for(case: &str) -> Vec<&'static Tolerance> {
+    TOLERANCES.iter().filter(|t| t.case == case).collect()
+}
+
+/// The tolerance covering field `path`, if one is declared.
+fn declared<'a>(tolerances: &[&'a Tolerance], path: &str) -> Option<&'a Tolerance> {
+    tolerances.iter().copied().find(|t| {
+        path.strip_prefix(t.path)
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with(['.', '[']))
+    })
+}
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -96,8 +129,13 @@ fn join(path: &str, key: &str) -> String {
 
 /// The first difference between two documents, named by its field
 /// path (`report.points[3].z_ohm`), or `None` when they are equal with
-/// every number equal bit for bit.
-fn first_difference(path: &str, want: &Json, got: &Json) -> Option<String> {
+/// every number equal bit for bit, or within its declared tolerance.
+fn first_difference(
+    tolerances: &[&Tolerance],
+    path: &str,
+    want: &Json,
+    got: &Json,
+) -> Option<String> {
     let at = |what: String| {
         Some(if path.is_empty() {
             what
@@ -108,16 +146,22 @@ fn first_difference(path: &str, want: &Json, got: &Json) -> Option<String> {
     match (want, got) {
         (Json::Num(a), Json::Num(b)) => {
             if a.to_bits() == b.to_bits() {
-                None
-            } else {
-                at(format!("want {a:?}, got {b:?}"))
+                return None;
+            }
+            match declared(tolerances, path) {
+                Some(t) if (a - b).abs() <= t.abs => None,
+                Some(t) => at(format!(
+                    "want {a:?}, got {b:?}, beyond the declared tolerance {:e} ({})",
+                    t.abs, t.reason
+                )),
+                None => at(format!("want {a:?}, got {b:?}")),
             }
         }
         (Json::Object(a), Json::Object(b)) => {
             for (i, (ka, va)) in a.iter().enumerate() {
                 match b.get(i) {
                     Some((kb, vb)) if kb == ka => {
-                        if let Some(d) = first_difference(&join(path, ka), va, vb) {
+                        if let Some(d) = first_difference(tolerances, &join(path, ka), va, vb) {
                             return Some(d);
                         }
                     }
@@ -135,15 +179,17 @@ fn first_difference(path: &str, want: &Json, got: &Json) -> Option<String> {
             a.iter()
                 .zip(b)
                 .enumerate()
-                .find_map(|(i, (x, y))| first_difference(&format!("{path}[{i}]"), x, y))
+                .find_map(|(i, (x, y))| first_difference(tolerances, &format!("{path}[{i}]"), x, y))
         }
         _ if want == got => None,
         _ => at(format!("want {want}, got {got}")),
     }
 }
 
-/// Compares one case's replayed documents with its blessed ones.
-fn check_case(want: &[String], got: &[String]) -> Result<(), String> {
+/// Compares one case's replayed documents with its blessed ones, under
+/// the case's declared tolerances.
+fn check_case(case: &str, want: &[String], got: &[String]) -> Result<(), String> {
+    let tolerances = tolerances_for(case);
     if want.len() != got.len() {
         return Err(format!(
             "{} result documents, blessed {}",
@@ -154,7 +200,7 @@ fn check_case(want: &[String], got: &[String]) -> Result<(), String> {
     for (i, (w, g)) in want.iter().zip(got).enumerate() {
         let w = Json::parse(w).map_err(|e| format!("blessed document {i} does not parse: {e}"))?;
         let g = Json::parse(g).map_err(|e| format!("document {i} does not parse: {e}"))?;
-        if let Some(d) = first_difference("", &w, &g) {
+        if let Some(d) = first_difference(&tolerances, "", &w, &g) {
             return Err(format!("document {i}: {d}"));
         }
     }
@@ -167,9 +213,10 @@ fn golden_results_replay_bitwise() {
     let mut failures = Vec::new();
     for path in cases() {
         let (request, want) = read_case(&path);
-        let outcome = replay(&dispatcher, &request).and_then(|got| check_case(&want, &got));
+        let case = case_name(&path);
+        let outcome = replay(&dispatcher, &request).and_then(|got| check_case(&case, &want, &got));
         if let Err(e) = outcome {
-            failures.push(format!("{}: {e}", case_name(&path)));
+            failures.push(format!("{case}: {e}"));
         }
     }
     assert!(
@@ -224,18 +271,76 @@ fn nudge_first_number(path: &str, doc: &mut Json) -> Option<String> {
 
 #[test]
 fn a_one_ulp_change_fails_and_names_its_field_path() {
-    let path = corpus_dir().join("droop-a2.ndjson");
-    let (_, want) = read_case(&path);
+    let case = "droop-a2.ndjson";
+    let (_, want) = read_case(&corpus_dir().join(case));
     let mut doc = Json::parse(&want[0]).expect("blessed document parses");
     let field = nudge_first_number("", &mut doc).expect("the droop document has a number");
     assert_eq!(field, "report.v_before_v");
-    let err = check_case(&want, &[doc.to_string()]).expect_err("a one-ulp change must fail");
+    let err = check_case(case, &want, &[doc.to_string()]).expect_err("a one-ulp change must fail");
     assert!(
         err.contains("report.v_before_v"),
         "failure does not name the field: {err}"
     );
     // The unperturbed document passes, so the failure is the ulp.
-    assert_eq!(check_case(&want, &want), Ok(()));
+    assert_eq!(check_case(case, &want, &want), Ok(()));
+}
+
+#[test]
+fn declared_tolerances_bound_their_fields_and_nothing_else() {
+    let case = "mc-a1-dsch.ndjson";
+    let (_, want) = read_case(&corpus_dir().join(case));
+    let blessed = Json::parse(&want[0]).expect("blessed document parses");
+    let moved = |by: f64| {
+        let mut doc = blessed.clone();
+        let Json::Object(fields) = &mut doc else {
+            panic!("the mc document is an object");
+        };
+        let (_, summary) = fields
+            .iter_mut()
+            .find(|(k, _)| k == "summary")
+            .expect("the mc document has a summary");
+        let path = nudge_first_number("summary", summary).expect("the summary has a number");
+        assert_eq!(path, "summary.mean_percent");
+        let Json::Object(stats) = summary else {
+            panic!("the summary is an object");
+        };
+        let Json::Num(x) = &mut stats[0].1 else {
+            panic!("mean_percent is a number");
+        };
+        *x += by;
+        doc.to_string()
+    };
+    // Within the declared 1e-6 percentage points: passes.
+    assert_eq!(check_case(case, &want, &[moved(5e-7)]), Ok(()));
+    // Beyond it: fails, naming the field.
+    let err = check_case(case, &want, &[moved(5e-6)]).expect_err("beyond the tolerance");
+    assert!(
+        err.contains("summary.mean_percent") && err.contains("declared tolerance"),
+        "failure does not name the field: {err}"
+    );
+    // An undeclared number of the same document stays exact: `samples`
+    // one ulp above its blessed 6 fails.
+    let mut doc = blessed.clone();
+    let Json::Object(fields) = &mut doc else {
+        panic!("the mc document is an object");
+    };
+    let (_, samples) = fields
+        .iter_mut()
+        .find(|(k, _)| k == "samples")
+        .expect("the mc document has a sample count");
+    assert_eq!(*samples, Json::Int(6));
+    *samples = Json::Num(f64::from_bits(6.0_f64.to_bits() + 1));
+    let err = check_case(case, &want, &[doc.to_string()]).expect_err("a one-ulp change must fail");
+    assert!(
+        err.starts_with("document 0: samples:"),
+        "failure does not name the field: {err}"
+    );
+    // A prefix covers its own fields only, and no other case.
+    let tolerances = tolerances_for(case);
+    assert!(declared(&tolerances, "summary.p95_percent").is_some());
+    assert!(declared(&tolerances, "summary_percent").is_none());
+    assert!(declared(&tolerances, "samples").is_none());
+    assert!(tolerances_for("droop-a2.ndjson").is_empty());
 }
 
 #[test]

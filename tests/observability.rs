@@ -83,6 +83,8 @@ fn work_counters_are_thread_count_deterministic() {
         "grid.solves",
         "mc.runs",
         "mc.samples",
+        "mc.lowrank_samples",
+        "mc.lowrank_fallbacks",
         "faults.runs",
         "faults.scenarios",
         "faults.fallbacks",
@@ -100,6 +102,9 @@ fn work_counters_are_thread_count_deterministic() {
     }
     // And the sweeps actually ran through the instrumented paths.
     assert_eq!(serial.counter("mc.samples"), Some(24));
+    // Every Monte-Carlo sample is answered from the nominal response.
+    assert_eq!(serial.counter("mc.lowrank_samples"), Some(24));
+    assert_eq!(serial.counter("mc.lowrank_fallbacks"), Some(0));
     assert_eq!(serial.counter("faults.runs"), Some(1));
     // Every N-1 scenario is VR-local: all of them take the low-rank path.
     assert_eq!(serial.counter("faults.lowrank_scenarios"), Some(48));
@@ -111,6 +116,49 @@ fn work_counters_are_thread_count_deterministic() {
         .expect("histogram registered");
     assert_eq!(Some(hist.count), serial.counter("cg.solves"));
     assert_eq!(Some(hist.sum), serial.counter("cg.iterations"));
+}
+
+/// Only the Monte-Carlo engine builds a nominal regulator response for
+/// a served session, once per session: `analyze`, `sharing` and
+/// `scenario` never pay for one, and an `analyze` served after `mc` on
+/// the same cached session equals a cold one.
+#[test]
+fn only_monte_carlo_builds_a_session_response() {
+    use vertical_power_delivery::serve::{Dispatcher, Request};
+    let _gate = lock();
+    let run = |d: &Dispatcher, line: &str| {
+        let req = Request::parse_line(line).expect("valid request");
+        d.dispatch(&req.work).expect("served").0.to_string()
+    };
+    let analyze = r#"{"kind":"analyze","params":{"arch":"a2"}}"#;
+    let mc = r#"{"kind":"mc","params":{"arch":"a2","samples":4}}"#;
+    obs::set_enabled(true);
+    obs::reset();
+    let dispatcher = Dispatcher::new(16);
+    let cold_analyze = run(&dispatcher, analyze);
+    run(
+        &dispatcher,
+        r#"{"kind":"sharing","params":{"placement":"below"}}"#,
+    );
+    run(&dispatcher, r#"{"kind":"scenario","params":{"name":"a2"}}"#);
+    let before_mc = obs::snapshot();
+    let first = run(&dispatcher, mc);
+    let second = run(&dispatcher, mc);
+    let after_mc = run(&dispatcher, analyze);
+    let end = obs::snapshot();
+    obs::set_enabled(false);
+
+    assert_eq!(
+        before_mc.counter("grid.regulator_responses").unwrap_or(0),
+        0
+    );
+    // Built by the first `mc`, reused by the second on the cached session.
+    assert_eq!(end.counter("grid.regulator_responses"), Some(1));
+    assert_eq!(end.counter("mc.lowrank_samples"), Some(8));
+    assert_eq!(end.counter("mc.lowrank_fallbacks"), Some(0));
+    assert_eq!(first, second);
+    assert_eq!(after_mc, cold_analyze);
+    assert_eq!(run(&Dispatcher::new(0), mc), first, "cached equals cold");
 }
 
 /// A snapshot of the same seeded run twice must be identical in every
