@@ -1,20 +1,21 @@
 //! Sparse direct-solver benchmark: the cached-factorization Cholesky
 //! floor against warm-CG on the paper's 48-VR under-die grid, plus the
-//! k = 8 multi-RHS block solve. Emits `BENCH_cholesky.json`.
+//! k = 8 multi-RHS block solve and the k = 8 setpoint sweep. Emits
+//! `BENCH_cholesky.json`.
 //!
 //! Three workloads:
 //!
 //! * **Setpoint sweep (RHS-only)** — every solve moves only the right-
-//!   hand side, the regime the plan-level block API coalesces. The
-//!   direct path skips refactorization entirely (bitwise value check)
-//!   and answers with two triangular substitutions.
+//!   hand side. The direct path skips refactorization entirely (bitwise
+//!   value check) and answers with two triangular substitutions.
 //! * **Sheet-resistance restamp (matrix moves)** — the Monte-Carlo
 //!   regime: every solve re-stamps the conductance matrix, so the
 //!   direct path pays a numeric refactor against CG's warm iterations.
-//! * **k = 8 block solve** — one factorization plus one interleaved
-//!   block substitution against eight sequential solves, at both the
-//!   plan level (`SharingSolver::solve_setpoints`) and the numeric
-//!   level (`SparseCholesky::solve_block_into`).
+//! * **k = 8 block solve and sweep** — one factorization plus one
+//!   interleaved block substitution against eight sequential solves at
+//!   the numeric level (`SparseCholesky::solve_block_into`), and an
+//!   eight-setpoint `SharingSolver::solve_setpoints` sweep (one solve)
+//!   against one direct solve per setpoint at the plan level.
 //!
 //! ```sh
 //! cargo run --release -p vpd-bench --bin cholesky             # full, writes JSON
@@ -22,9 +23,10 @@
 //! ```
 //!
 //! Smoke mode re-verifies the correctness contracts on a reduced
-//! workload (block == sequential bitwise, direct == warm-CG within
-//! tolerance) and asserts every `*speedup*` field of the checked-in
-//! `BENCH_cholesky.json` is at least 1.0.
+//! workload (block == sequential bitwise, sweep == per-setpoint solves
+//! within 1e-9, direct == warm-CG within tolerance) and asserts every
+//! `*speedup*` field of the checked-in `BENCH_cholesky.json` is at
+//! least 1.0.
 
 use std::time::Instant;
 use vpd_core::{Calibration, DcPlanMode, SharingSolver, SystemSpec, VrPlacement};
@@ -159,10 +161,13 @@ fn numeric_block(chol: &mut SparseCholesky, n: usize, reps: usize) -> (f64, f64)
     (seq_secs, blk_secs)
 }
 
-/// Plan-level block contract + timing: a `BLOCK_K`-setpoint sweep as
-/// one coalesced `solve_setpoints` call vs one solve per setpoint.
-/// Returns (sequential_secs, block_secs) and asserts bitwise equality.
-fn plan_block(spec: &SystemSpec, calib: &Calibration, reps: usize) -> (f64, f64) {
+/// Plan-level sweep contract + timing: a `BLOCK_K`-setpoint sweep as
+/// one `solve_setpoints` call (one solve at the nominal setpoint, the
+/// sweep's first point) vs one direct solve per setpoint. Returns
+/// (sequential_secs, sweep_secs). The nominal point must equal its
+/// solve bitwise and every point must agree within the golden corpus's
+/// 1e-9 bound (A, W and V alike).
+fn plan_sweep(spec: &SystemSpec, calib: &Calibration, reps: usize) -> (f64, f64) {
     let sweep: Vec<Volts> = (0..BLOCK_K)
         .map(|i| Volts::new(1.0 + 1e-3 * i as f64))
         .collect();
@@ -181,19 +186,31 @@ fn plan_block(spec: &SystemSpec, calib: &Calibration, reps: usize) -> (f64, f64)
     }
     let seq_secs = seq_start.elapsed().as_secs_f64();
 
-    let mut blk_solver = build_solver(spec, calib, DcPlanMode::DirectCholesky);
-    let mut blk_reports = Vec::new();
-    let blk_start = Instant::now();
+    let mut sweep_solver = build_solver(spec, calib, DcPlanMode::DirectCholesky);
+    let mut swept = Vec::new();
+    let sweep_start = Instant::now();
     for _ in 0..reps {
-        blk_reports = blk_solver.solve_setpoints(&sweep).unwrap();
+        swept = sweep_solver.solve_setpoints(&sweep).unwrap();
     }
-    let blk_secs = blk_start.elapsed().as_secs_f64();
+    let sweep_secs = sweep_start.elapsed().as_secs_f64();
 
     assert_eq!(
-        seq_reports, blk_reports,
-        "coalesced sweep drifted from sequential solves"
+        swept[0], seq_reports[0],
+        "nominal point drifted from its solve"
     );
-    (seq_secs, blk_secs)
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9;
+    for (i, (a, b)) in swept.iter().zip(&seq_reports).enumerate() {
+        let agree = a
+            .per_vr()
+            .iter()
+            .zip(b.per_vr())
+            .all(|(x, y)| close(x.value(), y.value()))
+            && close(a.grid_loss().value(), b.grid_loss().value())
+            && close(a.droop_loss().value(), b.droop_loss().value())
+            && close(a.worst_drop().value(), b.worst_drop().value());
+        assert!(agree, "sweep point {i} drifted from its per-setpoint solve");
+    }
+    (seq_secs, sweep_secs)
 }
 
 /// Direct-mode results must track warm-CG within solver tolerance.
@@ -257,11 +274,11 @@ fn main() {
 
     if smoke {
         let (seq_secs, blk_secs) = numeric_block(&mut chol, n, 20);
-        let (pseq, pblk) = plan_block(&spec, &calib, 2);
+        let (pseq, psweep) = plan_sweep(&spec, &calib, 2);
         println!(
             "contracts OK: block == sequential bitwise \
-             (numeric {seq_secs:.3}s vs {blk_secs:.3}s, plan {pseq:.3}s vs {pblk:.3}s), \
-             direct == warm-CG within tolerance"
+             (numeric {seq_secs:.3}s vs {blk_secs:.3}s), sweep == per-setpoint solves \
+             within 1e-9 ({pseq:.3}s vs {psweep:.3}s), direct == warm-CG within tolerance"
         );
         let doc = std::fs::read_to_string("BENCH_cholesky.json")
             .expect("BENCH_cholesky.json must be checked in");
@@ -305,25 +322,25 @@ fn main() {
         psolves as f64 / direct_psecs,
     );
 
-    // --- k = 8 block vs sequential --------------------------------------
+    // --- k = 8 block and sweep vs sequential ----------------------------
     let nreps = 2000;
     let (nseq, nblk) = numeric_block(&mut chol, n, nreps);
     let numeric_block_speedup = nseq / nblk;
     let preps = 50;
-    let (pseq, pblk) = plan_block(&spec, &calib, preps);
-    let plan_block_speedup = pseq / pblk;
+    let (pseq, psweep) = plan_sweep(&spec, &calib, preps);
+    let plan_sweep_speedup = pseq / psweep;
     println!(
-        "block k={BLOCK_K}: numeric {numeric_block_speedup:.2}x \
-         ({:.0} vs {:.0} RHS/s), plan {plan_block_speedup:.2}x \
-         ({:.0} vs {:.0} RHS/s)",
+        "k={BLOCK_K}: numeric block {numeric_block_speedup:.2}x \
+         ({:.0} vs {:.0} RHS/s), plan sweep {plan_sweep_speedup:.2}x \
+         ({:.0} vs {:.0} setpoints/s)",
         (nreps * BLOCK_K) as f64 / nseq,
         (nreps * BLOCK_K) as f64 / nblk,
         (preps * BLOCK_K) as f64 / pseq,
-        (preps * BLOCK_K) as f64 / pblk,
+        (preps * BLOCK_K) as f64 / psweep,
     );
 
     let json = format!(
-        "{{\n  \"grid\": {{\n    \"architecture\": \"A2\",\n    \"modules\": {MODULES},\n    \"unknowns\": {n},\n    \"factor_nnz\": {sym_nnz},\n    \"fill_ratio\": {fill:.3}\n  }},\n  \"rhs_only\": {{\n    \"workload\": \"setpoint sweep, matrix values unchanged\",\n    \"solves\": {solves},\n    \"warm_cg_solves_per_sec\": {:.1},\n    \"direct_solves_per_sec\": {:.1},\n    \"per_solve_speedup\": {per_solve_speedup:.3}\n  }},\n  \"perturbed\": {{\n    \"workload\": \"sheet-resistance restamp, matrix moves every solve\",\n    \"solves\": {psolves},\n    \"warm_cg_solves_per_sec\": {:.1},\n    \"direct_solves_per_sec\": {:.1},\n    \"direct_vs_cg_ratio\": {perturbed_ratio:.3}\n  }},\n  \"block\": {{\n    \"k\": {BLOCK_K},\n    \"numeric_sequential_rhs_per_sec\": {:.1},\n    \"numeric_block_rhs_per_sec\": {:.1},\n    \"numeric_block_speedup\": {numeric_block_speedup:.3},\n    \"plan_sequential_rhs_per_sec\": {:.1},\n    \"plan_block_rhs_per_sec\": {:.1},\n    \"plan_block_speedup\": {plan_block_speedup:.3},\n    \"block_matches_sequential_bitwise\": true\n  }}\n}}\n",
+        "{{\n  \"grid\": {{\n    \"architecture\": \"A2\",\n    \"modules\": {MODULES},\n    \"unknowns\": {n},\n    \"factor_nnz\": {sym_nnz},\n    \"fill_ratio\": {fill:.3}\n  }},\n  \"rhs_only\": {{\n    \"workload\": \"setpoint sweep, matrix values unchanged\",\n    \"solves\": {solves},\n    \"warm_cg_solves_per_sec\": {:.1},\n    \"direct_solves_per_sec\": {:.1},\n    \"per_solve_speedup\": {per_solve_speedup:.3}\n  }},\n  \"perturbed\": {{\n    \"workload\": \"sheet-resistance restamp, matrix moves every solve\",\n    \"solves\": {psolves},\n    \"warm_cg_solves_per_sec\": {:.1},\n    \"direct_solves_per_sec\": {:.1},\n    \"direct_vs_cg_ratio\": {perturbed_ratio:.3}\n  }},\n  \"block\": {{\n    \"k\": {BLOCK_K},\n    \"numeric_sequential_rhs_per_sec\": {:.1},\n    \"numeric_block_rhs_per_sec\": {:.1},\n    \"numeric_block_speedup\": {numeric_block_speedup:.3},\n    \"plan_sequential_rhs_per_sec\": {:.1},\n    \"plan_sweep_rhs_per_sec\": {:.1},\n    \"plan_sweep_speedup\": {plan_sweep_speedup:.3},\n    \"block_matches_sequential_bitwise\": true\n  }}\n}}\n",
         solves as f64 / cg_secs,
         solves as f64 / direct_secs,
         psolves as f64 / cg_psecs,
@@ -331,7 +348,7 @@ fn main() {
         (nreps * BLOCK_K) as f64 / nseq,
         (nreps * BLOCK_K) as f64 / nblk,
         (preps * BLOCK_K) as f64 / pseq,
-        (preps * BLOCK_K) as f64 / pblk,
+        (preps * BLOCK_K) as f64 / psweep,
     );
     std::fs::write("BENCH_cholesky.json", &json).unwrap();
     println!("\nwrote BENCH_cholesky.json");

@@ -181,7 +181,6 @@ fn main() {
         workers: 2,
         queue_depth: 64,
         cache_capacity: 64,
-        max_batch: 1,
         ..ServeConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind loopback");

@@ -8,19 +8,15 @@
 //!   Scenario sizes are chosen so plan compilation dominates the solve,
 //!   which is exactly the workload the cache exists for.
 //! * **saturation curve** — N concurrent connections (for several N),
-//!   each closed-loop with one request in flight, issue batchable
-//!   `sharing_sweep` requests against the warm server; queued requests
-//!   sharing the compiled plan coalesce into multi-RHS block solves.
-//!   Per-request latencies aggregate into p50/p95/p99 per connection
-//!   count; the peak entry is compared against the
-//!   thread-per-connection baseline recorded before this redesign.
-//! * **batching on vs off** — the same workload against a `max_batch=1`
-//!   server isolates how much of the peak the coalescing contributes.
+//!   each closed-loop with one request in flight, issue
+//!   `sharing_sweep` requests against the warm server. Per-request
+//!   latencies aggregate into p50/p95/p99 per connection count; the
+//!   peak entry is compared against the thread-per-connection baseline
+//!   recorded before this redesign.
 //! * **determinism audits** — every response seen by every client is
 //!   compared against a cold oracle (a zero-capacity [`Dispatcher`]
 //!   dispatching one request at a time): cached bits must equal cold
-//!   bits, and batched bits must equal sequential bits, request by
-//!   request.
+//!   bits, request by request.
 //! * **shed validation** — a tiny-queue server is flooded with
 //!   one-millisecond deadlines; every response must stay well-formed
 //!   NDJSON with a typed code (`ok`, `queue_full`, `shed`,
@@ -42,8 +38,8 @@ use vpd_report::Json;
 use vpd_serve::proto::Request;
 use vpd_serve::{Dispatcher, ServeConfig, Server};
 
-/// Peak throughput of the previous thread-per-connection, unbatched
-/// server (PR 5's `BENCH_serve.json`), the yardstick for this redesign.
+/// Peak throughput of the previous thread-per-connection server (its
+/// `BENCH_serve.json`), the yardstick for this redesign.
 const BASELINE_THROUGHPUT: f64 = 658.879;
 
 /// p99 latency of that baseline, milliseconds; the redesign must not
@@ -81,8 +77,7 @@ fn scenarios() -> Vec<String> {
 
 /// The saturation workload: per-client `sharing_sweep` requests that
 /// share one compiled plan (same placement and module count) but carry
-/// **distinct** setpoint columns, so coalescing is real batching, not
-/// deduplication.
+/// **distinct** setpoints.
 fn sweep_line(client: usize) -> String {
     let a = 1.0 + 0.0005 * client as f64;
     let b = 0.99 + 0.0002 * client as f64;
@@ -189,7 +184,6 @@ fn validate_shedding(smoke: bool) -> (usize, usize) {
         workers: 1,
         queue_depth: 2,
         cache_capacity: 8,
-        max_batch: 1,
         ..ServeConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind shed server");
@@ -252,7 +246,6 @@ fn main() {
         workers,
         queue_depth: 256,
         cache_capacity: 64,
-        max_batch: 16,
         ..ServeConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind loopback");
@@ -301,7 +294,7 @@ fn main() {
     let mixed_s = start.elapsed().as_secs_f64();
     let mixed_throughput = (clients * warm_passes * lines.len()) as f64 / mixed_s;
 
-    // --- phase 3: saturation curve over the batchable workload ----------
+    // --- phase 3: saturation curve over the sweep workload --------------
     let curve_clients: &[usize] = if smoke { &[2, 4] } else { &[2, 8, 32] };
     let sweep_passes = if smoke { 10 } else { 150 };
     // Warm the sweep plan so the curve measures serving, not compiling.
@@ -328,7 +321,7 @@ fn main() {
     let (peak_clients, peak_throughput, peak_p50, peak_p95, peak_p99) = peak;
     let speedup_vs_baseline = peak_throughput / BASELINE_THROUGHPUT;
 
-    // --- cache + batch stats, then drain the batched server --------------
+    // --- cache stats, then drain the server ------------------------------
     let stats_lines = vec![r#"{"id":90,"kind":"stats"}"#.to_owned()];
     let stats = vpd_serve::call(&addr, &stats_lines, false).expect("stats call");
     let stats_doc = Json::parse(&stats[0]).expect("stats parses");
@@ -338,33 +331,11 @@ fn main() {
     let misses = cache.get("misses").and_then(Json::as_i64).unwrap_or(0);
     let steals = cache.get("steals").and_then(Json::as_i64).unwrap_or(0);
     let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-    let batch = result.get("batch").expect("batch stats");
-    let batches = batch.get("batches").and_then(Json::as_i64).unwrap_or(0);
-    let coalesced = batch.get("coalesced").and_then(Json::as_i64).unwrap_or(0);
-    let batch_columns = batch.get("columns").and_then(Json::as_i64).unwrap_or(0);
     vpd_serve::call(&addr, &[], true).expect("drain call");
     server_thread
         .join()
         .expect("server thread")
         .expect("server run");
-
-    // --- phase 4: the same peak workload with batching disabled ---------
-    let unbatched_cfg = ServeConfig {
-        max_batch: 1,
-        ..cfg
-    };
-    let unbatched = Server::bind("127.0.0.1:0", unbatched_cfg).expect("bind unbatched");
-    let unbatched_addr = unbatched.local_addr().expect("local addr").to_string();
-    let unbatched_thread = std::thread::spawn(move || unbatched.run());
-    run_pass(&unbatched_addr, &[sweep_line(0)], &mut Vec::new());
-    let (unbatched_throughput, _, _, _, unbatched_responses) =
-        saturate(&unbatched_addr, peak_clients, sweep_passes);
-    let batch_speedup = peak_throughput / unbatched_throughput;
-    vpd_serve::call(&unbatched_addr, &[], true).expect("drain unbatched");
-    unbatched_thread
-        .join()
-        .expect("unbatched server thread")
-        .expect("unbatched run");
 
     // --- determinism audits ----------------------------------------------
     // Mixed workload: every cached response equals the cold oracle.
@@ -390,8 +361,7 @@ fn main() {
             audited += 1;
         }
     }
-    // Sweep workload: batched responses equal sequential oracle dispatch
-    // AND the unbatched server's responses, per client line.
+    // Sweep workload: every cached response equals the cold oracle.
     let mut sweep_expected: HashMap<usize, String> = HashMap::new();
     for (client, response) in &sweep_responses {
         let entry = sweep_expected.entry(*client).or_insert_with(|| {
@@ -402,20 +372,12 @@ fn main() {
         assert_eq!(
             &result_of(response),
             entry,
-            "batched sweep bits diverged from sequential dispatch (client {client})"
-        );
-        audited += 1;
-    }
-    for (client, response) in unbatched_responses.iter().enumerate() {
-        assert_eq!(
-            result_of(response),
-            sweep_expected[&client],
-            "unbatched server diverged from the oracle (client {client})"
+            "served sweep bits diverged from the cold oracle (client {client})"
         );
         audited += 1;
     }
 
-    // --- phase 5: overload sheds with typed, well-formed responses ------
+    // --- phase 4: overload sheds with typed, well-formed responses ------
     let (shed_checked, shed_rejects) = validate_shedding(smoke);
 
     println!(
@@ -424,8 +386,7 @@ fn main() {
          sweep peak {peak_clients} clients: {peak_throughput:.0} req/s \
          ({speedup_vs_baseline:.1}x baseline {BASELINE_THROUGHPUT:.0}), \
          p50 {peak_p50:.2} ms p95 {peak_p95:.2} ms p99 {peak_p99:.2} ms, \
-         batching {batch_speedup:.2}x ({batches} batches, {coalesced} coalesced, \
-         {batch_columns} columns), cache hit rate {:.1}% ({steals} steals), \
+         cache hit rate {:.1}% ({steals} steals), \
          {audited} responses bitwise-audited, \
          {shed_rejects}/{shed_checked} overload responses typed-rejected",
         lines.len(),
@@ -438,7 +399,6 @@ fn main() {
         ("mixed_throughput", mixed_throughput),
         ("peak_throughput", peak_throughput),
         ("warm_speedup", warm_speedup),
-        ("batch_speedup", batch_speedup),
         ("p50", peak_p50),
         ("p95", peak_p95),
         ("p99", peak_p99),
@@ -476,7 +436,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"serve\": {{\n    \"scenarios\": {},\n    \"workers\": {workers},\n    \"clients\": {clients},\n    \"warm_passes\": {warm_passes},\n    \"cold_pass_ms\": {:.3},\n    \"warm_pass_ms\": {:.3},\n    \"cold_vs_warm_speedup\": {warm_speedup:.3},\n    \"mixed_throughput_req_per_sec\": {mixed_throughput:.3},\n    \"throughput_req_per_sec\": {peak_throughput:.3},\n    \"latency_p50_ms\": {peak_p50:.4},\n    \"latency_p95_ms\": {peak_p95:.4},\n    \"latency_p99_ms\": {peak_p99:.4},\n    \"baseline_throughput_req_per_sec\": {BASELINE_THROUGHPUT},\n    \"baseline_p99_ms\": {BASELINE_P99_MS},\n    \"speedup_vs_baseline\": {speedup_vs_baseline:.3},\n    \"saturation\": [\n{}\n    ],\n    \"batch\": {{ \"max_batch\": 16, \"batches\": {batches}, \"coalesced\": {coalesced}, \"columns\": {batch_columns}, \"speedup_vs_unbatched\": {batch_speedup:.3} }},\n    \"cache_hit_rate\": {hit_rate:.4},\n    \"cache_hits\": {hits},\n    \"cache_misses\": {misses},\n    \"cache_steals\": {steals},\n    \"responses_audited\": {audited},\n    \"cached_matches_cold_bitwise\": true,\n    \"batched_matches_sequential_bitwise\": true,\n    \"shed_responses_checked\": {shed_checked},\n    \"shed_responses_typed\": {shed_rejects},\n    \"shed_responses_well_formed\": true\n  }}\n}}\n",
+        "{{\n  \"serve\": {{\n    \"scenarios\": {},\n    \"workers\": {workers},\n    \"clients\": {clients},\n    \"warm_passes\": {warm_passes},\n    \"cold_pass_ms\": {:.3},\n    \"warm_pass_ms\": {:.3},\n    \"cold_vs_warm_speedup\": {warm_speedup:.3},\n    \"mixed_throughput_req_per_sec\": {mixed_throughput:.3},\n    \"throughput_req_per_sec\": {peak_throughput:.3},\n    \"latency_p50_ms\": {peak_p50:.4},\n    \"latency_p95_ms\": {peak_p95:.4},\n    \"latency_p99_ms\": {peak_p99:.4},\n    \"baseline_throughput_req_per_sec\": {BASELINE_THROUGHPUT},\n    \"baseline_p99_ms\": {BASELINE_P99_MS},\n    \"speedup_vs_baseline\": {speedup_vs_baseline:.3},\n    \"saturation\": [\n{}\n    ],\n    \"cache_hit_rate\": {hit_rate:.4},\n    \"cache_hits\": {hits},\n    \"cache_misses\": {misses},\n    \"cache_steals\": {steals},\n    \"responses_audited\": {audited},\n    \"cached_matches_cold_bitwise\": true,\n    \"sweeps_match_cold_oracle_bitwise\": true,\n    \"shed_responses_checked\": {shed_checked},\n    \"shed_responses_typed\": {shed_rejects},\n    \"shed_responses_well_formed\": true\n  }}\n}}\n",
         lines.len(),
         cold_s * 1e3,
         warm_s * 1e3,

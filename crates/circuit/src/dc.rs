@@ -175,9 +175,8 @@ pub enum DcPlanMode {
     /// Sparse Cholesky direct solves: the symbolic factorization is
     /// cached in the plan, each restamp refactors numerically (skipped
     /// when the matrix values are bitwise-unchanged), and failures
-    /// degrade through the same CG ladder. Exact solves, no
-    /// iteration-count variance, and [`SparseDcPlan::solve_block`] can
-    /// batch right-hand sides against one factor.
+    /// degrade through the same CG ladder. Exact solves and no
+    /// iteration-count variance.
     DirectCholesky,
 }
 
@@ -535,178 +534,6 @@ impl SparseDcPlan {
             }
         }
         resilient_solve_into(&self.csr, &self.rhs, &mut self.x, &LADDER, &mut self.ws)
-    }
-
-    /// Solves `k` closely-related configurations of one topology as a
-    /// single multi-right-hand-side block against one factorization.
-    ///
-    /// `configure(net, c)` must put the netlist into configuration `c`
-    /// **absolutely** (not incrementally — it may be called more than
-    /// once per configuration, and in any order). When every
-    /// configuration stamps a bitwise-identical matrix — true whenever
-    /// only sources move: regulator setpoints, load currents — the plan
-    /// factors once and forward/back-substitutes all `k` right-hand
-    /// sides in one pass over the factor. The results are
-    /// bitwise-identical to `k` sequential [`SparseDcPlan::solve`] calls
-    /// in direct mode, because the block kernel's per-column arithmetic
-    /// does not depend on `k`.
-    ///
-    /// When configurations disagree on matrix values, or the plan is not
-    /// in [`DcPlanMode::DirectCholesky`], or the factorization fails,
-    /// the call transparently degrades to exactly those sequential
-    /// solves.
-    ///
-    /// # Errors
-    ///
-    /// As [`SparseDcPlan::solve`]; whichever configuration fails first
-    /// aborts the batch.
-    pub fn solve_block<F>(
-        &mut self,
-        net: &mut Netlist,
-        k: usize,
-        configure: F,
-    ) -> Result<Vec<DcSolution>, CircuitError>
-    where
-        F: FnMut(&mut Netlist, usize) -> Result<(), CircuitError>,
-    {
-        let mut out = Vec::with_capacity(k);
-        self.solve_block_each(net, k, configure, |_, sol| {
-            out.push(sol);
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    /// [`SparseDcPlan::solve_block`] without the collection: each
-    /// configuration's solution is handed to `visit` — with the netlist
-    /// still in that configuration — as soon as it is recovered, in
-    /// configuration order, and is the visitor's to keep or drop. A
-    /// sweep that only summarizes its columns then holds one solution at
-    /// a time instead of `k`. The solutions are bitwise those of
-    /// [`SparseDcPlan::solve_block`].
-    ///
-    /// # Errors
-    ///
-    /// As [`SparseDcPlan::solve_block`], plus the first error `visit`
-    /// returns.
-    pub(crate) fn solve_block_each<F, V>(
-        &mut self,
-        net: &mut Netlist,
-        k: usize,
-        mut configure: F,
-        mut visit: V,
-    ) -> Result<(), CircuitError>
-    where
-        F: FnMut(&mut Netlist, usize) -> Result<(), CircuitError>,
-        V: FnMut(&Netlist, DcSolution) -> Result<(), CircuitError>,
-    {
-        if k == 0 {
-            return Ok(());
-        }
-        let m = self.x.len();
-        let mut coalesce = self.mode == DcPlanMode::DirectCholesky;
-        let mut block = vec![0.0; m * k];
-        let mut base_values: Vec<f64> = Vec::new();
-        if coalesce {
-            for c in 0..k {
-                configure(net, c)?;
-                self.check_topology(net)?;
-                self.restamp(net)?;
-                if c == 0 {
-                    base_values.extend_from_slice(self.csr.values());
-                } else if self
-                    .csr
-                    .values()
-                    .iter()
-                    .zip(&base_values)
-                    .any(|(a, b)| a.to_bits() != b.to_bits())
-                {
-                    // The matrix moved between configurations: no shared
-                    // factor exists, so solve them one by one instead.
-                    coalesce = false;
-                    break;
-                }
-                block[c * m..(c + 1) * m].copy_from_slice(&self.rhs);
-            }
-        }
-        if coalesce && self.ensure_factor().is_err() {
-            vpd_obs::incr("plan.direct_factor_failures");
-            coalesce = false;
-        }
-        if coalesce {
-            // `restamp` left the matrix at the shared values; refactor is
-            // a no-op when the factor already matches them bitwise.
-            let chol = self.chol.as_mut().expect("factor was just ensured");
-            if chol.refactor(&self.csr).is_ok() && chol.solve_block_into(&mut block, k).is_ok() {
-                vpd_obs::incr("plan.block_solves");
-                vpd_obs::observe("plan.block_rhs", k as u64);
-                for c in 0..k {
-                    // Re-apply the configuration so the fixed-node values
-                    // and current recovery see configuration c's element
-                    // values.
-                    configure(net, c)?;
-                    self.stamp_fixed(net);
-                    let col = &block[c * m..(c + 1) * m];
-                    let node_voltages: Vec<f64> = (0..self.node_count)
-                        .map(|node| match self.unknown_index[node] {
-                            Some(i) => col[i],
-                            None => self.fixed_vals[node],
-                        })
-                        .collect();
-                    let element_currents = recover_currents(net, &node_voltages, &self.adjacency);
-                    visit(
-                        net,
-                        DcSolution {
-                            node_voltages,
-                            element_currents,
-                        },
-                    )?;
-                }
-                // Leave the plan's state (guess, report) as a sequential
-                // run of the same k solves would have: at the last column.
-                self.x.copy_from_slice(&block[(k - 1) * m..]);
-                self.last_report = Some(SolveReport {
-                    method: vpd_numeric::SolveMethod::SparseCholesky,
-                    iterations: 0,
-                    relative_residual: self.block_residual(&block[(k - 1) * m..]),
-                    stagnated: false,
-                });
-                return Ok(());
-            }
-        }
-        // Sequential path: identical semantics, one solve per
-        // configuration (direct mode still benefits from the factor
-        // cache inside each solve). Counted so a serving layer relying
-        // on coalesced batches can see when its batches silently
-        // degrade to k sequential solves.
-        if k > 1 {
-            vpd_obs::incr("plan.block_sequential_fallbacks");
-        }
-        for c in 0..k {
-            configure(net, c)?;
-            let sol = self.solve(net)?;
-            visit(net, sol)?;
-        }
-        Ok(())
-    }
-
-    /// Relative residual `‖b − A·x‖ / ‖b‖` of one block column against
-    /// the currently stamped system (the block path's report diagnostic).
-    fn block_residual(&self, x: &[f64]) -> f64 {
-        let mut b_norm = 0.0;
-        for v in &self.rhs {
-            b_norm += v * v;
-        }
-        if b_norm == 0.0 {
-            return 0.0;
-        }
-        let ax = self.csr.matvec(x);
-        let mut diff = 0.0;
-        for (axi, bi) in ax.iter().zip(&self.rhs) {
-            let d = bi - axi;
-            diff += d * d;
-        }
-        (diff / b_norm).sqrt()
     }
 
     fn check_topology(&self, net: &Netlist) -> Result<(), CircuitError> {
@@ -1617,105 +1444,6 @@ mod tests {
         for n in 0..net.node_count() {
             assert!((cg.node_voltages()[n] - switched.node_voltages()[n]).abs() < 1e-7);
         }
-    }
-
-    fn source_element(net: &Netlist) -> ElementId {
-        let idx = net
-            .elements()
-            .iter()
-            .position(|e| matches!(e.kind, ElementKind::VoltageSource { .. }))
-            .expect("mesh has a voltage source");
-        ElementId(idx)
-    }
-
-    #[test]
-    fn solve_block_coalesces_rhs_only_sweep_bitwise() {
-        // Setpoint moves touch only the right-hand side, so the block
-        // path factors once — and must match k sequential direct solves
-        // bitwise.
-        let (mut net, _, _) = mesh(10, 0.35);
-        let src = source_element(&net);
-        let setpoints = [0.9, 0.95, 1.0, 1.05, 1.1];
-        let mut plan = SparseDcPlan::compile_direct(&net).unwrap();
-        let block = plan
-            .solve_block(&mut net, setpoints.len(), |net, c| {
-                net.set_voltage(src, Volts::new(setpoints[c]))
-            })
-            .unwrap();
-        assert_eq!(block.len(), setpoints.len());
-
-        let mut seq_plan = SparseDcPlan::compile_direct(&net).unwrap();
-        for (c, &sp) in setpoints.iter().enumerate() {
-            net.set_voltage(src, Volts::new(sp)).unwrap();
-            let sol = seq_plan.solve(&net).unwrap();
-            for n in 0..net.node_count() {
-                assert_eq!(
-                    block[c].node_voltages()[n].to_bits(),
-                    sol.node_voltages()[n].to_bits(),
-                    "setpoint {c}, node {n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn solve_block_degrades_when_matrix_moves() {
-        // Per-configuration resistance changes defeat coalescing; the
-        // block call must transparently match sequential direct solves.
-        let (mut net, _, _) = mesh(8, 0.25);
-        let resistances = [1.0, 0.8, 1.2];
-        let mut plan = SparseDcPlan::compile_direct(&net).unwrap();
-        let block = plan
-            .solve_block(&mut net, resistances.len(), |net, c| {
-                net.set_resistance(ElementId(0), Ohms::new(resistances[c]))
-            })
-            .unwrap();
-
-        let mut seq_plan = SparseDcPlan::compile_direct(&net).unwrap();
-        for (c, &r) in resistances.iter().enumerate() {
-            net.set_resistance(ElementId(0), Ohms::new(r)).unwrap();
-            let sol = seq_plan.solve(&net).unwrap();
-            for n in 0..net.node_count() {
-                assert_eq!(
-                    block[c].node_voltages()[n].to_bits(),
-                    sol.node_voltages()[n].to_bits(),
-                    "config {c}, node {n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn solve_block_in_cg_mode_is_a_sequential_sweep() {
-        let (mut net, _, _) = mesh(8, 0.25);
-        let src = source_element(&net);
-        let setpoints = [1.0, 1.02, 0.98];
-        let mut plan = SparseDcPlan::compile(&net).unwrap();
-        let block = plan
-            .solve_block(&mut net, setpoints.len(), |net, c| {
-                net.set_voltage(src, Volts::new(setpoints[c]))
-            })
-            .unwrap();
-        let mut seq_plan = SparseDcPlan::compile(&net).unwrap();
-        for (c, &sp) in setpoints.iter().enumerate() {
-            net.set_voltage(src, Volts::new(sp)).unwrap();
-            let sol = seq_plan.solve(&net).unwrap();
-            for n in 0..net.node_count() {
-                assert_eq!(
-                    block[c].node_voltages()[n].to_bits(),
-                    sol.node_voltages()[n].to_bits(),
-                    "setpoint {c}, node {n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn solve_block_empty_is_empty() {
-        let (mut net, _, _) = mesh(4, 0.1);
-        let mut plan = SparseDcPlan::compile_direct(&net).unwrap();
-        let block = plan.solve_block(&mut net, 0, |_, _| Ok(())).unwrap();
-        assert!(block.is_empty());
     }
 
     #[test]

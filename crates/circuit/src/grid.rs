@@ -504,112 +504,14 @@ impl PowerGrid {
         Ok(())
     }
 
-    /// Solves one operating point per setpoint, holding **every**
-    /// regulator at that setpoint, as a single multi-right-hand-side
-    /// block ([`SparseDcPlan::solve_block`]): setpoint moves enter the
-    /// reduced system only through the right-hand side, so in direct
-    /// mode all points share one factorization and one pass over the
-    /// factor. In CG mode this degrades to sequential cached solves.
-    ///
-    /// The grid is left at the **last** setpoint, exactly as if the
-    /// sweep had been run through repeated
-    /// [`PowerGrid::set_regulator_setpoint`] + [`PowerGrid::solve_cached`]
-    /// calls.
-    ///
-    /// # Errors
-    ///
-    /// As [`PowerGrid::solve_cached`], plus
-    /// [`CircuitError::UnknownElement`] when no regulator is attached.
-    pub fn solve_setpoint_block(
-        &mut self,
-        setpoints: &[Volts],
-    ) -> Result<Vec<DcSolution>, CircuitError> {
-        let mut out = Vec::with_capacity(setpoints.len());
-        self.setpoint_block_each(setpoints, |_, sol| {
-            out.push(sol);
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    /// [`PowerGrid::solve_setpoint_block`] for sweeps that only read
-    /// each point's [`GridSummary`]: every solution is summarized as soon
-    /// as it is recovered and then dropped, so the sweep holds one
-    /// solution at a time instead of one per setpoint. Returns the
-    /// summaries, bitwise equal to [`PowerGrid::summarize`] of the
-    /// block's solutions, and the last solution (for anchoring).
-    ///
-    /// # Errors
-    ///
-    /// As [`PowerGrid::solve_setpoint_block`].
-    pub fn solve_setpoint_summaries(
-        &mut self,
-        setpoints: &[Volts],
-    ) -> Result<(Vec<GridSummary>, Option<DcSolution>), CircuitError> {
-        let mut out = Vec::with_capacity(setpoints.len());
-        let mut last = None;
-        self.setpoint_block_each(setpoints, |view, sol| {
-            out.push(view.summarize(&sol));
-            last = Some(sol);
-            Ok(())
-        })?;
-        Ok((out, last))
-    }
-
-    /// The setpoint block, handing each solution to `visit` in order.
-    fn setpoint_block_each(
-        &mut self,
-        setpoints: &[Volts],
-        mut visit: impl FnMut(GridView<'_>, DcSolution) -> Result<(), CircuitError>,
-    ) -> Result<(), CircuitError> {
-        if self.regulators.is_empty() {
-            return Err(CircuitError::UnknownElement { index: 0 });
-        }
-        self.ensure_plan()?;
-        let sources: Vec<ElementId> = self.regulators.iter().map(|r| r.source_element).collect();
-        let Self {
-            net,
-            nodes,
-            mesh_edges,
-            regulators,
-            plan,
-            ..
-        } = self;
-        let plan = plan.as_mut().expect("plan was just ensured");
-        plan.solve_block_each(
-            net,
-            setpoints.len(),
-            |net, c| {
-                for &e in &sources {
-                    net.set_voltage(e, setpoints[c])?;
-                }
-                Ok(())
-            },
-            |net, sol| {
-                let view = GridView {
-                    net,
-                    nodes,
-                    mesh_edges,
-                    regulators,
-                };
-                visit(view, sol)
-            },
-        )
-    }
-
     /// The summary the sharing analyses read off a solution of this
     /// grid: regulator currents, mesh loss and lowest mesh voltage.
     #[must_use]
     pub fn summarize(&self, sol: &DcSolution) -> GridSummary {
-        self.view().summarize(sol)
-    }
-
-    fn view(&self) -> GridView<'_> {
-        GridView {
-            net: &self.net,
-            nodes: &self.nodes,
-            mesh_edges: &self.mesh_edges,
-            regulators: &self.regulators,
+        GridSummary {
+            currents: self.regulator_currents(sol),
+            grid_loss: self.grid_loss(sol),
+            min_voltage: self.min_voltage(sol),
         }
     }
 
@@ -829,20 +731,41 @@ impl PowerGrid {
     /// when sourcing current into the grid.
     #[must_use]
     pub fn regulator_currents(&self, sol: &DcSolution) -> Vec<Amps> {
-        self.view().regulator_currents(sol)
+        self.regulators
+            .iter()
+            .map(|r| sol.current(r.droop_element))
+            .collect()
     }
 
     /// Worst-case IR drop: setpoint minus the minimum node voltage.
     #[must_use]
     pub fn worst_ir_drop(&self, sol: &DcSolution, setpoint: Volts) -> Volts {
-        setpoint - self.view().min_voltage(sol)
+        setpoint - self.min_voltage(sol)
+    }
+
+    /// Lowest mesh-node voltage of a solution.
+    fn min_voltage(&self, sol: &DcSolution) -> Volts {
+        let vmin = self
+            .nodes
+            .iter()
+            .map(|n| sol.voltage(*n).value())
+            .fold(f64::INFINITY, f64::min);
+        Volts::new(vmin)
     }
 
     /// Total power dissipated in the mesh resistors *excluding* the
     /// regulator droop resistors (grid loss only).
+    ///
+    /// The mesh edges are the grid's only resistors besides the droops,
+    /// and they were added first, in the order `mesh_edges` lists them:
+    /// this sums the same elements in the same order as a walk over every
+    /// element that skips the droops, without testing each one.
     #[must_use]
     pub fn grid_loss(&self, sol: &DcSolution) -> Watts {
-        self.view().grid_loss(sol)
+        self.mesh_edges
+            .iter()
+            .map(|&id| sol.dissipated_power(&self.net, id).unwrap_or(Watts::ZERO))
+            .sum()
     }
 
     /// Borrow of the underlying netlist.
@@ -859,53 +782,6 @@ impl PowerGrid {
     pub fn edge_resistance_for_sheet(sheet: Ohms, _side: Meters, _nodes_per_side: usize) -> Ohms {
         // One inter-node segment is (pitch long × pitch wide) = 1 square.
         sheet
-    }
-}
-
-/// The parts of a [`PowerGrid`] that reading a solution needs, borrowed
-/// apart from its plan so a block solve can summarize as it goes.
-#[derive(Clone, Copy)]
-struct GridView<'a> {
-    net: &'a Netlist,
-    nodes: &'a [NodeId],
-    mesh_edges: &'a [ElementId],
-    regulators: &'a [Regulator],
-}
-
-impl GridView<'_> {
-    fn regulator_currents(&self, sol: &DcSolution) -> Vec<Amps> {
-        self.regulators
-            .iter()
-            .map(|r| sol.current(r.droop_element))
-            .collect()
-    }
-
-    fn min_voltage(&self, sol: &DcSolution) -> Volts {
-        let vmin = self
-            .nodes
-            .iter()
-            .map(|n| sol.voltage(*n).value())
-            .fold(f64::INFINITY, f64::min);
-        Volts::new(vmin)
-    }
-
-    /// The mesh edges are the grid's only resistors besides the droops,
-    /// and they were added first, in the order `mesh_edges` lists them:
-    /// this sums the same elements in the same order as a walk over every
-    /// element that skips the droops, without testing each one.
-    fn grid_loss(&self, sol: &DcSolution) -> Watts {
-        self.mesh_edges
-            .iter()
-            .map(|&id| sol.dissipated_power(self.net, id).unwrap_or(Watts::ZERO))
-            .sum()
-    }
-
-    fn summarize(&self, sol: &DcSolution) -> GridSummary {
-        GridSummary {
-            currents: self.regulator_currents(sol),
-            grid_loss: self.grid_loss(sol),
-            min_voltage: self.min_voltage(sol),
-        }
     }
 }
 
@@ -1391,62 +1267,6 @@ mod tests {
         assert_solutions_close(&cg_sol, &direct_sol, 1e-7);
     }
 
-    #[test]
-    fn setpoint_block_matches_sequential_direct_sweep_bitwise() {
-        let build = || {
-            let mut grid = PowerGrid::new(9, 9, Ohms::from_milliohms(2.0)).unwrap();
-            grid.attach_uniform_load(Amps::new(40.0)).unwrap();
-            grid.attach_regulator(0, 0, Volts::new(1.0), Ohms::from_milliohms(0.5))
-                .unwrap();
-            grid.attach_regulator(8, 8, Volts::new(1.0), Ohms::from_milliohms(0.5))
-                .unwrap();
-            grid.set_solve_mode(DcPlanMode::DirectCholesky).unwrap();
-            grid
-        };
-        let setpoints = [
-            Volts::new(0.9),
-            Volts::new(0.95),
-            Volts::new(1.0),
-            Volts::new(1.05),
-        ];
-        let mut block_grid = build();
-        let block = block_grid.solve_setpoint_block(&setpoints).unwrap();
-        assert_eq!(block.len(), setpoints.len());
-
-        let mut seq_grid = build();
-        for (c, &sp) in setpoints.iter().enumerate() {
-            for k in 0..seq_grid.regulators().len() {
-                seq_grid.set_regulator_setpoint(k, sp).unwrap();
-            }
-            let sol = seq_grid.solve_cached().unwrap();
-            for (vb, vs) in block[c].node_voltages().iter().zip(sol.node_voltages()) {
-                assert_eq!(vb.to_bits(), vs.to_bits(), "setpoint {c}");
-            }
-        }
-    }
-
-    #[test]
-    fn setpoint_summaries_match_the_block_solutions_bitwise() {
-        let build = || {
-            let mut grid = PowerGrid::new(7, 7, Ohms::from_milliohms(2.0)).unwrap();
-            grid.attach_uniform_load(Amps::new(30.0)).unwrap();
-            grid.attach_regulator(1, 1, Volts::new(1.0), Ohms::from_milliohms(0.5))
-                .unwrap();
-            grid.attach_regulator(5, 4, Volts::new(1.0), Ohms::from_milliohms(0.5))
-                .unwrap();
-            grid.set_solve_mode(DcPlanMode::DirectCholesky).unwrap();
-            grid
-        };
-        let setpoints = [Volts::new(0.95), Volts::new(1.0), Volts::new(1.02)];
-        let mut full = build();
-        let sols = full.solve_setpoint_block(&setpoints).unwrap();
-        let mut streamed = build();
-        let (summaries, last) = streamed.solve_setpoint_summaries(&setpoints).unwrap();
-        let want: Vec<GridSummary> = sols.iter().map(|sol| full.summarize(sol)).collect();
-        assert_eq!(summaries, want);
-        assert_eq!(last.as_ref(), sols.last());
-    }
-
     /// A 9×9 grid with four regulators, two of them on one node.
     fn response_grid(droop: Ohms) -> PowerGrid {
         let mut grid = PowerGrid::new(9, 9, Ohms::from_milliohms(2.0)).unwrap();
@@ -1602,13 +1422,6 @@ mod tests {
         uneven.set_regulator_droop(2, droop * 2.0).unwrap();
         let response = uneven.regulator_response().unwrap().unwrap();
         assert_eq!(response.solve_uniform(sheet, droop).unwrap(), None);
-    }
-
-    #[test]
-    fn setpoint_block_requires_a_regulator() {
-        let mut grid = PowerGrid::new(3, 3, Ohms::new(1.0)).unwrap();
-        grid.attach_uniform_load(Amps::new(1.0)).unwrap();
-        assert!(grid.solve_setpoint_block(&[Volts::new(1.0)]).is_err());
     }
 
     #[test]

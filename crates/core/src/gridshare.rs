@@ -11,7 +11,7 @@
 use crate::placement::{below_die_sites, periphery_sites, VrPlacement};
 use crate::{Calibration, CoreError, SystemSpec};
 use vpd_circuit::{
-    DcPlanMode, DcSolution, GridSummary, PowerGrid, RegulatorResponse, UniformPoint,
+    CircuitError, DcPlanMode, DcSolution, GridSummary, PowerGrid, RegulatorResponse, UniformPoint,
 };
 use vpd_numeric::SolveReport;
 use vpd_units::{Amps, Ohms, Volts, Watts};
@@ -530,8 +530,7 @@ impl SharingSolver {
 
     /// Selects the sparse-solver mode for every subsequent solve:
     /// [`DcPlanMode::DirectCholesky`] factors the mesh once per value
-    /// change and answers each operating point exactly (and unlocks the
-    /// coalesced [`SharingSolver::solve_setpoints`] block path);
+    /// change and answers each operating point exactly;
     /// [`DcPlanMode::WarmCg`] is the iterative default.
     ///
     /// # Errors
@@ -543,36 +542,55 @@ impl SharingSolver {
         Ok(())
     }
 
-    /// Solves one operating point per setpoint, driving **every**
-    /// regulator to the same swept value, and summarizes each — the
-    /// rail-voltage sweep primitive. In direct mode the sweep is
-    /// setpoint-only (the conductance matrix never moves), so all
-    /// columns coalesce into a single factorization plus one multi-RHS
-    /// block substitution; results are bitwise-identical to solving the
-    /// setpoints one at a time in the same mode.
+    /// Answers one operating point per setpoint, as if **every**
+    /// regulator were driven to the same swept value — the rail-voltage
+    /// sweep primitive. Each regulator is an ideal source at `V` behind
+    /// its droop, the loads are current sinks and nothing else reaches
+    /// ground, so the node voltages are `V·1 − d` with a drop `d` that
+    /// does not depend on `V`: every point carries the nominal currents
+    /// and losses, and only the worst drop moves, by the setpoint offset.
+    /// The sweep is therefore answered from **one** [`SharingSolver::solve`]
+    /// at the nominal setpoint, and point `i` is that report with
+    /// `worst_drop + (setpoint − vᵢ)`. It agrees with solving each
+    /// setpoint on its own up to rounding; the nominal setpoint's point is
+    /// bitwise the solve.
     ///
     /// Each report's worst drop stays referenced to the *nominal*
     /// setpoint, matching [`SharingSolver::set_vr_setpoint`] semantics.
-    /// The grid is left configured at the last setpoint in the slice.
+    /// Every regulator is first reset to the nominal setpoint (undoing
+    /// any [`SharingSolver::set_vr_setpoint`] drift), and the grid is
+    /// left there.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Circuit`] for a non-finite setpoint or on solve
-    /// failure.
+    /// [`CoreError::Circuit`] for a non-finite setpoint (before the grid
+    /// is touched) or on solve failure.
     pub fn solve_setpoints(
         &mut self,
         setpoints: &[Volts],
     ) -> Result<Vec<SharingReport>, CoreError> {
-        if let Some(anchor) = &self.anchor {
-            let _ = self.grid.seed_solution(anchor);
+        if let Some(bad) = setpoints.iter().find(|v| !v.value().is_finite()) {
+            return Err(CoreError::Circuit(CircuitError::InvalidValue {
+                element: "voltage source",
+                value: bad.value(),
+            }));
         }
         vpd_obs::incr("share.setpoint_sweeps");
         vpd_obs::observe("share.setpoint_columns", setpoints.len() as u64);
-        let (summaries, last) = self.grid.solve_setpoint_summaries(setpoints)?;
-        if last.is_some() {
-            self.last = last;
+        if setpoints.is_empty() {
+            return Ok(Vec::new());
         }
-        Ok(summaries.into_iter().map(|s| self.report(s)).collect())
+        for k in 0..self.vr_count() {
+            self.set_vr_setpoint(k, self.setpoint)?;
+        }
+        let nominal = self.solve()?;
+        Ok(setpoints
+            .iter()
+            .map(|&v| SharingReport {
+                worst_drop: nominal.worst_drop + (self.setpoint - v),
+                ..nominal.clone()
+            })
+            .collect())
     }
 
     /// Solves the current state of the grid and summarizes the sharing.
@@ -894,32 +912,97 @@ mod tests {
         assert!((a.worst_drop().value() - b.worst_drop().value()).abs() < 1e-8);
     }
 
-    #[test]
-    fn setpoint_block_matches_sequential_solves_bitwise() {
+    /// A direct-mode solver for one paper placement (`0` periphery, `1`
+    /// below the die) with an optional fault: `1` opens a module, `2`
+    /// derates one, `3` degrades a corner patch of the mesh.
+    fn sweep_solver(placement: usize, modules: usize, fault: usize) -> SharingSolver {
         let (spec, calib) = paper();
-        let (sites, droop) = placement_sites(VrPlacement::BelowDie, &calib, 12);
-        let sweep: Vec<Volts> = (0..4)
-            .map(|i| Volts::new(spec.pol_voltage().value() + 0.01 * i as f64))
-            .collect();
-
-        let mut block = SharingSolver::new(&spec, &calib, &sites, droop).unwrap();
-        block.set_solve_mode(DcPlanMode::DirectCholesky).unwrap();
-        let coalesced = block.solve_setpoints(&sweep).unwrap();
-
-        let mut seq = SharingSolver::new(&spec, &calib, &sites, droop).unwrap();
-        seq.set_solve_mode(DcPlanMode::DirectCholesky).unwrap();
-        let mut one_at_a_time = Vec::new();
-        for &sp in &sweep {
-            for k in 0..seq.vr_count() {
-                seq.set_vr_setpoint(k, sp).unwrap();
-            }
-            one_at_a_time.push(seq.solve().unwrap());
+        let mut solver = SharingSolver::builder(&spec, &calib)
+            .placement([VrPlacement::Periphery, VrPlacement::BelowDie][placement])
+            .modules(modules)
+            .build()
+            .unwrap();
+        solver.set_solve_mode(DcPlanMode::DirectCholesky).unwrap();
+        match fault {
+            1 => solver.set_vr_droop(modules / 2, Ohms::new(1e9)).unwrap(),
+            2 => solver.set_vr_droop(0, Ohms::from_milliohms(3.0)).unwrap(),
+            3 => solver.scale_region_resistance(0, 0, 5, 5, 40.0).unwrap(),
+            _ => {}
         }
+        solver
+    }
 
-        assert_eq!(coalesced, one_at_a_time);
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(16))]
+        /// A sweep answered from the one nominal solve agrees with one
+        /// direct solve per setpoint (every regulator moved to it).
+        #[test]
+        fn prop_setpoint_sweep_matches_per_setpoint_solves(
+            placement in 0_usize..2,
+            modules in 0_usize..4,
+            fault in 0_usize..4,
+            setpoints in proptest::collection::vec(0.9_f64..1.1, 1..9),
+        ) {
+            let modules = [8, 12, 24, 48][modules];
+            let sweep: Vec<Volts> = setpoints.iter().map(|&v| Volts::new(v)).collect();
+            let points = sweep_solver(placement, modules, fault)
+                .solve_setpoints(&sweep)
+                .unwrap();
+            proptest::prop_assert_eq!(points.len(), sweep.len());
+            let mut direct = sweep_solver(placement, modules, fault);
+            for (point, &v) in points.iter().zip(&sweep) {
+                for k in 0..direct.vr_count() {
+                    direct.set_vr_setpoint(k, v).unwrap();
+                }
+                let exact = direct.solve().unwrap();
+                let close = |a: f64, b: f64, tol: f64| (a - b).abs() <= tol;
+                for (a, b) in point.per_vr().iter().zip(exact.per_vr()) {
+                    proptest::prop_assert!(close(a.value(), b.value(), 1e-9), "{v}: {a} vs {b}");
+                }
+                proptest::prop_assert!(close(
+                    point.grid_loss().value(),
+                    exact.grid_loss().value(),
+                    1e-9
+                ));
+                proptest::prop_assert!(close(
+                    point.droop_loss().value(),
+                    exact.droop_loss().value(),
+                    1e-9
+                ));
+                proptest::prop_assert!(close(
+                    point.worst_drop().value(),
+                    exact.worst_drop().value(),
+                    1e-12
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn setpoint_sweep_is_one_nominal_solve() {
+        let nominal = SystemSpec::paper_default().pol_voltage();
+        let sweep = [Volts::new(0.97), nominal, Volts::new(1.03)];
+        let points = sweep_solver(1, 12, 0).solve_setpoints(&sweep).unwrap();
+        // The nominal setpoint's point is the solve itself, bit for bit.
+        assert_eq!(points[1], sweep_solver(1, 12, 0).solve().unwrap());
         // A higher rail pushes every node up: referenced to the nominal
         // setpoint, the worst drop shrinks as the sweep rises.
-        assert!(coalesced[3].worst_drop().value() < coalesced[0].worst_drop().value());
+        assert!(points[2].worst_drop().value() < points[0].worst_drop().value());
+
+        // A drifted module is reset to the nominal setpoint first.
+        let mut drifted = sweep_solver(1, 12, 0);
+        drifted.set_vr_setpoint(3, Volts::new(0.95)).unwrap();
+        drifted.solve().unwrap();
+        assert_eq!(drifted.solve_setpoints(&sweep).unwrap(), points);
+
+        // A non-finite setpoint is rejected before the grid moves.
+        let mut rejected = sweep_solver(1, 12, 0);
+        let err = rejected
+            .solve_setpoints(&[Volts::new(0.98), Volts::new(f64::NAN)])
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Circuit(_)), "{err:?}");
+        assert_eq!(rejected.solve_setpoints(&sweep).unwrap(), points);
+        assert!(rejected.solve_setpoints(&[]).unwrap().is_empty());
     }
 
     #[test]

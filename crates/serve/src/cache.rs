@@ -94,11 +94,11 @@ impl ScenarioKey {
     ///   the topology, samples, seed, or thread count. `mc` always runs
     ///   at the paper defaults, so its key pins the paper's 1 kW and
     ///   2 A/mm².
-    /// * `sharing_sweep` keys on (placement, modules) only — setpoints
-    ///   are RHS-only restamps against the same factorization, which is
-    ///   also what makes the kind batchable. It does **not** share the
-    ///   plain `sharing` entry: the sweep pins the direct-Cholesky plan
-    ///   mode while one-shot sharing stays in the CLI's warm-CG mode.
+    /// * `sharing_sweep` keys on (placement, modules) only — every
+    ///   setpoint is answered from the one nominal solve. It does **not**
+    ///   share the plain `sharing` entry: the sweep pins the
+    ///   direct-Cholesky plan mode while one-shot sharing stays in the
+    ///   CLI's warm-CG mode.
     /// * `faults` keys on the topology (the sweep pre-rates each
     ///   module against its topology limits); `impedance`, `droop`, and
     ///   `transient_stream` key on the architecture alone.

@@ -15,30 +15,15 @@
 //! engines take `&self` and are pure over their compiled plans, so
 //! reuse is trivially bitwise there; the droop engine compiles no
 //! reusable plan, so its cache entry is the finished document itself.
-//!
-//! # Batched block solves
-//!
-//! `sharing_sweep` requests that share a `(placement, modules)`
-//! compiled plan can be dispatched **as one batch**
-//! ([`Dispatcher::dispatch_sharing_sweep_batch`]): their setpoint lists
-//! are concatenated into a single multi-RHS block solve against one
-//! factorization, and the per-request documents are cut back out of
-//! the block. The batch is bitwise-identical to dispatching the same
-//! requests one at a time because the direct-Cholesky block solve is
-//! per-column independent (PR 6's `solve_block_into` contract: `k`
-//! stacked right-hand sides produce exactly the `k` single-solve
-//! solutions) and the single-request path runs through the same code
-//! with a batch of one.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! A `sharing_sweep` is one direct-Cholesky solve, which takes no warm
+//! start at all.
 
 use vpd_converters::VrTopologyKind;
 use vpd_core::{
     run_tolerance_with, simulate_droop, AnalysisOptions, AnalysisSession, Architecture,
     Calibration, CascadeLadder, CascadeSettings, DcPlanMode, DroopScenario, FaultImpedanceSweep,
     FaultScenario, FaultSweep, FaultTransientSweep, ImpedanceSweep, ImpedanceSweepSettings,
-    LoadStep, McSettings, PdnModel, SharingReport, SharingSolver, SystemSpec, VrFailureScenario,
-    VrPlacement,
+    LoadStep, McSettings, PdnModel, SharingSolver, SystemSpec, VrFailureScenario, VrPlacement,
 };
 use vpd_report::{Json, Render};
 use vpd_scenario::ScenarioDoc;
@@ -56,25 +41,10 @@ fn engine_err(e: impl std::fmt::Display) -> (ErrorCode, String) {
     (ErrorCode::Engine, e.to_string())
 }
 
-/// Point-in-time batching counters.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct BatchStats {
-    /// Multi-request batches dispatched (batches of one count as plain
-    /// dispatches, not here).
-    pub batches: u64,
-    /// Requests that rode along in a batch beyond its first member.
-    pub coalesced: u64,
-    /// Total right-hand-side columns solved through batched dispatch.
-    pub columns: u64,
-}
-
 /// Routes [`Work`] to the engines over a shared [`ScenarioCache`].
 pub struct Dispatcher {
     cache: ScenarioCache,
     calib: Calibration,
-    batches: AtomicU64,
-    coalesced: AtomicU64,
-    batch_columns: AtomicU64,
 }
 
 impl Dispatcher {
@@ -94,9 +64,6 @@ impl Dispatcher {
         Self {
             cache: ScenarioCache::for_workers(cache_capacity, workers),
             calib: Calibration::paper_default(),
-            batches: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            batch_columns: AtomicU64::new(0),
         }
     }
 
@@ -104,16 +71,6 @@ impl Dispatcher {
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Current batching counters.
-    #[must_use]
-    pub fn batch_stats(&self) -> BatchStats {
-        BatchStats {
-            batches: self.batches.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            columns: self.batch_columns.load(Ordering::Relaxed),
-        }
     }
 
     /// Runs one unit of work to completion as worker 0.
@@ -159,15 +116,7 @@ impl Dispatcher {
                 placement,
                 modules,
                 setpoints,
-            } => {
-                let mut results = self.sharing_sweep_batch(
-                    worker,
-                    *placement,
-                    *modules,
-                    std::slice::from_ref(setpoints),
-                );
-                results.pop().expect("batch of one yields one result")
-            }
+            } => self.sharing_sweep(worker, work, *placement, *modules, setpoints),
             Work::Droop { arch } => self.droop(worker, work, *arch),
             Work::Mc {
                 arch,
@@ -219,27 +168,8 @@ impl Dispatcher {
         }
     }
 
-    /// Dispatches a batch of `sharing_sweep` requests that share one
-    /// `(placement, modules)` compiled plan: a single cache check-out,
-    /// one factorization, one multi-RHS block solve over the
-    /// concatenated setpoint lists, and one result document per
-    /// request, in order. Bitwise-identical to calling
-    /// [`Dispatcher::dispatch_on`] once per request (see the module
-    /// docs for why).
-    #[must_use]
-    pub fn dispatch_sharing_sweep_batch(
-        &self,
-        worker: usize,
-        placement: VrPlacement,
-        modules: usize,
-        sweeps: &[Vec<f64>],
-    ) -> Vec<DispatchResult> {
-        self.sharing_sweep_batch(worker, placement, modules, sweeps)
-    }
-
     fn stats(&self) -> DispatchResult {
         let s = self.cache.stats();
-        let b = self.batch_stats();
         let metrics = Json::parse(&vpd_obs::snapshot().to_json("serve")).unwrap_or(Json::Null);
         Ok((
             Json::obj([
@@ -252,14 +182,6 @@ impl Dispatcher {
                         ("steals", Json::from(s.steals as usize)),
                         ("evictions", Json::from(s.evictions as usize)),
                         ("entries", Json::from(s.entries)),
-                    ]),
-                ),
-                (
-                    "batch",
-                    Json::obj([
-                        ("batches", Json::from(b.batches as usize)),
-                        ("coalesced", Json::from(b.coalesced as usize)),
-                        ("columns", Json::from(b.columns as usize)),
                     ]),
                 ),
                 ("metrics", metrics),
@@ -380,53 +302,36 @@ impl Dispatcher {
         Ok((result, cached))
     }
 
-    /// Setpoint sweeps over a sharing grid, one result per request in
-    /// `sweeps`. The solver is pinned to the direct-Cholesky plan mode,
-    /// so the whole batch — identical in all but its right-hand sides —
-    /// coalesces into one factorization plus a single multi-RHS block
-    /// substitution, and the per-setpoint reports are bitwise what `k`
-    /// separate direct-mode solves return. Cached under its own key:
+    /// A setpoint sweep over a sharing grid, answered from one
+    /// direct-Cholesky solve at the nominal setpoint
+    /// ([`SharingSolver::solve_setpoints`]). Cached under its own key:
     /// the plain `sharing` entry stays in the warm-CG mode the one-shot
     /// CLI uses.
-    fn sharing_sweep_batch(
+    fn sharing_sweep(
         &self,
         worker: usize,
+        work: &Work,
         placement: VrPlacement,
         modules: usize,
-        sweeps: &[Vec<f64>],
-    ) -> Vec<DispatchResult> {
+        setpoints: &[f64],
+    ) -> DispatchResult {
         let spec = SystemSpec::paper_default();
-        let probe = Work::SharingSweep {
-            placement,
-            modules,
-            setpoints: Vec::new(),
-        };
-        let key = ScenarioKey::from_work(&probe).expect("sharing_sweep has a key");
-        let fail_all = |e: (ErrorCode, String)| sweeps.iter().map(|_| Err(e.clone())).collect();
+        let key = ScenarioKey::from_work(work).expect("sharing_sweep has a key");
         let (mut solver, cached) = match self.cache.take_for(worker, &key) {
             Some(CacheEntry::Sharing(s)) => (s, true),
             _ => {
-                let built = SharingSolver::builder(&spec, &self.calib)
+                let mut solver = SharingSolver::builder(&spec, &self.calib)
                     .placement(placement)
                     .modules(modules)
                     .build()
-                    .map_err(engine_err)
-                    .and_then(|mut solver| {
-                        solver
-                            .set_solve_mode(DcPlanMode::DirectCholesky)
-                            .map_err(engine_err)?;
-                        Ok(solver)
-                    });
-                match built {
-                    Ok(solver) => (Box::new(solver), false),
-                    Err(e) => return fail_all(e),
-                }
+                    .map_err(engine_err)?;
+                solver
+                    .set_solve_mode(DcPlanMode::DirectCholesky)
+                    .map_err(engine_err)?;
+                (Box::new(solver), false)
             }
         };
-        let volts: Vec<Volts> = sweeps
-            .iter()
-            .flat_map(|s| s.iter().map(|&v| Volts::new(v)))
-            .collect();
+        let volts: Vec<Volts> = setpoints.iter().map(|&v| Volts::new(v)).collect();
         let reports = match solver.solve_setpoints(&volts) {
             Ok(reports) => {
                 solver.anchor_last();
@@ -434,29 +339,27 @@ impl Dispatcher {
             }
             Err(e) => {
                 self.cache.put_for(worker, key, CacheEntry::Sharing(solver));
-                return fail_all(engine_err(e));
+                return Err(engine_err(e));
             }
         };
         self.cache.put_for(worker, key, CacheEntry::Sharing(solver));
-        if sweeps.len() > 1 {
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            self.coalesced
-                .fetch_add(sweeps.len() as u64 - 1, Ordering::Relaxed);
-            self.batch_columns
-                .fetch_add(volts.len() as u64, Ordering::Relaxed);
-            vpd_obs::incr("serve.batch.dispatched");
-            vpd_obs::add("serve.batch.coalesced", sweeps.len() as u64 - 1);
-            vpd_obs::add("serve.batch.columns", volts.len() as u64);
-        }
-        let mut cursor = 0;
-        sweeps
+        let points: Vec<Json> = setpoints
             .iter()
-            .map(|setpoints| {
-                let slice = &reports[cursor..cursor + setpoints.len()];
-                cursor += setpoints.len();
-                Ok((render_sharing_sweep(placement, setpoints, slice), cached))
+            .zip(&reports)
+            .map(|(&sp, rep)| {
+                Json::obj([
+                    ("setpoint_v", Json::from(sp)),
+                    ("report", rep.render_json()),
+                ])
             })
-            .collect()
+            .collect();
+        let result = Json::obj([
+            ("command", Json::from("sharing_sweep")),
+            ("placement", Json::from(placement.to_string())),
+            ("setpoints", Json::from(setpoints.len())),
+            ("points", Json::Array(points)),
+        ]);
+        Ok((result, cached))
     }
 
     fn droop(&self, worker: usize, work: &Work, arch: Architecture) -> DispatchResult {
@@ -935,32 +838,6 @@ pub const FAULT_TRANSIENT_DT_NS: f64 = 40.0;
 /// Width of the failure-time grid, microseconds.
 pub const FAULT_TRANSIENT_WINDOW_US: f64 = 16.0;
 
-/// Renders one `sharing_sweep` result document — the single place both
-/// the solo path and the batched path produce their bytes from, so the
-/// batched==sequential contract cannot drift on formatting.
-fn render_sharing_sweep(
-    placement: VrPlacement,
-    setpoints: &[f64],
-    reports: &[SharingReport],
-) -> Json {
-    let points: Vec<Json> = setpoints
-        .iter()
-        .zip(reports)
-        .map(|(&sp, rep)| {
-            Json::obj([
-                ("setpoint_v", Json::from(sp)),
-                ("report", rep.render_json()),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("command", Json::from("sharing_sweep")),
-        ("placement", Json::from(placement.to_string())),
-        ("setpoints", Json::from(setpoints.len())),
-        ("points", Json::Array(points)),
-    ])
-}
-
 /// A checked-out streaming transient run: drives a compiled
 /// [`DroopScenario`] chunk by chunk, yielding one waveform document per
 /// chunk and a final summary whose `report` is bitwise the one-shot
@@ -1168,7 +1045,7 @@ mod tests {
     }
 
     #[test]
-    fn sharing_sweep_matches_sequential_direct_solves_bitwise() {
+    fn sharing_sweep_matches_the_core_sweep_bitwise() {
         let sweep = [1.0, 1.01, 1.02];
         let d = Dispatcher::new(4);
         let w = work(
@@ -1180,8 +1057,8 @@ mod tests {
         };
         assert_eq!(points.len(), sweep.len());
 
-        // Oracle: the same setpoints solved one at a time through the
-        // core API in the same (direct) mode.
+        // Oracle: the same sweep through the core API in the same
+        // (direct) mode.
         let spec = SystemSpec::paper_default();
         let calib = Calibration::paper_default();
         let mut solver = SharingSolver::builder(&spec, &calib)
@@ -1190,61 +1067,15 @@ mod tests {
             .build()
             .unwrap();
         solver.set_solve_mode(DcPlanMode::DirectCholesky).unwrap();
-        for (point, &sp) in points.iter().zip(&sweep) {
-            for k in 0..solver.vr_count() {
-                solver.set_vr_setpoint(k, Volts::new(sp)).unwrap();
-            }
-            let rep = solver.solve().unwrap();
+        let volts: Vec<Volts> = sweep.iter().map(|&v| Volts::new(v)).collect();
+        let reports = solver.solve_setpoints(&volts).unwrap();
+        for ((point, rep), sp) in points.iter().zip(&reports).zip(sweep) {
             assert_eq!(
                 point.get("report").unwrap().to_string(),
                 rep.render_json().to_string(),
                 "setpoint {sp}"
             );
         }
-    }
-
-    #[test]
-    fn batched_sharing_sweeps_match_sequential_dispatch_bitwise() {
-        let sweeps: Vec<Vec<f64>> = vec![
-            vec![1.0, 1.005, 0.98],
-            vec![1.02],
-            vec![0.995, 1.0],
-            vec![1.0, 1.005, 0.98], // duplicate of the first request
-        ];
-        // Sequential oracle: each request dispatched on its own, cold
-        // dispatcher so no cross-request state sneaks in.
-        let seq = Dispatcher::new(0);
-        let sequential: Vec<String> = sweeps
-            .iter()
-            .map(|sp| {
-                let w = Work::SharingSweep {
-                    placement: VrPlacement::Periphery,
-                    modules: 16,
-                    setpoints: sp.clone(),
-                };
-                seq.dispatch(&w).unwrap().0.to_string()
-            })
-            .collect();
-        // Batched: one checkout, one block solve, per-request docs.
-        let d = Dispatcher::new(4);
-        let results = d.dispatch_sharing_sweep_batch(0, VrPlacement::Periphery, 16, &sweeps);
-        assert_eq!(results.len(), sweeps.len());
-        for (i, (res, oracle)) in results.iter().zip(&sequential).enumerate() {
-            let (doc, _) = res.as_ref().unwrap();
-            assert_eq!(
-                doc.to_string(),
-                *oracle,
-                "request {i}: batched bits differ from sequential dispatch"
-            );
-        }
-        let b = d.batch_stats();
-        assert_eq!(b.batches, 1);
-        assert_eq!(b.coalesced, 3);
-        assert_eq!(b.columns, 9);
-        // A batch of one goes through the same path but counts nothing.
-        let w = work(r#"{"kind":"sharing_sweep","params":{"modules":16,"setpoints":[1.0]}}"#);
-        d.dispatch(&w).unwrap();
-        assert_eq!(d.batch_stats().batches, 1);
     }
 
     #[test]

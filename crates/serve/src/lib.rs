@@ -15,11 +15,10 @@
 //!   solver state with steal-on-miss, checked out for use so no lock
 //!   spans a solve. [`ScenarioKey::from_work`] is the one place a
 //!   request maps to its cache identity.
-//! * [`pool`] — a bounded-queue worker pool with typed backpressure,
-//!   two shutdown flavors (finish everything vs. drain), and a
-//!   coalescing hook for batched dispatch.
+//! * [`pool`] — a bounded-queue worker pool with typed backpressure
+//!   and two shutdown flavors (finish everything vs. drain).
 //! * [`engine`] — the dispatcher mapping requests onto engines over
-//!   the cache, including multi-request batched block solves.
+//!   the cache.
 //! * [`server`] — stdio and **multiplexed** TCP transports (one
 //!   event-loop thread over nonblocking sockets, so idle connections
 //!   cost buffers, not threads), deadline-aware admission control, and
@@ -28,10 +27,9 @@
 //! # Determinism contract
 //!
 //! A request's `result` is bitwise-identical whether it hit the cache
-//! or compiled cold, with one worker or many, batched with peers or
-//! dispatched alone, and matches the one-shot `vpd --format json`
-//! invocation byte for byte. Cache hits change the `cached` metadata
-//! flag and the latency — never the result.
+//! or compiled cold, with one worker or many, and matches the one-shot
+//! `vpd --format json` invocation byte for byte. Cache hits change the
+//! `cached` metadata flag and the latency — never the result.
 //!
 //! ```
 //! use std::io::Cursor;
@@ -57,10 +55,9 @@ pub mod server;
 
 pub use cache::{CacheEntry, CacheStats, ScenarioCache, ScenarioKey};
 pub use engine::{
-    BatchStats, Dispatcher, FAULT_TRANSIENT_DT_NS, FAULT_TRANSIENT_SIM_US,
-    FAULT_TRANSIENT_WINDOW_US,
+    Dispatcher, FAULT_TRANSIENT_DT_NS, FAULT_TRANSIENT_SIM_US, FAULT_TRANSIENT_WINDOW_US,
 };
-pub use pool::{SubmitError, WorkerPool, WorkerScope};
+pub use pool::{SubmitError, WorkerPool};
 pub use proto::{
     kind_catalog, ErrorCode, Request, RequestError, Response, ResponseBody, Work, PROTOCOL_VERSION,
 };

@@ -3,12 +3,8 @@
 //! to the caller instead of blocking or dropping it, so the server can
 //! answer with a machine-readable rejection.
 //!
-//! Each worker runs the handler with a [`WorkerScope`] carrying its
-//! worker index (which addresses the worker's home cache shard) and a
-//! coalescing hook, [`WorkerScope::take_matching`]: while holding a
-//! job, a worker may pull further queued jobs that satisfy a predicate
-//! — the mechanism behind batched block solves, where queued requests
-//! sharing a compiled plan are dispatched as one multi-RHS solve.
+//! Each worker runs the handler with its worker index, which addresses
+//! the worker's home cache shard.
 //!
 //! Two shutdown flavors match the two ways a serve session ends:
 //!
@@ -49,46 +45,6 @@ struct Inner<T> {
     depth: usize,
 }
 
-/// The handler's view of the worker running it: the worker index plus
-/// access to the shared queue for coalescing.
-pub struct WorkerScope<'a, T> {
-    inner: &'a Inner<T>,
-    index: usize,
-}
-
-impl<T> WorkerScope<'_, T> {
-    /// This worker's stable index in `0..workers` — used to address
-    /// per-worker state (home cache shards).
-    #[must_use]
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Pulls up to `max` queued jobs satisfying `pred` out of the
-    /// shared queue, preserving their FIFO order; non-matching jobs
-    /// keep their positions. Called by a handler that is already
-    /// holding a job to coalesce compatible work into one dispatch
-    /// (the queue lock is held only for the scan, never across the
-    /// dispatch). Draining pools have no queued jobs left to match.
-    pub fn take_matching(&self, max: usize, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
-        if max == 0 {
-            return Vec::new();
-        }
-        let mut st = self.inner.state.lock().expect("pool state poisoned");
-        let mut taken = Vec::new();
-        let mut keep = VecDeque::with_capacity(st.queue.len());
-        while let Some(job) = st.queue.pop_front() {
-            if taken.len() < max && pred(&job) {
-                taken.push(job);
-            } else {
-                keep.push_back(job);
-            }
-        }
-        st.queue = keep;
-        taken
-    }
-}
-
 /// A fixed-size pool of workers draining a bounded FIFO queue.
 pub struct WorkerPool<T: Send + 'static> {
     inner: Arc<Inner<T>>,
@@ -98,10 +54,11 @@ pub struct WorkerPool<T: Send + 'static> {
 impl<T: Send + 'static> WorkerPool<T> {
     /// Spawns `workers` threads (min 1) running `handler` over
     /// submitted jobs, with at most `depth` jobs queued (min 1). The
-    /// handler receives the [`WorkerScope`] of the worker running it.
+    /// handler receives the index in `0..workers` of the worker running
+    /// it, stable for the worker's life.
     pub fn new<F>(workers: usize, depth: usize, handler: F) -> Self
     where
-        F: Fn(&WorkerScope<'_, T>, T) + Send + Sync + 'static,
+        F: Fn(usize, T) + Send + Sync + 'static,
     {
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
@@ -116,28 +73,22 @@ impl<T: Send + 'static> WorkerPool<T> {
             .map(|index| {
                 let inner = Arc::clone(&inner);
                 let handler = Arc::clone(&handler);
-                std::thread::spawn(move || {
-                    let scope = WorkerScope {
-                        inner: &inner,
-                        index,
-                    };
-                    loop {
-                        let job = {
-                            let mut st = inner.state.lock().expect("pool state poisoned");
-                            loop {
-                                if let Some(job) = st.queue.pop_front() {
-                                    break Some(job);
-                                }
-                                if st.mode != Mode::Running {
-                                    break None;
-                                }
-                                st = inner.available.wait(st).expect("pool state poisoned");
+                std::thread::spawn(move || loop {
+                    let job = {
+                        let mut st = inner.state.lock().expect("pool state poisoned");
+                        loop {
+                            if let Some(job) = st.queue.pop_front() {
+                                break Some(job);
                             }
-                        };
-                        match job {
-                            Some(job) => handler(&scope, job),
-                            None => return,
+                            if st.mode != Mode::Running {
+                                break None;
+                            }
+                            st = inner.available.wait(st).expect("pool state poisoned");
                         }
+                    };
+                    match job {
+                        Some(job) => handler(index, job),
+                        None => return,
                     }
                 })
             })
@@ -231,7 +182,7 @@ mod tests {
     fn jobs_run_and_finish_completes_everything() {
         let done = Arc::new(AtomicUsize::new(0));
         let d = Arc::clone(&done);
-        let pool = WorkerPool::new(3, 64, move |_scope, n: usize| {
+        let pool = WorkerPool::new(3, 64, move |_index, n: usize| {
             d.fetch_add(n, Ordering::SeqCst);
         });
         for i in 1..=10 {
@@ -246,8 +197,8 @@ mod tests {
     fn workers_know_their_index() {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let s = Arc::clone(&seen);
-        let pool = WorkerPool::new(1, 8, move |scope, _n: usize| {
-            s.lock().unwrap().push(scope.index());
+        let pool = WorkerPool::new(1, 8, move |index, _n: usize| {
+            s.lock().unwrap().push(index);
         });
         pool.submit(1).unwrap();
         pool.submit(2).unwrap();
@@ -263,7 +214,7 @@ mod tests {
         let (started_tx, started_rx) = mpsc::channel::<()>();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let release_rx = Mutex::new(release_rx);
-        let pool = WorkerPool::new(1, 1, move |_scope, n: usize| {
+        let pool = WorkerPool::new(1, 1, move |_index, n: usize| {
             if n == 0 {
                 started_tx.send(()).unwrap();
                 release_rx.lock().unwrap().recv().unwrap();
@@ -281,46 +232,13 @@ mod tests {
     }
 
     #[test]
-    fn take_matching_coalesces_queued_jobs_in_fifo_order() {
-        // A single worker holds job 0 on a handshake while the queue
-        // fills; its handler then pulls the even jobs and leaves the
-        // odd ones, which run normally afterwards.
-        let (started_tx, started_rx) = mpsc::channel::<()>();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let release_rx = Mutex::new(release_rx);
-        let batched = Arc::new(Mutex::new(Vec::new()));
-        let solo = Arc::new(Mutex::new(Vec::new()));
-        let (batched_in, solo_in) = (Arc::clone(&batched), Arc::clone(&solo));
-        let pool = WorkerPool::new(1, 16, move |scope, n: usize| {
-            if n == 0 {
-                started_tx.send(()).unwrap();
-                release_rx.lock().unwrap().recv().unwrap();
-                let peers = scope.take_matching(2, |j| j % 2 == 0);
-                batched_in.lock().unwrap().extend(peers);
-            } else {
-                solo_in.lock().unwrap().push(n);
-            }
-        });
-        pool.submit(0).unwrap();
-        started_rx.recv().unwrap();
-        for n in 1..=6 {
-            pool.submit(n).unwrap();
-        }
-        release_tx.send(()).unwrap();
-        pool.finish();
-        // max=2 even jobs coalesced in FIFO order; 6 stayed queued.
-        assert_eq!(*batched.lock().unwrap(), vec![2, 4]);
-        assert_eq!(*solo.lock().unwrap(), vec![1, 3, 5, 6]);
-    }
-
-    #[test]
     fn drain_completes_in_flight_and_returns_queued() {
         let (started_tx, started_rx) = mpsc::channel::<()>();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let release_rx = Mutex::new(release_rx);
         let completed = Arc::new(Mutex::new(Vec::new()));
         let completed_in = Arc::clone(&completed);
-        let pool = Arc::new(WorkerPool::new(1, 16, move |_scope, n: usize| {
+        let pool = Arc::new(WorkerPool::new(1, 16, move |_index, n: usize| {
             if n == 0 {
                 started_tx.send(()).unwrap();
                 release_rx.lock().unwrap().recv().unwrap();

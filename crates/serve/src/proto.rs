@@ -37,13 +37,12 @@ use vpd_report::Json;
 use vpd_scenario::{builtin_doc, ScenarioDoc, BUILTIN_NAMES, MAX_FAULT_DRAWS, MAX_FAULT_K};
 
 /// Version tag carried by every response. Version 1 is the original
-/// (unversioned) PR 5 protocol; version 2 added the `version` field
-/// itself, the `kinds` catalog request, the `shed` reject code, and the
-/// batched `sharing_sweep` dispatch (which never changes result bits).
+/// (unversioned) protocol; version 2 added the `version` field
+/// itself, the `kinds` catalog request and the `shed` reject code.
 pub const PROTOCOL_VERSION: i64 = 2;
 
-/// Ceiling on one request's coalesced block width, bounding the
-/// block-solve scratch a single line can demand.
+/// Ceiling on one `sharing_sweep` request's setpoints, bounding the
+/// size of its response.
 pub const MAX_SWEEP_SETPOINTS: usize = 256;
 /// Ceiling on one `transient_stream` chunk's samples, bounding a single
 /// record's size.
@@ -139,12 +138,10 @@ pub enum Work {
         /// Module count.
         modules: usize,
     },
-    /// Rail-setpoint sweep over a sharing grid, coalesced into one
-    /// factorization plus a multi-RHS block solve (direct-Cholesky
-    /// plan mode). Queued `sharing_sweep` requests sharing the same
-    /// `(placement, modules)` plan are additionally batched into one
-    /// block solve by the dispatcher — bitwise-identical to dispatching
-    /// them one at a time.
+    /// Rail-setpoint sweep over a sharing grid, answered from one
+    /// direct-Cholesky solve at the nominal setpoint: every point has
+    /// the nominal currents and losses, and a worst drop shifted by the
+    /// setpoint offset.
     SharingSweep {
         /// Regulator placement pattern.
         placement: VrPlacement,
@@ -499,7 +496,8 @@ pub fn kind_specs() -> &'static [KindSpec] {
             },
             KindSpec {
                 kind: "stats",
-                doc: "server statistics: cache, batching, and shed counters",
+                doc: "server statistics: cache counters and the metrics snapshot \
+                      (empty unless the server records metrics)",
                 fields: Vec::new(),
             },
             KindSpec {
@@ -539,8 +537,7 @@ pub fn kind_specs() -> &'static [KindSpec] {
             },
             KindSpec {
                 kind: "sharing_sweep",
-                doc: "rail-setpoint sweep coalesced into one multi-RHS block solve; \
-                      queued requests sharing a plan batch together",
+                doc: "rail-setpoint sweep answered from one nominal solve",
                 fields: vec![
                     placement(),
                     modules(),

@@ -33,20 +33,11 @@
 //!   never sheds (so a zero-deadline probe still reaches the dequeue
 //!   check and fails deterministically there).
 //!
-//! # Batched block solves
-//!
-//! A worker that dequeues a `sharing_sweep` request pulls queued
-//! requests sharing the same `(placement, modules)` compiled plan out
-//! of the queue ([`WorkerScope::take_matching`]) and dispatches them as
-//! **one** multi-RHS block solve — bitwise-identical per request to
-//! sequential dispatch (see the engine docs). Batching is bounded by
-//! `max_batch` requests and [`MAX_BATCH_COLUMNS`] total columns.
-//!
 //! Shutdown semantics (see DESIGN §12/§15):
 //!
 //! * A `shutdown` request is acknowledged, then the pool **drains**:
-//!   in-flight requests (batches and streams included) complete and
-//!   their responses are written; queued requests are handed back and
+//!   in-flight requests (streams included) complete and their
+//!   responses are written; queued requests are handed back and
 //!   answered with `{"code":"draining"}`; the listener closes.
 //! * End of input (stdio EOF / client disconnect) **finishes** instead:
 //!   everything already accepted runs to completion. On TCP, a single
@@ -62,14 +53,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::engine::Dispatcher;
-use crate::pool::{SubmitError, WorkerPool, WorkerScope};
+use crate::pool::{SubmitError, WorkerPool};
 use crate::proto::{ErrorCode, Request, Response, Work, PROTOCOL_VERSION};
-use vpd_core::{Architecture, VrPlacement};
+use vpd_core::Architecture;
 use vpd_report::Json;
-
-/// Ceiling on the total right-hand-side columns one batched block
-/// solve may accumulate across coalesced requests.
-pub const MAX_BATCH_COLUMNS: usize = 1024;
 
 /// A connection buffering more than this many bytes without a newline
 /// is answered with a parse error and closed.
@@ -82,7 +69,8 @@ const WRITE_BUDGET: Duration = Duration::from_secs(5);
 /// Event-loop sleep when an iteration made no progress.
 const IDLE_POLL: Duration = Duration::from_micros(200);
 
-/// Service tuning knobs; the CLI flags map onto these 1:1.
+/// Service tuning knobs. `vpd serve` sets the first three from its
+/// flags; `shed_staleness` has no flag.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Worker threads executing analyses (min 1).
@@ -91,9 +79,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Scenario-cache capacity in compiled entries (0 disables).
     pub cache_capacity: usize,
-    /// Most requests one batched block solve may coalesce (min 1;
-    /// 1 disables batching).
-    pub max_batch: usize,
     /// How long the shed estimator's service-time EMA stays trusted
     /// after the last completion. Past this window the estimate is
     /// treated as cold: post-idle requests are admitted rather than
@@ -108,7 +93,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_depth: 64,
             cache_capacity: 32,
-            max_batch: 16,
             shed_staleness: Duration::from_secs(5),
         }
     }
@@ -161,50 +145,29 @@ fn check_deadline<W: Write + Send + 'static>(job: Job<W>) -> Option<Job<W>> {
     Some(job)
 }
 
-fn run_job<W: Write + Send + 'static>(
-    dispatcher: &Dispatcher,
-    scope: &WorkerScope<'_, Job<W>>,
-    job: Job<W>,
-    max_batch: usize,
-) {
+fn run_job<W: Write + Send + 'static>(dispatcher: &Dispatcher, worker: usize, job: Job<W>) {
     vpd_obs::incr("serve.requests");
     let _span = vpd_obs::span("serve.request_ns");
-    if let Work::SharingSweep {
-        placement, modules, ..
-    } = job.request.work
-    {
-        run_sweep_batch(dispatcher, scope, job, placement, modules, max_batch);
-        return;
-    }
-    let Job {
-        request,
-        accepted_at,
-        writer,
-    } = job;
-    if let Work::TransientStream { arch, chunk } = request.work {
+    if let Work::TransientStream { arch, chunk } = job.request.work {
         // Streams own their deadline: the budget is re-checked between
         // chunks, so expiry mid-stream ends the stream with a typed
         // error record instead of a silent truncation.
         run_stream(
             dispatcher,
-            scope.index(),
-            request.id,
+            worker,
+            job.request.id,
             arch,
             chunk,
-            accepted_at,
-            request.deadline_ms,
-            &writer,
+            job.accepted_at,
+            job.request.deadline_ms,
+            &job.writer,
         );
         return;
     }
-    let Some(job) = check_deadline(Job {
-        request,
-        accepted_at,
-        writer,
-    }) else {
+    let Some(job) = check_deadline(job) else {
         return;
     };
-    let response = match dispatcher.dispatch_on(scope.index(), &job.request.work) {
+    let response = match dispatcher.dispatch_on(worker, &job.request.work) {
         Ok((result, cached)) => {
             vpd_obs::incr("serve.ok");
             Response::ok(job.request.id, job.request.work.kind(), cached, result)
@@ -215,74 +178,6 @@ fn run_job<W: Write + Send + 'static>(
         }
     };
     write_line(&job.writer, &response);
-}
-
-/// Dispatches a dequeued `sharing_sweep` together with every queued
-/// peer sharing its compiled plan: one cache check-out, one block
-/// solve, one response per request. Expired members are answered with
-/// `deadline_exceeded` instead of joining the solve.
-fn run_sweep_batch<W: Write + Send + 'static>(
-    dispatcher: &Dispatcher,
-    scope: &WorkerScope<'_, Job<W>>,
-    lead: Job<W>,
-    placement: VrPlacement,
-    modules: usize,
-    max_batch: usize,
-) {
-    let sweep_len = |work: &Work| match work {
-        Work::SharingSweep { setpoints, .. } => setpoints.len(),
-        _ => 0,
-    };
-    let mut columns = sweep_len(&lead.request.work);
-    let peers = scope.take_matching(max_batch.max(1) - 1, |j| match &j.request.work {
-        Work::SharingSweep {
-            placement: p,
-            modules: m,
-            setpoints,
-        } => {
-            let fits =
-                *p == placement && *m == modules && columns + setpoints.len() <= MAX_BATCH_COLUMNS;
-            if fits {
-                columns += setpoints.len();
-            }
-            fits
-        }
-        _ => false,
-    });
-    // Coalesced peers skipped the pool's dequeue path; account for them
-    // here so every request still counts exactly once.
-    for _ in &peers {
-        vpd_obs::incr("serve.requests");
-    }
-    let mut members = Vec::with_capacity(1 + peers.len());
-    members.push(lead);
-    members.extend(peers);
-    let live: Vec<Job<W>> = members.into_iter().filter_map(check_deadline).collect();
-    if live.is_empty() {
-        return;
-    }
-    let sweeps: Vec<Vec<f64>> = live
-        .iter()
-        .map(|j| match &j.request.work {
-            Work::SharingSweep { setpoints, .. } => setpoints.clone(),
-            _ => unreachable!("batch members are sharing_sweep requests"),
-        })
-        .collect();
-    let results =
-        dispatcher.dispatch_sharing_sweep_batch(scope.index(), placement, modules, &sweeps);
-    for (job, outcome) in live.iter().zip(results) {
-        let response = match outcome {
-            Ok((result, cached)) => {
-                vpd_obs::incr("serve.ok");
-                Response::ok(job.request.id, job.request.work.kind(), cached, result)
-            }
-            Err((code, message)) => {
-                vpd_obs::incr("serve.errors");
-                Response::error(job.request.id, code, message)
-            }
-        };
-        write_line(&job.writer, &response);
-    }
 }
 
 /// Drives one `transient_stream` request: chunk records with
@@ -466,18 +361,11 @@ fn build_pool<W: Write + Send + 'static>(
 ) -> WorkerPool<Job<W>> {
     let dispatcher = Arc::clone(dispatcher);
     let admission = Arc::clone(admission);
-    let max_batch = cfg.max_batch.max(1);
-    WorkerPool::new(
-        cfg.workers,
-        cfg.queue_depth,
-        move |scope: &WorkerScope<'_, Job<W>>, job: Job<W>| {
-            let started = Instant::now();
-            run_job(&dispatcher, scope, job, max_batch);
-            // Batches complete several requests in one handler pass;
-            // charging the whole pass keeps the estimate conservative.
-            admission.record(started.elapsed());
-        },
-    )
+    WorkerPool::new(cfg.workers, cfg.queue_depth, move |worker, job: Job<W>| {
+        let started = Instant::now();
+        run_job(&dispatcher, worker, job);
+        admission.record(started.elapsed());
+    })
 }
 
 /// Handles one request line; returns `true` when the line was a
@@ -939,7 +827,7 @@ mod tests {
         assert!(out.iter().any(|l| l.contains(r#""code":"parse""#)));
         let stats = out.iter().find(|l| l.contains(r#""id":4"#)).unwrap();
         assert!(stats.contains(r#""command":"stats""#));
-        assert!(stats.contains(r#""batch""#), "{stats}");
+        assert!(stats.contains(r#""cache""#), "{stats}");
     }
 
     #[test]

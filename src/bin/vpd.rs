@@ -104,12 +104,11 @@ commands:
               cascade survival envelope; requires a vertical
               architecture for the cascade stage)
   serve       [--addr <host:port>] [--workers <n>] [--queue-depth <n>]
-              [--cache-size <n>] [--max-batch <n>] [--stdio]
+              [--cache-size <n>] [--stdio]
               NDJSON analysis service: multiplexed connections, a
-              per-worker sharded compiled-plan cache, batched block
-              solves (--max-batch 1 disables), and deadline-aware load
-              shedding (default addr 127.0.0.1:7171; --stdio serves one
-              session on stdin/stdout instead of TCP)
+              per-worker sharded compiled-plan cache, and deadline-aware
+              load shedding (default addr 127.0.0.1:7171; --stdio serves
+              one session on stdin/stdout instead of TCP)
   call        [--addr <host:port>] --request '<json>' [--request ...]
               [--shutdown]
               send request lines to a running server, print one
@@ -201,7 +200,6 @@ enum Command {
         workers: usize,
         queue_depth: usize,
         cache_size: usize,
-        max_batch: usize,
         stdio: bool,
     },
     Call {
@@ -351,7 +349,6 @@ impl Command {
                         ("--workers", Value),
                         ("--queue-depth", Value),
                         ("--cache-size", Value),
-                        ("--max-batch", Value),
                         ("--stdio", Switch),
                     ],
                 )?;
@@ -365,7 +362,6 @@ impl Command {
                     cache_size: flags
                         .count("--cache-size")?
                         .unwrap_or(defaults.cache_capacity),
-                    max_batch: flags.count("--max-batch")?.unwrap_or(defaults.max_batch),
                     stdio: flags.has("--stdio"),
                 })
             }
@@ -814,14 +810,12 @@ fn run(cmd: Command, format: RenderFormat) -> Result<(), Box<dyn std::error::Err
             workers,
             queue_depth,
             cache_size,
-            max_batch,
             stdio,
         } => {
             let cfg = ServeConfig {
                 workers,
                 queue_depth,
                 cache_capacity: cache_size,
-                max_batch,
                 ..ServeConfig::default()
             };
             if stdio {
@@ -1355,7 +1349,6 @@ mod tests {
                 workers: defaults.workers,
                 queue_depth: defaults.queue_depth,
                 cache_size: defaults.cache_capacity,
-                max_batch: defaults.max_batch,
                 stdio: false,
             }
         );
@@ -1369,8 +1362,6 @@ mod tests {
             "8",
             "--cache-size",
             "2",
-            "--max-batch",
-            "1",
             "--stdio",
         ])
         .unwrap()
@@ -1380,14 +1371,12 @@ mod tests {
                 workers,
                 queue_depth,
                 cache_size,
-                max_batch,
                 stdio,
             } => {
                 assert_eq!(addr, "127.0.0.1:0");
                 assert_eq!(workers, 4);
                 assert_eq!(queue_depth, 8);
                 assert_eq!(cache_size, 2);
-                assert_eq!(max_batch, 1, "--max-batch 1 disables batching");
                 assert!(stdio);
             }
             other => panic!("{other:?}"),

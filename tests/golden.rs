@@ -39,14 +39,33 @@ struct Tolerance {
     reason: &'static str,
 }
 
-const TOLERANCES: &[Tolerance] = &[Tolerance {
-    case: "mc-a1-dsch.ndjson",
-    path: "summary",
-    abs: 1e-6,
-    reason: "Monte-Carlo samples are answered from the exact nominal regulator response \
-             instead of warm-CG restamps; 1e-6 percentage points is the bound mc.rs holds \
-             between direct and warm-CG sessions",
-}];
+const TOLERANCES: &[Tolerance] = &[
+    Tolerance {
+        case: "mc-a1-dsch.ndjson",
+        path: "summary",
+        abs: 1e-6,
+        reason: "Monte-Carlo samples are answered from the exact nominal regulator response \
+                 instead of warm-CG restamps; 1e-6 percentage points is the bound mc.rs \
+                 holds between direct and warm-CG sessions",
+    },
+    Tolerance {
+        case: "sharing_sweep-periphery-12.ndjson",
+        path: "points[0].report",
+        abs: 1e-9,
+        reason: ONE_SOLVE_SWEEP,
+    },
+    Tolerance {
+        case: "sharing_sweep-periphery-12.ndjson",
+        path: "points[2].report",
+        abs: 1e-9,
+        reason: ONE_SOLVE_SWEEP,
+    },
+];
+
+/// Why a setpoint sweep's off-nominal points may move: `points[1]`, the
+/// nominal setpoint, is the solve itself and stays exact.
+const ONE_SOLVE_SWEEP: &str = "every setpoint is answered from the one nominal solve; \
+                               per-column solves differed from it only by rounding";
 
 /// The tolerances declared for one case file.
 fn tolerances_for(case: &str) -> Vec<&'static Tolerance> {
@@ -341,6 +360,36 @@ fn declared_tolerances_bound_their_fields_and_nothing_else() {
     assert!(declared(&tolerances, "summary_percent").is_none());
     assert!(declared(&tolerances, "samples").is_none());
     assert!(tolerances_for("droop-a2.ndjson").is_empty());
+
+    // The sweep's nominal point stays exact between its two declared
+    // neighbours: `points[1].report.min_a` one ulp up fails.
+    let sweep = "sharing_sweep-periphery-12.ndjson";
+    let (_, want) = read_case(&corpus_dir().join(sweep));
+    let mut doc = Json::parse(&want[0]).expect("blessed document parses");
+    let Json::Object(fields) = &mut doc else {
+        panic!("the sweep document is an object");
+    };
+    let (_, Json::Array(points)) = fields
+        .iter_mut()
+        .find(|(k, _)| k == "points")
+        .expect("the sweep document has points")
+    else {
+        panic!("points is an array");
+    };
+    let Json::Object(point) = &mut points[1] else {
+        panic!("a sweep point is an object");
+    };
+    let (_, report) = point
+        .iter_mut()
+        .find(|(k, _)| k == "report")
+        .expect("a sweep point has a report");
+    let path = nudge_first_number("points[1].report", report).expect("the report has a number");
+    assert_eq!(path, "points[1].report.min_a");
+    let err = check_case(sweep, &want, &[doc.to_string()]).expect_err("the nominal point is exact");
+    assert!(
+        err.starts_with("document 0: points[1].report.min_a:"),
+        "failure does not name the field: {err}"
+    );
 }
 
 #[test]

@@ -161,6 +161,58 @@ fn only_monte_carlo_builds_a_session_response() {
     assert_eq!(run(&Dispatcher::new(0), mc), first, "cached equals cold");
 }
 
+/// A served setpoint sweep is one nominal solve however many setpoints
+/// it carries, cold or cached, and the cached result equals a cold one.
+#[test]
+fn a_served_setpoint_sweep_is_one_solve() {
+    use vertical_power_delivery::serve::{Dispatcher, Request};
+    let _gate = lock();
+    let setpoints: Vec<String> = (0..96)
+        .map(|i| (0.97 + 0.06 * f64::from(i) / 95.0).to_string())
+        .collect();
+    let line = format!(
+        r#"{{"kind":"sharing_sweep","params":{{"placement":"below","modules":48,"setpoints":[{}]}}}}"#,
+        setpoints.join(",")
+    );
+    let work = Request::parse_line(&line).expect("valid request").work;
+    let dispatcher = Dispatcher::new(4);
+    let mut served = Vec::new();
+    obs::set_enabled(true);
+    for warm in [false, true] {
+        obs::reset();
+        let (doc, cached) = dispatcher.dispatch(&work).expect("served");
+        let snap = obs::snapshot();
+        assert_eq!(cached, warm);
+        assert_eq!(snap.counter("grid.solves"), Some(1), "warm {warm}");
+        assert_eq!(
+            snap.counter("solve.sparse_cholesky"),
+            Some(1),
+            "warm {warm}"
+        );
+        assert_eq!(
+            snap.counter("share.setpoint_sweeps"),
+            Some(1),
+            "warm {warm}"
+        );
+        assert!(
+            snap.counters
+                .iter()
+                .all(|(name, n)| !name.starts_with("plan.block") || *n == 0),
+            "{:?}",
+            snap.counters
+        );
+        served.push(doc.to_string());
+    }
+    obs::set_enabled(false);
+    assert_eq!(served[0], served[1], "cached equals cold");
+    let (cold, _) = Dispatcher::new(0).dispatch(&work).expect("served");
+    assert_eq!(
+        cold.to_string(),
+        served[0],
+        "a zero-capacity dispatcher agrees"
+    );
+}
+
 /// A snapshot of the same seeded run twice must be identical in every
 /// deterministic dimension (full counter list, not a hand-picked set).
 #[test]

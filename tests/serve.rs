@@ -1,9 +1,9 @@
 //! End-to-end tests for the `vpd-serve` service: the stdio transport,
 //! the multiplexed TCP transport with the `call` client, overload
-//! behavior (typed rejects, never hangs or bare disconnects), batching
-//! equivalence, and the determinism contract — a served `result`
-//! document is bitwise-identical to the one-shot
-//! `vpd --format json <command>` invocation, cold or cached.
+//! behavior (typed rejects, never hangs or bare disconnects), and the
+//! determinism contract — a served `result` document is
+//! bitwise-identical to the one-shot `vpd --format json <command>`
+//! invocation, cold or cached.
 
 use std::io::Cursor;
 use std::process::Command;
@@ -19,7 +19,6 @@ fn serve_script(lines: &[&str], cache_capacity: usize) -> (Vec<String>, Ended) {
         workers: 1,
         queue_depth: 64,
         cache_capacity,
-        max_batch: 16,
         ..ServeConfig::default()
     };
     let input = lines.join("\n");
@@ -390,63 +389,6 @@ fn call_client_collects_stream_records_behind_one_expected_response() {
 }
 
 #[test]
-fn batched_sweeps_serve_the_same_bits_as_an_unbatched_server() {
-    // Two servers, one worker each: one may coalesce queued
-    // `sharing_sweep` requests into block solves, the other has
-    // batching disabled. Whatever subset actually batches (that part is
-    // timing-dependent), every response must be bitwise-identical
-    // across the two servers — batching is a latency optimization, not
-    // an observable behavior.
-    let bind = |max_batch: usize| {
-        let cfg = ServeConfig {
-            workers: 1,
-            queue_depth: 64,
-            cache_capacity: 16,
-            max_batch,
-            ..ServeConfig::default()
-        };
-        let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
-        let addr = server.local_addr().expect("local addr").to_string();
-        let handle = std::thread::spawn(move || server.run());
-        (addr, handle)
-    };
-    let lines: Vec<String> = (0..8)
-        .map(|i| {
-            let v = 1.0 + 0.005 * f64::from(i % 3);
-            format!(
-                r#"{{"id":{i},"kind":"sharing_sweep","params":{{"placement":"below","modules":12,"setpoints":[{v},0.99]}}}}"#
-            )
-        })
-        .collect();
-    let mut results: Vec<Vec<(i64, String)>> = Vec::new();
-    for max_batch in [16, 1] {
-        let (addr, handle) = bind(max_batch);
-        let responses =
-            vertical_power_delivery::serve::call(&addr, &lines, false).expect("call round trip");
-        assert_eq!(responses.len(), lines.len(), "one response per request");
-        let mut tagged: Vec<(i64, String)> = responses
-            .iter()
-            .map(|l| {
-                let doc = Json::parse(l).expect("valid response JSON");
-                assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true), "{l}");
-                (
-                    doc.get("id").and_then(Json::as_i64).expect("response id"),
-                    doc.get("result").expect("result document").to_string(),
-                )
-            })
-            .collect();
-        tagged.sort_by_key(|(id, _)| *id);
-        results.push(tagged);
-        let _ = vertical_power_delivery::serve::call(&addr, &[], true).expect("drain");
-        handle.join().expect("server thread").expect("server run");
-    }
-    assert_eq!(
-        results[0], results[1],
-        "batched server produced different bits than the unbatched one"
-    );
-}
-
-#[test]
 fn overload_answers_every_request_with_a_typed_response() {
     // A tiny queue behind one worker, flooded well past capacity: the
     // contract is one well-formed NDJSON response per request — success
@@ -457,7 +399,6 @@ fn overload_answers_every_request_with_a_typed_response() {
         workers: 1,
         queue_depth: 2,
         cache_capacity: 16,
-        max_batch: 1,
         ..ServeConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
@@ -512,7 +453,7 @@ fn shutdown_answers_pipelined_sweeps_instead_of_dropping_them() {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 
-    // Client A pipelines several batchable sweeps; after A's first
+    // Client A pipelines several sweeps; after A's first
     // response arrives (so at least one job went in flight), client B
     // requests shutdown. Every one of A's requests must still get
     // exactly one terminal response — completed work answers `ok`,
@@ -521,7 +462,6 @@ fn shutdown_answers_pipelined_sweeps_instead_of_dropping_them() {
         workers: 1,
         queue_depth: 64,
         cache_capacity: 16,
-        max_batch: 4,
         ..ServeConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
@@ -592,7 +532,6 @@ fn idle_connections_cost_buffers_not_threads() {
         workers: 2,
         queue_depth: 64,
         cache_capacity: 4,
-        max_batch: 16,
         ..ServeConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
@@ -632,7 +571,6 @@ fn post_idle_requests_are_not_shed_on_a_stale_estimate() {
         workers: 1,
         queue_depth: 64,
         cache_capacity: 16,
-        max_batch: 1,
         shed_staleness: std::time::Duration::from_millis(50),
     };
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
