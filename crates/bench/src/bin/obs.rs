@@ -234,7 +234,11 @@ fn main() {
         Some(runs * mc_samples as u64),
         "a Monte-Carlo sample took the restamp path"
     );
-    assert!(mc.snapshot.counter("cg.solves").unwrap_or(0) > 0);
+    assert_eq!(
+        mc.snapshot.counter("cg.solves").unwrap_or(0),
+        0,
+        "a Monte-Carlo run solved its nominal point by CG"
+    );
     let f = &faults.snapshot;
     let scenario_runs = runs * scenarios.len() as u64;
     assert_eq!(f.counter("faults.runs"), Some(runs));

@@ -855,6 +855,15 @@ impl AnalysisSession {
         &self.solver
     }
 
+    /// The capacity check an analysis runs before any grid work.
+    ///
+    /// # Errors
+    ///
+    /// As for [`analyze`], before the solve.
+    pub(crate) fn check_capacity(&self, topology: VrTopologyKind) -> Result<(), CoreError> {
+        self.pipeline.check_capacity(topology)
+    }
+
     /// Makes the stored regulator response that of the nominal grid for
     /// `base` at the session's spec. A stored response is kept only when
     /// it was built from bit-identical grid inputs (sheet resistance,

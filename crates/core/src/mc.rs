@@ -186,12 +186,13 @@ pub fn run_tolerance(
 /// (the serve-layer scenario cache).
 ///
 /// The summary is bitwise-identical to [`run_tolerance`] for the same
-/// configuration whether the session is freshly built or reused: the
-/// nominal point is re-solved and re-anchored here, a stored response is
-/// reused only when it was built from bit-identical nominal grid inputs,
-/// and a warm re-solve of an identical system converges at iteration
-/// zero to the anchored solution, so every sample starts from the same
-/// point either way.
+/// configuration whether the session is freshly built or reused: a
+/// stored response is reused only when it was built from bit-identical
+/// nominal grid inputs, and when some sample takes the restamp path the
+/// nominal point is re-solved and re-anchored here, where a warm
+/// re-solve of an identical system converges at iteration zero to the
+/// anchored solution, so every sample starts from the same point either
+/// way.
 ///
 /// # Errors
 ///
@@ -228,28 +229,38 @@ fn sample_losses(
     base: &Calibration,
     settings: &McSettings,
 ) -> Result<(Vec<f64>, usize), CoreError> {
-    // Solve the nominal point once and anchor it: restamp-path samples
-    // then warm-start from the same solution, so per-sample results are
-    // independent of sample order and worker assignment.
-    session.analyze(topology, base)?;
-    session.anchor();
+    // The nominal point's errors come first, in a nominal analysis's
+    // order: capacity before any grid work, then feasibility and
+    // overload, answered from the response when there is one.
+    session.check_capacity(topology)?;
     session.prepare_response(base)?;
-    let session = &*session;
+    let nominal = session.analyze_uniform(topology, base)?;
     let draws: Vec<Draw> = (0..settings.samples)
         .map(|i| Draw::new(base, settings, i))
         .collect();
-    let uniform = par_map_with(settings.threads, &draws, &(), |(), draw| {
-        session
-            .analyze_uniform(topology, &draw.calib)
-            .map(|report| report.map(|r| draw.loss_percent(&r)))
-    });
+    let uniform = {
+        let session = &*session;
+        par_map_with(settings.threads, &draws, &(), |(), draw| {
+            session
+                .analyze_uniform(topology, &draw.calib)
+                .map(|report| report.map(|r| draw.loss_percent(&r)))
+        })
+    };
     let restamp: Vec<&Draw> = draws
         .iter()
         .zip(&uniform)
         .filter(|(_, answer)| matches!(answer, Ok(None)))
         .map(|(draw, _)| draw)
         .collect();
-    // No restamp work, no solver clone.
+    // Only restamp-path samples read the solved nominal point: they
+    // warm-start from its anchored solution, so per-sample results are
+    // independent of sample order and worker assignment. Without them,
+    // no CG solve and no solver clone.
+    if nominal.is_none() || !restamp.is_empty() {
+        session.analyze(topology, base)?;
+        session.anchor();
+    }
+    let session = &*session;
     let mut restamped = if restamp.is_empty() {
         Vec::new()
     } else {

@@ -1,6 +1,13 @@
 //! The scenario cache: compiled solver state keyed by the scenario that
 //! produced it, sharded per worker with work stealing on miss.
 //!
+//! An entry is whatever compiled state its kind reuses — a grid
+//! session, a sweep engine, a finished droop document — held as a
+//! `Box<dyn Any + Send>`. The key's kind fixes the type, and the
+//! dispatcher's one check-out (`Dispatcher::checkout` in
+//! [`crate::engine`]) downcasts it, so this module names no engine
+//! type.
+//!
 //! Entries are **checked out** ([`ScenarioCache::take_for`]) rather
 //! than borrowed: a shard lock is held only for the map operation,
 //! never across a solve, so a slow analysis on one key cannot block
@@ -33,16 +40,13 @@
 //! which are RHS-only (and therefore deliberately excluded, like
 //! `sharing_sweep` setpoints or `mc` sample counts).
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use vpd_converters::VrTopologyKind;
-use vpd_core::{
-    AnalysisSession, CascadeLadder, DroopScenario, FaultImpedanceSweep, FaultSweep,
-    FaultTransientSweep, ImpedanceSweep, SharingSolver, VrPlacement,
-};
-use vpd_report::Json;
+use vpd_core::VrPlacement;
 
 use crate::proto::Work;
 
@@ -186,41 +190,6 @@ impl ScenarioKey {
     }
 }
 
-/// Compiled state held by the cache — exactly the expensive artifacts
-/// PRs 1–4 taught each engine to reuse.
-pub enum CacheEntry {
-    /// A compiled die-grid analysis session (`analyze` and `mc` share
-    /// these — the grid plan does not depend on the topology).
-    Session(Box<AnalysisSession>),
-    /// A compiled current-sharing solver.
-    Sharing(Box<SharingSolver>),
-    /// A compiled fault sweep (grid plan + anchored nominal solve).
-    Faults(Box<FaultSweep>),
-    /// A compiled AC impedance sweep plan.
-    Impedance(Box<ImpedanceSweep>),
-    /// A memoized droop report — the one-shot droop request returns a
-    /// fixed document, so the scenario's finished report is the state.
-    Droop(Json),
-    /// A compiled transient droop scenario for streaming replays: the
-    /// plan (and its LU cache) survives across `transient_stream`
-    /// requests, so warm streams re-factor zero times.
-    Transient(Box<DroopScenario>),
-    /// A compiled faulted-impedance sweep: the AC plan every fault
-    /// scenario restamps value-only.
-    FaultImpedance(Box<FaultImpedanceSweep>),
-    /// A compiled VR-failure transient sweep: the plan plus its
-    /// per-switch-configuration LU cache.
-    FaultTransient(Box<FaultTransientSweep>),
-    /// A compiled electro-thermal cascade ladder (grid solver, thermal
-    /// mesh, and derating model).
-    Cascade(Box<CascadeLadder>),
-    /// A user scenario's compiled die-grid session, keyed by the
-    /// document's content hash. Distinct from [`CacheEntry::Session`]:
-    /// that family is keyed by (architecture, power, density) wire
-    /// params, this one by the full document.
-    Scenario(Box<AnalysisSession>),
-}
-
 /// Point-in-time cache counters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CacheStats {
@@ -238,7 +207,7 @@ pub struct CacheStats {
 }
 
 struct Shard {
-    map: HashMap<ScenarioKey, (u64, CacheEntry)>,
+    map: HashMap<ScenarioKey, (u64, Box<dyn Any + Send>)>,
     clock: u64,
     capacity: usize,
 }
@@ -260,9 +229,9 @@ impl Shard {
     }
 }
 
-/// Worker-sharded LRU of [`CacheEntry`] values. Capacity 0 disables
-/// caching entirely (every `take` misses, every `put` is dropped) — the
-/// bench uses that as its always-cold oracle.
+/// Worker-sharded LRU of compiled entries. Capacity 0 disables caching
+/// entirely (every take misses, every put is dropped) — the bench uses
+/// that as its always-cold oracle.
 pub struct ScenarioCache {
     shards: Vec<Mutex<Shard>>,
     hits: AtomicU64,
@@ -272,13 +241,6 @@ pub struct ScenarioCache {
 }
 
 impl ScenarioCache {
-    /// A single-shard cache holding at most `capacity` compiled
-    /// scenarios — the stdio/one-worker shape.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self::for_workers(capacity, 1)
-    }
-
     /// A cache sharded across `workers` home shards (min 1), splitting
     /// `capacity` slots across them such that the per-shard capacities
     /// sum exactly to `capacity`. Workers address their home shard by
@@ -315,7 +277,7 @@ impl ScenarioCache {
     /// are probed in order and a hit **steals** the entry (it will
     /// re-home to this worker at check-in). Counts a hit or miss, and a
     /// steal when the hit came from another shard.
-    pub fn take_for(&self, worker: usize, key: &ScenarioKey) -> Option<CacheEntry> {
+    pub fn take_for(&self, worker: usize, key: &ScenarioKey) -> Option<Box<dyn Any + Send>> {
         let home = self.home(worker);
         let probe = |shard: &Mutex<Shard>| {
             shard
@@ -356,7 +318,7 @@ impl ScenarioCache {
     /// Checks an entry (back) in to `worker`'s home shard as its most
     /// recently used entry, evicting that shard's LRU entry if it is at
     /// capacity. A zero-capacity shard drops the entry.
-    pub fn put_for(&self, worker: usize, key: ScenarioKey, entry: CacheEntry) {
+    pub fn put_for(&self, worker: usize, key: ScenarioKey, entry: Box<dyn Any + Send>) {
         let mut shard = self.shards[self.home(worker)]
             .lock()
             .expect("cache shard poisoned");
@@ -370,22 +332,6 @@ impl ScenarioCache {
         shard.clock += 1;
         let stamp = shard.clock;
         shard.map.insert(key, (stamp, entry));
-    }
-
-    /// [`ScenarioCache::take_for`] as worker 0 (single-worker callers).
-    pub fn take(&self, key: &ScenarioKey) -> Option<CacheEntry> {
-        self.take_for(0, key)
-    }
-
-    /// [`ScenarioCache::put_for`] as worker 0 (single-worker callers).
-    pub fn put(&self, key: ScenarioKey, entry: CacheEntry) {
-        self.put_for(0, key, entry)
-    }
-
-    /// Home shards (== the worker count the cache was built for).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Current counters.
@@ -417,28 +363,25 @@ mod tests {
         }
     }
 
-    fn doc(n: i64) -> CacheEntry {
-        CacheEntry::Droop(Json::Int(n))
+    fn doc(n: i64) -> Box<dyn Any + Send> {
+        Box::new(n)
     }
 
-    fn doc_value(e: &CacheEntry) -> i64 {
-        match e {
-            CacheEntry::Droop(Json::Int(n)) => *n,
-            _ => panic!("unexpected entry"),
-        }
+    fn doc_value(e: &(dyn Any + Send)) -> i64 {
+        *e.downcast_ref::<i64>().expect("an i64 entry")
     }
 
     #[test]
     fn take_removes_and_put_restores() {
-        let cache = ScenarioCache::new(4);
-        assert!(cache.take(&key("droop", "A0")).is_none());
-        cache.put(key("droop", "A0"), doc(7));
-        let got = cache.take(&key("droop", "A0")).expect("hit");
-        assert_eq!(doc_value(&got), 7);
+        let cache = ScenarioCache::for_workers(4, 1);
+        assert!(cache.take_for(0, &key("droop", "A0")).is_none());
+        cache.put_for(0, key("droop", "A0"), doc(7));
+        let got = cache.take_for(0, &key("droop", "A0")).expect("hit");
+        assert_eq!(doc_value(&*got), 7);
         // Checked out: a second take misses until checked back in.
-        assert!(cache.take(&key("droop", "A0")).is_none());
-        cache.put(key("droop", "A0"), got);
-        assert!(cache.take(&key("droop", "A0")).is_some());
+        assert!(cache.take_for(0, &key("droop", "A0")).is_none());
+        cache.put_for(0, key("droop", "A0"), got);
+        assert!(cache.take_for(0, &key("droop", "A0")).is_some());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.steals), (2, 2, 0));
     }
@@ -447,13 +390,16 @@ mod tests {
     fn lru_evicts_the_oldest_within_a_shard() {
         // Single shard (one worker), capacity 1: the second insert must
         // displace the first.
-        let cache = ScenarioCache::new(1);
-        cache.put(key("droop", "A0"), doc(1));
-        cache.put(key("droop", "A1"), doc(2));
+        let cache = ScenarioCache::for_workers(1, 1);
+        cache.put_for(0, key("droop", "A0"), doc(1));
+        cache.put_for(0, key("droop", "A1"), doc(2));
         assert_eq!(cache.stats().entries, 1);
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.take(&key("droop", "A0")).is_none());
-        assert_eq!(doc_value(&cache.take(&key("droop", "A1")).unwrap()), 2);
+        assert!(cache.take_for(0, &key("droop", "A0")).is_none());
+        assert_eq!(
+            doc_value(&*cache.take_for(0, &key("droop", "A1")).unwrap()),
+            2
+        );
     }
 
     #[test]
@@ -461,29 +407,31 @@ mod tests {
         // One worker, two slots: touching `a` must make `b` the LRU.
         let cache = ScenarioCache::for_workers(2, 1);
         let (a, b, c) = (key("droop", "A0"), key("droop", "A1"), key("droop", "A2"));
-        cache.put(a.clone(), doc(1));
-        cache.put(b.clone(), doc(2));
+        cache.put_for(0, a.clone(), doc(1));
+        cache.put_for(0, b.clone(), doc(2));
         // Touch `a`: check it out and back in, making `b` the LRU.
-        let got = cache.take(&a).unwrap();
-        cache.put(a.clone(), got);
-        cache.put(c.clone(), doc(3));
-        assert!(cache.take(&b).is_none(), "b was the LRU and is evicted");
+        let got = cache.take_for(0, &a).unwrap();
+        cache.put_for(0, a.clone(), got);
+        cache.put_for(0, c.clone(), doc(3));
         assert!(
-            cache.take(&a).is_some(),
+            cache.take_for(0, &b).is_none(),
+            "b was the LRU and is evicted"
+        );
+        assert!(
+            cache.take_for(0, &a).is_some(),
             "a survived: its recency was refreshed"
         );
-        assert!(cache.take(&c).is_some());
+        assert!(cache.take_for(0, &c).is_some());
     }
 
     #[test]
     fn workers_steal_across_shards_and_rehome_the_entry() {
         let cache = ScenarioCache::for_workers(8, 4);
-        assert_eq!(cache.shard_count(), 4);
         // Worker 0 compiles and checks in; worker 3's home shard is
         // empty, so its take must steal from worker 0's shard.
         cache.put_for(0, key("droop", "A0"), doc(9));
         let got = cache.take_for(3, &key("droop", "A0")).expect("stolen hit");
-        assert_eq!(doc_value(&got), 9);
+        assert_eq!(doc_value(&*got), 9);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.steals), (1, 0, 1));
         // Check-in re-homes the entry to worker 3's shard: a second

@@ -1,35 +1,39 @@
-//! Request dispatch: each analysis kind checks its compiled state out
-//! of the [`ScenarioCache`], runs the engine, and checks the state back
-//! in. Every kind derives its cache key through the one audited
-//! constructor, [`ScenarioKey::from_work`].
+//! Request dispatch: every cached kind runs one lifecycle.
+//! `Dispatcher::checkout` takes the kind's compiled state out of the
+//! [`ScenarioCache`] (keyed by [`ScenarioKey::from_work`], whose kind
+//! fixes the entry's type) or builds it cold, the engine runs on it with
+//! no lock held, and `Dispatcher::checkin` puts it back — whether the
+//! run succeeded or failed; a failed cold build checks nothing in. Every
+//! kind but `transient_stream` runs through `Dispatcher::run_cached`,
+//! so no handler can return between its check-out and its check-in; a
+//! [`TransientStreamRun`] checks its entry in when it drops.
 //!
 //! # Determinism contract
 //!
 //! A request's `result` document is **bitwise-identical** whether its
 //! compiled state was found in the cache or built cold, and identical
 //! to the one-shot `vpd --format json` invocation with the same
-//! parameters. The mechanism is the warm-start anchor introduced in
-//! PR 1: after a successful solve the solution is anchored, and a
+//! parameters. After a successful solve the solution is anchored, and a
 //! re-solve of an identical system converges at CG iteration zero,
 //! returning the anchored bits unchanged. The fault and impedance
-//! engines take `&self` and are pure over their compiled plans, so
-//! reuse is trivially bitwise there; the droop engine compiles no
-//! reusable plan, so its cache entry is the finished document itself.
-//! A `sharing_sweep` is one direct-Cholesky solve, which takes no warm
-//! start at all.
+//! engines are pure over their compiled plans; the droop entry is the
+//! finished document; a `sharing_sweep` is one direct-Cholesky solve.
+
+use std::any::Any;
 
 use vpd_converters::VrTopologyKind;
 use vpd_core::{
-    run_tolerance_with, simulate_droop, AnalysisOptions, AnalysisSession, Architecture,
-    Calibration, CascadeLadder, CascadeSettings, DcPlanMode, DroopScenario, FaultImpedanceSweep,
-    FaultScenario, FaultSweep, FaultTransientSweep, ImpedanceSweep, ImpedanceSweepSettings,
-    LoadStep, McSettings, PdnModel, SharingSolver, SystemSpec, VrFailureScenario, VrPlacement,
+    run_tolerance_with, AnalysisOptions, AnalysisSession, Architecture, ArchitectureReport,
+    Calibration, CascadeLadder, CascadeSettings, CoreError, DcPlanMode, DroopScenario,
+    FaultImpedanceSweep, FaultScenario, FaultSweep, FaultTransientSweep, ImpedanceSweep,
+    ImpedanceSweepSettings, LoadStep, McSettings, PdnModel, SharingSolver, SystemSpec,
+    VrFailureScenario,
 };
 use vpd_report::{Json, Render};
 use vpd_scenario::ScenarioDoc;
 use vpd_units::{Amps, CurrentDensity, Hertz, Seconds, Volts, Watts};
 
-use crate::cache::{CacheEntry, CacheStats, ScenarioCache, ScenarioKey};
+use crate::cache::{CacheStats, ScenarioCache, ScenarioKey};
 use crate::proto::{kind_catalog, ErrorCode, Work, PROTOCOL_VERSION};
 
 /// A handler outcome: the result document plus whether compiled state
@@ -41,9 +45,47 @@ fn engine_err(e: impl std::fmt::Display) -> (ErrorCode, String) {
     (ErrorCode::Engine, e.to_string())
 }
 
+/// The scenarios of a fault plan and the `mode` label its result
+/// reports: N-1 over every module, or `count` seeded random `k`-fault
+/// draws. Shared by `faults`, `fault_impedance` and a scenario
+/// document's `[faults]` section.
+fn fault_plan(
+    random_k: Option<usize>,
+    count: usize,
+    seed: u64,
+    vrs: usize,
+    side: usize,
+) -> (Vec<FaultScenario>, String) {
+    match random_k {
+        None => (
+            FaultScenario::n_minus_1(vrs),
+            format!("N-1 over {vrs} modules"),
+        ),
+        Some(k) => (
+            FaultScenario::random_k(k, count, seed, vrs, side),
+            format!("{count} random {k}-fault scenarios (seed {seed})"),
+        ),
+    }
+}
+
+/// One analysis on a session, anchored on success so an identical
+/// re-solve stops at CG iteration zero.
+fn analyze_anchored(
+    session: &mut AnalysisSession,
+    topology: VrTopologyKind,
+    calib: &Calibration,
+) -> Result<ArchitectureReport, CoreError> {
+    let report = session.analyze(topology, calib)?;
+    session.anchor();
+    Ok(report)
+}
+
 /// Routes [`Work`] to the engines over a shared [`ScenarioCache`].
 pub struct Dispatcher {
     cache: ScenarioCache,
+    /// The paper's 1 kW, 2 A/mm² system, which every kind but `analyze`
+    /// and `scenario` runs at.
+    spec: SystemSpec,
     calib: Calibration,
 }
 
@@ -63,6 +105,7 @@ impl Dispatcher {
     pub fn with_workers(cache_capacity: usize, workers: usize) -> Self {
         Self {
             cache: ScenarioCache::for_workers(cache_capacity, workers),
+            spec: SystemSpec::paper_default(),
             calib: Calibration::paper_default(),
         }
     }
@@ -91,54 +134,229 @@ impl Dispatcher {
     /// A typed `(code, message)` pair ready to become an error
     /// response; engine failures carry [`ErrorCode::Engine`].
     pub fn dispatch_on(&self, worker: usize, work: &Work) -> DispatchResult {
-        match work {
-            Work::Ping => Ok((Json::obj([("command", Json::from("ping"))]), false)),
-            Work::Shutdown => Ok((Json::obj([("command", Json::from("shutdown"))]), false)),
-            Work::Stats => self.stats(),
-            Work::Kinds => Ok((
+        let (paper, calib) = (&self.spec, &self.calib);
+        let (doc, cached) = match *work {
+            Work::Ping => (Json::obj([("command", Json::from("ping"))]), false),
+            Work::Shutdown => (Json::obj([("command", Json::from("shutdown"))]), false),
+            Work::Stats => (self.stats(), false),
+            Work::Kinds => (
                 Json::obj([
                     ("command", Json::from("kinds")),
                     ("version", Json::Int(PROTOCOL_VERSION)),
                     ("kinds", kind_catalog()),
                 ]),
                 false,
-            )),
+            ),
             Work::Analyze {
                 arch,
                 topology,
                 power_w,
                 density,
-            } => self.analyze(worker, work, *arch, *topology, *power_w, *density),
-            Work::Sharing { placement, modules } => {
-                self.sharing(worker, work, *placement, *modules)
+            } => {
+                let spec = SystemSpec::new(
+                    Volts::new(48.0),
+                    Volts::new(1.0),
+                    Watts::new(power_w),
+                    CurrentDensity::from_amps_per_square_millimeter(density),
+                )
+                .map_err(|e| (ErrorCode::BadRequest, e.to_string()))?;
+                let (report, cached) = self.run_cached(
+                    worker,
+                    work,
+                    || self.session(arch, &spec),
+                    |session| analyze_anchored(session, topology, calib),
+                )?;
+                let doc = Json::obj([
+                    ("command", Json::from("analyze")),
+                    ("architecture", Json::from(arch.name())),
+                    ("topology", Json::from(topology.name())),
+                    ("power_w", Json::from(power_w)),
+                    ("density_a_per_mm2", Json::from(density)),
+                    (
+                        "die_area_mm2",
+                        Json::from(spec.die_area().as_square_millimeters()),
+                    ),
+                    ("overloaded", Json::from(report.overloaded)),
+                    ("breakdown", report.breakdown.render_json()),
+                ]);
+                (doc, cached)
             }
+            Work::Sharing { placement, modules } => {
+                let (rep, cached) = self.run_cached(
+                    worker,
+                    work,
+                    || {
+                        SharingSolver::builder(paper, calib)
+                            .placement(placement)
+                            .modules(modules)
+                            .build()
+                    },
+                    |solver| {
+                        let rep = solver.solve()?;
+                        solver.anchor_last();
+                        Ok(rep)
+                    },
+                )?;
+                let doc = Json::obj([
+                    ("command", Json::from("sharing")),
+                    ("placement", Json::from(placement.to_string())),
+                    ("report", rep.render_json()),
+                ]);
+                (doc, cached)
+            }
+            // Answered from one direct-Cholesky solve at the nominal
+            // setpoint, under its own key: the plain `sharing` entry
+            // stays in the warm-CG mode the one-shot CLI uses.
             Work::SharingSweep {
                 placement,
                 modules,
-                setpoints,
-            } => self.sharing_sweep(worker, work, *placement, *modules, setpoints),
-            Work::Droop { arch } => self.droop(worker, work, *arch),
+                ref setpoints,
+            } => {
+                let volts: Vec<Volts> = setpoints.iter().map(|&v| Volts::new(v)).collect();
+                let (reports, cached) = self.run_cached(
+                    worker,
+                    work,
+                    || {
+                        let mut solver = SharingSolver::builder(paper, calib)
+                            .placement(placement)
+                            .modules(modules)
+                            .build()?;
+                        solver.set_solve_mode(DcPlanMode::DirectCholesky)?;
+                        Ok(solver)
+                    },
+                    |solver| {
+                        let reports = solver.solve_setpoints(&volts)?;
+                        solver.anchor_last();
+                        Ok(reports)
+                    },
+                )?;
+                let points: Vec<Json> = setpoints
+                    .iter()
+                    .zip(&reports)
+                    .map(|(&sp, rep)| {
+                        Json::obj([
+                            ("setpoint_v", Json::from(sp)),
+                            ("report", rep.render_json()),
+                        ])
+                    })
+                    .collect();
+                let doc = Json::obj([
+                    ("command", Json::from("sharing_sweep")),
+                    ("placement", Json::from(placement.to_string())),
+                    ("setpoints", Json::from(setpoints.len())),
+                    ("points", Json::Array(points)),
+                ]);
+                (doc, cached)
+            }
+            // The finished document is the entry: droop compiles no plan
+            // worth keeping.
+            Work::Droop { arch } => self.run_cached(
+                worker,
+                work,
+                || {
+                    let report = self.droop_scenario(arch)?.run()?;
+                    Ok(Json::obj([
+                        ("command", Json::from("droop")),
+                        ("architecture", Json::from(arch.name())),
+                        ("report", report.render_json()),
+                    ]))
+                },
+                |doc| Ok(doc.clone()),
+            )?,
             Work::Mc {
                 arch,
                 topology,
                 samples,
                 seed,
                 threads,
-            } => self.mc(worker, work, *arch, *topology, *samples, *seed, *threads),
+            } => {
+                let settings = McSettings {
+                    samples,
+                    seed,
+                    threads,
+                    ..McSettings::default()
+                };
+                let (summary, cached) = self.run_cached(
+                    worker,
+                    work,
+                    || self.session(arch, paper),
+                    |session| run_tolerance_with(session, topology, calib, &settings),
+                )?;
+                let doc = Json::obj([
+                    ("command", Json::from("mc")),
+                    ("architecture", Json::from(arch.name())),
+                    ("topology", Json::from(topology.name())),
+                    ("samples", Json::from(samples)),
+                    ("seed", Json::from(i64::try_from(seed).unwrap_or(i64::MAX))),
+                    ("summary", summary.render_json()),
+                ]);
+                (doc, cached)
+            }
             Work::Impedance {
                 arch,
                 fmin_hz,
                 fmax_hz,
                 points,
                 profile,
-            } => self.impedance(worker, work, *arch, *fmin_hz, *fmax_hz, *points, *profile),
+            } => {
+                let settings = ImpedanceSweepSettings {
+                    fmin: Hertz::new(fmin_hz),
+                    fmax: Hertz::new(fmax_hz),
+                    points,
+                    threads: 0,
+                };
+                let (rep, cached) = self.run_cached(
+                    worker,
+                    work,
+                    || ImpedanceSweep::for_architecture(arch, paper),
+                    |sweep| sweep.run(&settings),
+                )?;
+                let doc = if profile {
+                    Json::obj([
+                        ("command", Json::from("impedance")),
+                        ("report", rep.render_json()),
+                    ])
+                } else {
+                    Json::obj([
+                        ("command", Json::from("impedance")),
+                        ("architecture", Json::from(rep.label.as_str())),
+                        ("points", Json::from(points)),
+                        ("peak_impedance_ohm", Json::from(rep.peak.value())),
+                        ("peak_frequency_hz", Json::from(rep.peak_frequency.value())),
+                        ("target_ohm", Json::from(rep.target.value())),
+                        ("margin", rep.margin().map_or(Json::Null, Json::from)),
+                        ("meets_target", Json::from(rep.meets_target())),
+                    ])
+                };
+                (doc, cached)
+            }
             Work::Faults {
                 arch,
                 topology,
                 random_k,
                 count,
                 seed,
-            } => self.faults(worker, work, *arch, *topology, *random_k, *count, *seed),
+            } => {
+                let ((mode, nominal_worst_drop, report), cached) = self.run_cached(
+                    worker,
+                    work,
+                    || FaultSweep::new(arch, topology, paper, calib),
+                    |sweep| {
+                        let (scenarios, mode) =
+                            fault_plan(random_k, count, seed, sweep.vr_count(), sweep.grid_side());
+                        let report = sweep.run(&scenarios, 0)?;
+                        Ok((mode, sweep.nominal().worst_drop().value(), report))
+                    },
+                )?;
+                let doc = Json::obj([
+                    ("command", Json::from("faults")),
+                    ("mode", Json::from(mode.as_str())),
+                    ("topology", Json::from(topology.name())),
+                    ("nominal_worst_drop_v", Json::from(nominal_worst_drop)),
+                    ("report", report.render_json()),
+                ]);
+                (doc, cached)
+            }
             Work::FaultImpedance {
                 arch,
                 random_k,
@@ -147,244 +365,162 @@ impl Dispatcher {
                 fmin_hz,
                 fmax_hz,
                 points,
-            } => self.fault_impedance(
-                worker, work, *arch, *random_k, *count, *seed, *fmin_hz, *fmax_hz, *points,
-            ),
-            Work::FaultTransient { arch, count } => {
-                self.fault_transient(worker, work, *arch, *count)
+            } => {
+                let grid = ImpedanceSweepSettings {
+                    fmin: Hertz::new(fmin_hz),
+                    fmax: Hertz::new(fmax_hz),
+                    points,
+                    threads: 0,
+                };
+                let ((mode, report), cached) = self.run_cached(
+                    worker,
+                    work,
+                    || FaultImpedanceSweep::new(arch, paper, calib),
+                    |sweep| {
+                        let freqs = grid.frequencies()?;
+                        let (scenarios, mode) =
+                            fault_plan(random_k, count, seed, sweep.vr_count(), sweep.grid_side());
+                        Ok((mode, sweep.run(&scenarios, &freqs, 0)?))
+                    },
+                )?;
+                let doc = Json::obj([
+                    ("command", Json::from("fault_impedance")),
+                    ("mode", Json::from(mode.as_str())),
+                    ("points", Json::from(points)),
+                    ("report", report.render_json()),
+                ]);
+                (doc, cached)
             }
-            Work::Survival { arch, topology } => self.survival(worker, work, *arch, *topology),
-            Work::Scenario { doc } => self.scenario(worker, work, doc),
+            Work::FaultTransient { arch, count } => {
+                let window = Seconds::from_microseconds(FAULT_TRANSIENT_WINDOW_US);
+                let scenarios = VrFailureScenario::grid(count, window);
+                let (report, cached) = self.run_cached(
+                    worker,
+                    work,
+                    || {
+                        FaultTransientSweep::new(
+                            arch,
+                            &PdnModel::for_architecture(arch),
+                            &LoadStep::paper_default(paper),
+                            Seconds::from_microseconds(FAULT_TRANSIENT_SIM_US),
+                            Seconds::from_nanoseconds(FAULT_TRANSIENT_DT_NS),
+                        )
+                    },
+                    |sweep| sweep.run(&scenarios, 0),
+                )?;
+                let doc = Json::obj([
+                    ("command", Json::from("fault_transient")),
+                    ("scenarios", Json::from(scenarios.len())),
+                    ("report", report.render_json()),
+                ]);
+                (doc, cached)
+            }
+            Work::Survival { arch, topology } => {
+                let settings = CascadeSettings::default();
+                let (envelope, cached) = self.run_cached(
+                    worker,
+                    work,
+                    || CascadeLadder::new(arch, topology, paper, calib, &settings),
+                    |ladder| ladder.run(&FaultScenario::n_minus_1(ladder.vr_count()), 0),
+                )?;
+                let doc = Json::obj([
+                    ("command", Json::from("survival")),
+                    ("topology", Json::from(topology.name())),
+                    ("report", envelope.render_json()),
+                ]);
+                (doc, cached)
+            }
+            Work::Scenario { ref doc } => self.scenario(worker, work, doc)?,
             // The server streams this kind chunk-by-chunk; dispatching
             // it directly drains the same run silently and returns the
             // summary document — bitwise what the stream's final record
             // carries.
             Work::TransientStream { arch, chunk } => {
-                let mut run = self.begin_transient_stream_on(worker, *arch, *chunk)?;
+                let mut run = self.begin_transient_stream_on(worker, arch, chunk)?;
                 while run.next_chunk()?.is_some() {}
-                let cached = run.cached();
-                Ok((run.finish(), cached))
+                (run.finish(), run.cached())
             }
-        }
+        };
+        Ok((doc, cached))
     }
 
-    fn stats(&self) -> DispatchResult {
+    /// Checks `key`'s compiled state out of the cache for `worker`, or
+    /// builds it cold. Returns the entry and whether it came from the
+    /// cache. The key's kind fixes the entry type, so the downcast finds
+    /// what the kind's last check-in left; an entry of another type
+    /// would be rebuilt like a miss and reported uncached. A failed
+    /// build checks nothing out.
+    fn checkout<E: Any + Send>(
+        &self,
+        worker: usize,
+        key: &ScenarioKey,
+        build: impl FnOnce() -> Result<E, CoreError>,
+    ) -> Result<(Box<E>, bool), (ErrorCode, String)> {
+        if let Some(Ok(entry)) = self.cache.take_for(worker, key).map(|e| e.downcast::<E>()) {
+            return Ok((entry, true));
+        }
+        Ok((Box::new(build().map_err(engine_err)?), false))
+    }
+
+    /// Checks a checked-out entry back in as `worker`'s most recently
+    /// used one, after its run, successful or not.
+    fn checkin<E: Any + Send>(&self, worker: usize, key: ScenarioKey, entry: Box<E>) {
+        self.cache.put_for(worker, key, entry);
+    }
+
+    /// Checks `work`'s entry out (or builds it), runs on it, checks it
+    /// back in whatever the run returned, and passes the run's outcome
+    /// on with the cache flag.
+    fn run_cached<E: Any + Send, T>(
+        &self,
+        worker: usize,
+        work: &Work,
+        build: impl FnOnce() -> Result<E, CoreError>,
+        run: impl FnOnce(&mut E) -> Result<T, CoreError>,
+    ) -> Result<(T, bool), (ErrorCode, String)> {
+        let key = ScenarioKey::from_work(work).expect("every analysis kind has a cache key");
+        let (mut entry, cached) = self.checkout(worker, &key, build)?;
+        let outcome = run(&mut entry);
+        self.checkin(worker, key, entry);
+        outcome.map(|value| (value, cached)).map_err(engine_err)
+    }
+
+    fn stats(&self) -> Json {
         let s = self.cache.stats();
         let metrics = Json::parse(&vpd_obs::snapshot().to_json("serve")).unwrap_or(Json::Null);
-        Ok((
-            Json::obj([
-                ("command", Json::from("stats")),
-                (
-                    "cache",
-                    Json::obj([
-                        ("hits", Json::from(s.hits as usize)),
-                        ("misses", Json::from(s.misses as usize)),
-                        ("steals", Json::from(s.steals as usize)),
-                        ("evictions", Json::from(s.evictions as usize)),
-                        ("entries", Json::from(s.entries)),
-                    ]),
-                ),
-                ("metrics", metrics),
-            ]),
-            false,
-        ))
-    }
-
-    /// Checks a compiled analysis session out of the cache, or builds
-    /// one cold. `analyze` and `mc` share entries: the grid plan
-    /// depends on (architecture, spec), never on the topology (see
-    /// [`ScenarioKey::from_work`]).
-    fn take_session(
-        &self,
-        worker: usize,
-        key: ScenarioKey,
-        arch: Architecture,
-        spec: &SystemSpec,
-    ) -> Result<(ScenarioKey, Box<AnalysisSession>, bool), (ErrorCode, String)> {
-        match self.cache.take_for(worker, &key) {
-            Some(CacheEntry::Session(s)) => Ok((key, s, true)),
-            _ => {
-                let session =
-                    AnalysisSession::new(arch, spec, &self.calib, &AnalysisOptions::default())
-                        .map_err(engine_err)?;
-                Ok((key, Box::new(session), false))
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn analyze(
-        &self,
-        worker: usize,
-        work: &Work,
-        arch: Architecture,
-        topology: VrTopologyKind,
-        power_w: f64,
-        density: f64,
-    ) -> DispatchResult {
-        let spec = SystemSpec::new(
-            Volts::new(48.0),
-            Volts::new(1.0),
-            Watts::new(power_w),
-            CurrentDensity::from_amps_per_square_millimeter(density),
-        )
-        .map_err(|e| (ErrorCode::BadRequest, e.to_string()))?;
-        let key = ScenarioKey::from_work(work).expect("analyze has a key");
-        let (key, mut session, cached) = self.take_session(worker, key, arch, &spec)?;
-        let outcome = session.analyze(topology, &self.calib);
-        let report = match outcome {
-            Ok(report) => {
-                session.anchor();
-                report
-            }
-            Err(e) => {
-                // The compiled plan is still sound (the failure is the
-                // scenario's, e.g. a capacity check): keep it warm.
-                self.cache
-                    .put_for(worker, key, CacheEntry::Session(session));
-                return Err(engine_err(e));
-            }
-        };
-        let result = Json::obj([
-            ("command", Json::from("analyze")),
-            ("architecture", Json::from(arch.name())),
-            ("topology", Json::from(topology.name())),
-            ("power_w", Json::from(power_w)),
-            ("density_a_per_mm2", Json::from(density)),
+        Json::obj([
+            ("command", Json::from("stats")),
             (
-                "die_area_mm2",
-                Json::from(spec.die_area().as_square_millimeters()),
-            ),
-            ("overloaded", Json::from(report.overloaded)),
-            ("breakdown", report.breakdown.render_json()),
-        ]);
-        self.cache
-            .put_for(worker, key, CacheEntry::Session(session));
-        Ok((result, cached))
-    }
-
-    fn sharing(
-        &self,
-        worker: usize,
-        work: &Work,
-        placement: VrPlacement,
-        modules: usize,
-    ) -> DispatchResult {
-        let spec = SystemSpec::paper_default();
-        let key = ScenarioKey::from_work(work).expect("sharing has a key");
-        let (mut solver, cached) = match self.cache.take_for(worker, &key) {
-            Some(CacheEntry::Sharing(s)) => (s, true),
-            _ => {
-                let solver = SharingSolver::builder(&spec, &self.calib)
-                    .placement(placement)
-                    .modules(modules)
-                    .build()
-                    .map_err(engine_err)?;
-                (Box::new(solver), false)
-            }
-        };
-        let rep = match solver.solve() {
-            Ok(rep) => {
-                solver.anchor_last();
-                rep
-            }
-            Err(e) => {
-                self.cache.put_for(worker, key, CacheEntry::Sharing(solver));
-                return Err(engine_err(e));
-            }
-        };
-        let result = Json::obj([
-            ("command", Json::from("sharing")),
-            ("placement", Json::from(placement.to_string())),
-            ("report", rep.render_json()),
-        ]);
-        self.cache.put_for(worker, key, CacheEntry::Sharing(solver));
-        Ok((result, cached))
-    }
-
-    /// A setpoint sweep over a sharing grid, answered from one
-    /// direct-Cholesky solve at the nominal setpoint
-    /// ([`SharingSolver::solve_setpoints`]). Cached under its own key:
-    /// the plain `sharing` entry stays in the warm-CG mode the one-shot
-    /// CLI uses.
-    fn sharing_sweep(
-        &self,
-        worker: usize,
-        work: &Work,
-        placement: VrPlacement,
-        modules: usize,
-        setpoints: &[f64],
-    ) -> DispatchResult {
-        let spec = SystemSpec::paper_default();
-        let key = ScenarioKey::from_work(work).expect("sharing_sweep has a key");
-        let (mut solver, cached) = match self.cache.take_for(worker, &key) {
-            Some(CacheEntry::Sharing(s)) => (s, true),
-            _ => {
-                let mut solver = SharingSolver::builder(&spec, &self.calib)
-                    .placement(placement)
-                    .modules(modules)
-                    .build()
-                    .map_err(engine_err)?;
-                solver
-                    .set_solve_mode(DcPlanMode::DirectCholesky)
-                    .map_err(engine_err)?;
-                (Box::new(solver), false)
-            }
-        };
-        let volts: Vec<Volts> = setpoints.iter().map(|&v| Volts::new(v)).collect();
-        let reports = match solver.solve_setpoints(&volts) {
-            Ok(reports) => {
-                solver.anchor_last();
-                reports
-            }
-            Err(e) => {
-                self.cache.put_for(worker, key, CacheEntry::Sharing(solver));
-                return Err(engine_err(e));
-            }
-        };
-        self.cache.put_for(worker, key, CacheEntry::Sharing(solver));
-        let points: Vec<Json> = setpoints
-            .iter()
-            .zip(&reports)
-            .map(|(&sp, rep)| {
+                "cache",
                 Json::obj([
-                    ("setpoint_v", Json::from(sp)),
-                    ("report", rep.render_json()),
-                ])
-            })
-            .collect();
-        let result = Json::obj([
-            ("command", Json::from("sharing_sweep")),
-            ("placement", Json::from(placement.to_string())),
-            ("setpoints", Json::from(setpoints.len())),
-            ("points", Json::Array(points)),
-        ]);
-        Ok((result, cached))
+                    ("hits", Json::from(s.hits as usize)),
+                    ("misses", Json::from(s.misses as usize)),
+                    ("steals", Json::from(s.steals as usize)),
+                    ("evictions", Json::from(s.evictions as usize)),
+                    ("entries", Json::from(s.entries)),
+                ]),
+            ),
+            ("metrics", metrics),
+        ])
     }
 
-    fn droop(&self, worker: usize, work: &Work, arch: Architecture) -> DispatchResult {
-        let key = ScenarioKey::from_work(work).expect("droop has a key");
-        if let Some(CacheEntry::Droop(doc)) = self.cache.take_for(worker, &key) {
-            self.cache
-                .put_for(worker, key, CacheEntry::Droop(doc.clone()));
-            return Ok((doc, true));
-        }
-        let spec = SystemSpec::paper_default();
-        let report = simulate_droop(
+    /// A cold analysis session at `spec`. `analyze` and `mc` share these
+    /// entries: the grid plan depends on (architecture, spec), never on
+    /// the topology (see [`ScenarioKey::from_work`]).
+    fn session(&self, arch: Architecture, spec: &SystemSpec) -> Result<AnalysisSession, CoreError> {
+        AnalysisSession::new(arch, spec, &self.calib, &AnalysisOptions::default())
+    }
+
+    /// The paper load step on `arch`'s PDN over the 60 µs / 10 ns window
+    /// that `droop` and `transient_stream` both simulate, so a stream's
+    /// summary carries the one-shot `droop` report's bits.
+    fn droop_scenario(&self, arch: Architecture) -> Result<DroopScenario, CoreError> {
+        DroopScenario::new(
             &PdnModel::for_architecture(arch),
-            &LoadStep::paper_default(&spec),
+            &LoadStep::paper_default(&self.spec),
             Seconds::from_microseconds(60.0),
             Seconds::from_nanoseconds(10.0),
         )
-        .map_err(engine_err)?;
-        let result = Json::obj([
-            ("command", Json::from("droop")),
-            ("architecture", Json::from(arch.name())),
-            ("report", report.render_json()),
-        ]);
-        self.cache
-            .put_for(worker, key, CacheEntry::Droop(result.clone()));
-        Ok((result, false))
     }
 
     /// [`Dispatcher::begin_transient_stream_on`] as worker 0.
@@ -401,9 +537,9 @@ impl Dispatcher {
     }
 
     /// Checks the architecture's compiled transient scenario out of the
-    /// cache (or compiles it cold — the same 60 µs / 10 ns window the
-    /// one-shot `droop` handler simulates) and begins a fresh streaming
-    /// run over it on behalf of pool worker `worker`.
+    /// cache (or compiles it cold — the one-shot `droop` window) and
+    /// begins a fresh streaming run over it on behalf of pool worker
+    /// `worker`.
     ///
     /// # Errors
     ///
@@ -416,20 +552,7 @@ impl Dispatcher {
     ) -> Result<TransientStreamRun<'_>, (ErrorCode, String)> {
         let key = ScenarioKey::from_work(&Work::TransientStream { arch, chunk })
             .expect("transient_stream has a key");
-        let (mut scenario, cached) = match self.cache.take_for(worker, &key) {
-            Some(CacheEntry::Transient(s)) => (s, true),
-            _ => {
-                let spec = SystemSpec::paper_default();
-                let scenario = DroopScenario::new(
-                    &PdnModel::for_architecture(arch),
-                    &LoadStep::paper_default(&spec),
-                    Seconds::from_microseconds(60.0),
-                    Seconds::from_nanoseconds(10.0),
-                )
-                .map_err(engine_err)?;
-                (Box::new(scenario), false)
-            }
-        };
+        let (mut scenario, cached) = self.checkout(worker, &key, || self.droop_scenario(arch))?;
         scenario.start();
         Ok(TransientStreamRun {
             dispatcher: self,
@@ -444,235 +567,6 @@ impl Dispatcher {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn mc(
-        &self,
-        worker: usize,
-        work: &Work,
-        arch: Architecture,
-        topology: VrTopologyKind,
-        samples: usize,
-        seed: u64,
-        threads: usize,
-    ) -> DispatchResult {
-        let spec = SystemSpec::paper_default();
-        let key = ScenarioKey::from_work(work).expect("mc has a key");
-        let (key, mut session, cached) = self.take_session(worker, key, arch, &spec)?;
-        let settings = McSettings {
-            samples,
-            seed,
-            threads,
-            ..McSettings::default()
-        };
-        let summary = match run_tolerance_with(&mut session, topology, &self.calib, &settings) {
-            Ok(summary) => summary,
-            Err(e) => {
-                self.cache
-                    .put_for(worker, key, CacheEntry::Session(session));
-                return Err(engine_err(e));
-            }
-        };
-        let result = Json::obj([
-            ("command", Json::from("mc")),
-            ("architecture", Json::from(arch.name())),
-            ("topology", Json::from(topology.name())),
-            ("samples", Json::from(samples)),
-            ("seed", Json::from(i64::try_from(seed).unwrap_or(i64::MAX))),
-            ("summary", summary.render_json()),
-        ]);
-        self.cache
-            .put_for(worker, key, CacheEntry::Session(session));
-        Ok((result, cached))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn impedance(
-        &self,
-        worker: usize,
-        work: &Work,
-        arch: Architecture,
-        fmin_hz: f64,
-        fmax_hz: f64,
-        points: usize,
-        profile: bool,
-    ) -> DispatchResult {
-        let key = ScenarioKey::from_work(work).expect("impedance has a key");
-        let (sweep, cached) = match self.cache.take_for(worker, &key) {
-            Some(CacheEntry::Impedance(s)) => (s, true),
-            _ => {
-                let spec = SystemSpec::paper_default();
-                let sweep = ImpedanceSweep::for_architecture(arch, &spec).map_err(engine_err)?;
-                (Box::new(sweep), false)
-            }
-        };
-        let settings = ImpedanceSweepSettings {
-            fmin: Hertz::new(fmin_hz),
-            fmax: Hertz::new(fmax_hz),
-            points,
-            threads: 0,
-        };
-        let outcome = sweep.run(&settings);
-        self.cache
-            .put_for(worker, key, CacheEntry::Impedance(sweep));
-        let rep = outcome.map_err(engine_err)?;
-        let result = if profile {
-            Json::obj([
-                ("command", Json::from("impedance")),
-                ("report", rep.render_json()),
-            ])
-        } else {
-            Json::obj([
-                ("command", Json::from("impedance")),
-                ("architecture", Json::from(rep.label.as_str())),
-                ("points", Json::from(points)),
-                ("peak_impedance_ohm", Json::from(rep.peak.value())),
-                ("peak_frequency_hz", Json::from(rep.peak_frequency.value())),
-                ("target_ohm", Json::from(rep.target.value())),
-                ("margin", rep.margin().map_or(Json::Null, Json::from)),
-                ("meets_target", Json::from(rep.meets_target())),
-            ])
-        };
-        Ok((result, cached))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn faults(
-        &self,
-        worker: usize,
-        work: &Work,
-        arch: Architecture,
-        topology: VrTopologyKind,
-        random_k: Option<usize>,
-        count: usize,
-        seed: u64,
-    ) -> DispatchResult {
-        let key = ScenarioKey::from_work(work).expect("faults has a key");
-        let (sweep, cached) = match self.cache.take_for(worker, &key) {
-            Some(CacheEntry::Faults(s)) => (s, true),
-            _ => {
-                let spec = SystemSpec::paper_default();
-                let sweep =
-                    FaultSweep::new(arch, topology, &spec, &self.calib).map_err(engine_err)?;
-                (Box::new(sweep), false)
-            }
-        };
-        let scenarios = match random_k {
-            None => FaultScenario::n_minus_1(sweep.vr_count()),
-            Some(k) => FaultScenario::random_k(k, count, seed, sweep.vr_count(), sweep.grid_side()),
-        };
-        let label = match random_k {
-            None => format!("N-1 over {} modules", sweep.vr_count()),
-            Some(k) => format!("{count} random {k}-fault scenarios (seed {seed})"),
-        };
-        let nominal_worst_drop = sweep.nominal().worst_drop().value();
-        let outcome = sweep.run(&scenarios, 0);
-        self.cache.put_for(worker, key, CacheEntry::Faults(sweep));
-        let report = outcome.map_err(engine_err)?;
-        let result = Json::obj([
-            ("command", Json::from("faults")),
-            ("mode", Json::from(label.as_str())),
-            ("topology", Json::from(topology.name())),
-            ("nominal_worst_drop_v", Json::from(nominal_worst_drop)),
-            ("report", report.render_json()),
-        ]);
-        Ok((result, cached))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn fault_impedance(
-        &self,
-        worker: usize,
-        work: &Work,
-        arch: Architecture,
-        random_k: Option<usize>,
-        count: usize,
-        seed: u64,
-        fmin_hz: f64,
-        fmax_hz: f64,
-        points: usize,
-    ) -> DispatchResult {
-        let key = ScenarioKey::from_work(work).expect("fault_impedance has a key");
-        let (sweep, cached) = match self.cache.take_for(worker, &key) {
-            Some(CacheEntry::FaultImpedance(s)) => (s, true),
-            _ => {
-                let spec = SystemSpec::paper_default();
-                let sweep =
-                    FaultImpedanceSweep::new(arch, &spec, &self.calib).map_err(engine_err)?;
-                (Box::new(sweep), false)
-            }
-        };
-        let grid = ImpedanceSweepSettings {
-            fmin: Hertz::new(fmin_hz),
-            fmax: Hertz::new(fmax_hz),
-            points,
-            threads: 0,
-        };
-        let freqs = match grid.frequencies() {
-            Ok(freqs) => freqs,
-            Err(e) => {
-                self.cache
-                    .put_for(worker, key, CacheEntry::FaultImpedance(sweep));
-                return Err(engine_err(e));
-            }
-        };
-        let scenarios = match random_k {
-            None => FaultScenario::n_minus_1(sweep.vr_count()),
-            Some(k) => FaultScenario::random_k(k, count, seed, sweep.vr_count(), sweep.grid_side()),
-        };
-        let label = match random_k {
-            None => format!("N-1 over {} modules", sweep.vr_count()),
-            Some(k) => format!("{count} random {k}-fault scenarios (seed {seed})"),
-        };
-        let outcome = sweep.run(&scenarios, &freqs, 0);
-        self.cache
-            .put_for(worker, key, CacheEntry::FaultImpedance(sweep));
-        let report = outcome.map_err(engine_err)?;
-        let result = Json::obj([
-            ("command", Json::from("fault_impedance")),
-            ("mode", Json::from(label.as_str())),
-            ("points", Json::from(points)),
-            ("report", report.render_json()),
-        ]);
-        Ok((result, cached))
-    }
-
-    fn fault_transient(
-        &self,
-        worker: usize,
-        work: &Work,
-        arch: Architecture,
-        count: usize,
-    ) -> DispatchResult {
-        let key = ScenarioKey::from_work(work).expect("fault_transient has a key");
-        let (sweep, cached) = match self.cache.take_for(worker, &key) {
-            Some(CacheEntry::FaultTransient(s)) => (s, true),
-            _ => {
-                let spec = SystemSpec::paper_default();
-                let sweep = FaultTransientSweep::new(
-                    arch,
-                    &PdnModel::for_architecture(arch),
-                    &LoadStep::paper_default(&spec),
-                    Seconds::from_microseconds(FAULT_TRANSIENT_SIM_US),
-                    Seconds::from_nanoseconds(FAULT_TRANSIENT_DT_NS),
-                )
-                .map_err(engine_err)?;
-                (Box::new(sweep), false)
-            }
-        };
-        let scenarios =
-            VrFailureScenario::grid(count, Seconds::from_microseconds(FAULT_TRANSIENT_WINDOW_US));
-        let outcome = sweep.run(&scenarios, 0);
-        self.cache
-            .put_for(worker, key, CacheEntry::FaultTransient(sweep));
-        let report = outcome.map_err(engine_err)?;
-        let result = Json::obj([
-            ("command", Json::from("fault_transient")),
-            ("scenarios", Json::from(scenarios.len())),
-            ("report", report.render_json()),
-        ]);
-        Ok((result, cached))
-    }
-
     /// Compiles and analyzes a user scenario document. The expensive
     /// artifact — the compiled die-grid session — is cached under the
     /// document's content hash, so a repeated (or respelled) scenario
@@ -684,27 +578,12 @@ impl Dispatcher {
         let scenario = doc
             .compile()
             .map_err(|e| (ErrorCode::BadRequest, format!("scenario document: {e}")))?;
-        let key = ScenarioKey::from_work(work).expect("scenario has a key");
-        let (mut session, cached) = match self.cache.take_for(worker, &key) {
-            Some(CacheEntry::Scenario(s)) => (s, true),
-            _ => {
-                let session = scenario.session().map_err(engine_err)?;
-                (Box::new(session), false)
-            }
-        };
-        let report = match session.analyze(scenario.topology, &scenario.calibration) {
-            Ok(report) => {
-                session.anchor();
-                report
-            }
-            Err(e) => {
-                self.cache
-                    .put_for(worker, key, CacheEntry::Scenario(session));
-                return Err(engine_err(e));
-            }
-        };
-        self.cache
-            .put_for(worker, key, CacheEntry::Scenario(session));
+        let (report, cached) = self.run_cached(
+            worker,
+            work,
+            || scenario.session(),
+            |session| analyze_anchored(session, scenario.topology, &scenario.calibration),
+        )?;
 
         let hash = format!("{:016x}", doc.content_hash());
         let mut pairs = vec![
@@ -764,68 +643,23 @@ impl Dispatcher {
                 &scenario.calibration,
             )
             .map_err(engine_err)?;
-            let scenarios = match plan.random_k {
-                None => FaultScenario::n_minus_1(sweep.vr_count()),
-                Some(k) => FaultScenario::random_k(
-                    k,
-                    plan.count,
-                    plan.seed,
-                    sweep.vr_count(),
-                    sweep.grid_side(),
-                ),
-            };
-            let label = match plan.random_k {
-                None => format!("N-1 over {} modules", sweep.vr_count()),
-                Some(k) => format!(
-                    "{} random {k}-fault scenarios (seed {})",
-                    plan.count, plan.seed
-                ),
-            };
+            let (scenarios, mode) = fault_plan(
+                plan.random_k,
+                plan.count,
+                plan.seed,
+                sweep.vr_count(),
+                sweep.grid_side(),
+            );
             let fault_report = sweep.run(&scenarios, 0).map_err(engine_err)?;
             pairs.push((
                 "faults",
                 Json::obj([
-                    ("mode", Json::from(label.as_str())),
+                    ("mode", Json::from(mode.as_str())),
                     ("report", fault_report.render_json()),
                 ]),
             ));
         }
         Ok((Json::obj(pairs), cached))
-    }
-
-    fn survival(
-        &self,
-        worker: usize,
-        work: &Work,
-        arch: Architecture,
-        topology: VrTopologyKind,
-    ) -> DispatchResult {
-        let key = ScenarioKey::from_work(work).expect("survival has a key");
-        let (ladder, cached) = match self.cache.take_for(worker, &key) {
-            Some(CacheEntry::Cascade(l)) => (l, true),
-            _ => {
-                let spec = SystemSpec::paper_default();
-                let ladder = CascadeLadder::new(
-                    arch,
-                    topology,
-                    &spec,
-                    &self.calib,
-                    &CascadeSettings::default(),
-                )
-                .map_err(engine_err)?;
-                (Box::new(ladder), false)
-            }
-        };
-        let scenarios = FaultScenario::n_minus_1(ladder.vr_count());
-        let outcome = ladder.run(&scenarios, 0);
-        self.cache.put_for(worker, key, CacheEntry::Cascade(ladder));
-        let envelope = outcome.map_err(engine_err)?;
-        let result = Json::obj([
-            ("command", Json::from("survival")),
-            ("topology", Json::from(topology.name())),
-            ("report", envelope.render_json()),
-        ]);
-        Ok((result, cached))
     }
 }
 
@@ -842,8 +676,9 @@ pub const FAULT_TRANSIENT_WINDOW_US: f64 = 16.0;
 /// [`DroopScenario`] chunk by chunk, yielding one waveform document per
 /// chunk and a final summary whose `report` is bitwise the one-shot
 /// `droop` report. Dropping the run — finished or aborted mid-stream —
-/// checks the scenario back into the cache, so the compiled plan (and
-/// its LU cache) stays warm even when a deadline kills the stream.
+/// checks the scenario back in (`Dispatcher::checkin`), so the
+/// compiled plan (and its LU cache) stays warm even when a deadline
+/// kills the stream.
 pub struct TransientStreamRun<'a> {
     dispatcher: &'a Dispatcher,
     key: ScenarioKey,
@@ -924,9 +759,7 @@ impl TransientStreamRun<'_> {
 impl Drop for TransientStreamRun<'_> {
     fn drop(&mut self) {
         if let Some(s) = self.scenario.take() {
-            self.dispatcher
-                .cache
-                .put_for(self.worker, self.key.clone(), CacheEntry::Transient(s));
+            self.dispatcher.checkin(self.worker, self.key.clone(), s);
         }
     }
 }
@@ -934,6 +767,7 @@ impl Drop for TransientStreamRun<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpd_core::VrPlacement;
 
     fn work(line: &str) -> Work {
         crate::proto::Request::parse_line(line).unwrap().work
@@ -991,6 +825,14 @@ mod tests {
         let (_, cached) = d.dispatch(&mc).unwrap();
         assert!(cached, "mc at paper defaults reuses the analyze session");
         assert_eq!(d.cache_stats().entries, 1);
+        // The other order: a session an mc run built, which solved no
+        // nominal point by CG, answers analyze like a cold one.
+        let d = Dispatcher::new(16);
+        d.dispatch(&mc).unwrap();
+        let (warm, cached) = d.dispatch(&analyze).unwrap();
+        assert!(cached);
+        let (cold, _) = Dispatcher::new(0).dispatch(&analyze).unwrap();
+        assert_eq!(warm.to_string(), cold.to_string());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod pool;
 pub mod proto;
 pub mod server;
 
-pub use cache::{CacheEntry, CacheStats, ScenarioCache, ScenarioKey};
+pub use cache::{CacheStats, ScenarioCache, ScenarioKey};
 pub use engine::{
     Dispatcher, FAULT_TRANSIENT_DT_NS, FAULT_TRANSIENT_SIM_US, FAULT_TRANSIENT_WINDOW_US,
 };

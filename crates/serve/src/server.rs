@@ -118,31 +118,36 @@ fn write_line<W: Write>(writer: &Mutex<W>, response: &Response) {
     let _ = w.flush();
 }
 
-/// Checks a dequeued job's deadline; answers and consumes it on
-/// expiry. Returns the job back when it is still within budget.
-fn check_deadline<W: Write + Send + 'static>(job: Job<W>) -> Option<Job<W>> {
-    let Some(budget_ms) = job.request.deadline_ms else {
-        return Some(job);
+/// Whether a request accepted at `accepted_at` is past its
+/// `deadline_ms`; if so, counts the rejection and answers
+/// `deadline_exceeded` with `message(waited_ms, budget_ms)`. `>=` so a
+/// zero deadline deterministically expires (useful for tests and as an
+/// explicit "reject unless immediate" probe); no deadline never
+/// expires.
+fn deadline_expired<W: Write>(
+    writer: &Mutex<W>,
+    id: Option<i64>,
+    accepted_at: Instant,
+    deadline_ms: Option<u64>,
+    message: impl FnOnce(u128, u64) -> String,
+) -> bool {
+    let Some(budget_ms) = deadline_ms else {
+        return false;
     };
-    let waited = job.accepted_at.elapsed();
-    // `>=` so a zero deadline deterministically expires (useful for
-    // tests and as an explicit "reject unless immediate" probe).
-    if waited.as_millis() >= u128::from(budget_ms) {
-        vpd_obs::incr("serve.rejected.deadline");
-        write_line(
-            &job.writer,
-            &Response::error(
-                job.request.id,
-                ErrorCode::DeadlineExceeded,
-                format!(
-                    "request waited {} ms in queue, past its {budget_ms} ms deadline",
-                    waited.as_millis()
-                ),
-            ),
-        );
-        return None;
+    let waited_ms = accepted_at.elapsed().as_millis();
+    if waited_ms < u128::from(budget_ms) {
+        return false;
     }
-    Some(job)
+    vpd_obs::incr("serve.rejected.deadline");
+    write_line(
+        writer,
+        &Response::error(
+            id,
+            ErrorCode::DeadlineExceeded,
+            message(waited_ms, budget_ms),
+        ),
+    );
+    true
 }
 
 fn run_job<W: Write + Send + 'static>(dispatcher: &Dispatcher, worker: usize, job: Job<W>) {
@@ -164,9 +169,17 @@ fn run_job<W: Write + Send + 'static>(dispatcher: &Dispatcher, worker: usize, jo
         );
         return;
     }
-    let Some(job) = check_deadline(job) else {
+    if deadline_expired(
+        &job.writer,
+        job.request.id,
+        job.accepted_at,
+        job.request.deadline_ms,
+        |waited_ms, budget_ms| {
+            format!("request waited {waited_ms} ms in queue, past its {budget_ms} ms deadline")
+        },
+    ) {
         return;
-    };
+    }
     let response = match dispatcher.dispatch_on(worker, &job.request.work) {
         Ok((result, cached)) => {
             vpd_obs::incr("serve.ok");
@@ -197,28 +210,12 @@ fn run_stream<W: Write + Send + 'static>(
     deadline_ms: Option<u64>,
     writer: &Mutex<W>,
 ) {
-    let deadline_expired = |emitted: usize| -> bool {
-        let Some(budget_ms) = deadline_ms else {
-            return false;
-        };
-        let waited = accepted_at.elapsed();
-        if waited.as_millis() >= u128::from(budget_ms) {
-            vpd_obs::incr("serve.rejected.deadline");
-            write_line(
-                writer,
-                &Response::error(
-                    id,
-                    ErrorCode::DeadlineExceeded,
-                    format!(
-                        "stream deadline of {budget_ms} ms expired after {emitted} chunk records"
-                    ),
-                ),
-            );
-            return true;
-        }
-        false
+    let expired = |emitted: usize| {
+        deadline_expired(writer, id, accepted_at, deadline_ms, |_, budget_ms| {
+            format!("stream deadline of {budget_ms} ms expired after {emitted} chunk records")
+        })
     };
-    if deadline_expired(0) {
+    if expired(0) {
         return;
     }
     let mut run = match dispatcher.begin_transient_stream_on(worker, arch, chunk) {
@@ -239,7 +236,7 @@ fn run_stream<W: Write + Send + 'static>(
                     &Response::stream(id, "transient_stream", cached, seq, false, doc),
                 );
                 seq += 1;
-                if deadline_expired(seq) {
+                if expired(seq) {
                     return;
                 }
             }

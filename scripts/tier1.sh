@@ -21,6 +21,12 @@ cargo build --release || fail=1
 step "cargo test -q --release"
 cargo test -q --release || fail=1
 
+step "benchmark harness: build and test against this checkout"
+CARGO_TARGET_DIR=.bench_build cargo build --offline --release \
+    --manifest-path benchmark/Cargo.toml || fail=1
+CARGO_TARGET_DIR=.bench_build cargo test --offline --release -q \
+    --manifest-path benchmark/Cargo.toml || fail=1
+
 step "fault-sweep smoke (8 scenarios, finiteness-checked)"
 cargo run --release -p vpd-bench --bin faults -- --samples 8 || fail=1
 
@@ -181,12 +187,13 @@ assert len(lines) == 1, f"expected 1 NDJSON record, got {len(lines)}"
 rec = lines[0]
 assert rec["label"] == "mc", rec["label"]
 assert rec["counters"]["mc.samples"] == 4, rec["counters"]
-assert rec["counters"]["cg.solves"] > 0, rec["counters"]
-# Every sample is answered from the nominal regulator response: the only
-# restamps are the nominal solve's and the response build's.
+# Every sample and the nominal point are answered from the nominal
+# regulator response: no CG solve, and the response build's restamp is
+# the only one.
+assert rec["counters"].get("cg.solves", 0) == 0, rec["counters"]
 assert rec["counters"]["mc.lowrank_samples"] == 4, rec["counters"]
 assert rec["counters"]["mc.lowrank_fallbacks"] == 0, rec["counters"]
-assert rec["counters"]["plan.restamps"] <= 2, rec["counters"]
+assert rec["counters"]["plan.restamps"] == 1, rec["counters"]
 for value in rec["gauges"].values():
     assert value is None or math.isfinite(value), "non-finite gauge"
 print("CLI smoke OK: JSON output and NDJSON metrics both parse and are finite")

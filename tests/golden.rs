@@ -112,8 +112,9 @@ fn read_case(path: &Path) -> (String, Vec<String>) {
 }
 
 /// The result documents one request line produces on `dispatcher`, in
-/// emission order, each serialized to its wire spelling.
-fn replay(dispatcher: &Dispatcher, line: &str) -> Result<Vec<String>, String> {
+/// emission order, each serialized to its wire spelling, and whether its
+/// compiled state came from the cache.
+fn replay(dispatcher: &Dispatcher, line: &str) -> Result<(Vec<String>, bool), String> {
     let req = Request::parse_line(line)
         .map_err(|e| format!("request rejected: {}: {}", e.code.as_str(), e.message))?;
     let engine = |(code, msg): (vertical_power_delivery::serve::ErrorCode, String)| {
@@ -129,11 +130,11 @@ fn replay(dispatcher: &Dispatcher, line: &str) -> Result<Vec<String>, String> {
                 out.push(doc.to_string());
             }
             out.push(run.finish().to_string());
-            Ok(out)
+            Ok((out, run.cached()))
         }
         work => dispatcher
             .dispatch(&work)
-            .map(|(doc, _cached)| vec![doc.to_string()])
+            .map(|(doc, cached)| (vec![doc.to_string()], cached))
             .map_err(engine),
     }
 }
@@ -233,7 +234,8 @@ fn golden_results_replay_bitwise() {
     for path in cases() {
         let (request, want) = read_case(&path);
         let case = case_name(&path);
-        let outcome = replay(&dispatcher, &request).and_then(|got| check_case(&case, &want, &got));
+        let outcome =
+            replay(&dispatcher, &request).and_then(|(got, _)| check_case(&case, &want, &got));
         if let Err(e) = outcome {
             failures.push(format!("{case}: {e}"));
         }
@@ -242,6 +244,56 @@ fn golden_results_replay_bitwise() {
         failures.is_empty(),
         "golden results moved (re-bless with `cargo test --test golden -- --ignored bless` \
          only for a deliberate change):\n{}",
+        failures.join("\n")
+    );
+}
+
+/// Every case served twice more through one caching dispatcher, after
+/// the whole corpus has been served once: the second answer must come
+/// from the cache and carry the cold answer's bits, every stream chunk
+/// and summary included. Kinds that share entries (`analyze` and `mc`
+/// at paper defaults) are served in between, so a cached entry must
+/// answer exactly as a cold one whichever kind left it.
+#[test]
+fn cached_replays_match_the_cold_replay_bitwise() {
+    let files = cases();
+    let cold = Dispatcher::new(0);
+    let warm = Dispatcher::new(files.len());
+    let requests: Vec<(String, String)> = files
+        .iter()
+        .map(|path| (case_name(path), read_case(path).0))
+        .collect();
+    let mut failures = Vec::new();
+    for (case, request) in &requests {
+        if let Err(e) = replay(&warm, request) {
+            failures.push(format!("{case}: first cached serve: {e}"));
+        }
+    }
+    for (case, request) in &requests {
+        let outcome = replay(&cold, request).and_then(|(want, _)| {
+            let (got, cached) = replay(&warm, request)?;
+            if !cached {
+                return Err("the second serve missed the cache".to_owned());
+            }
+            if got.len() != want.len() {
+                return Err(format!(
+                    "{} cached documents, {} cold",
+                    got.len(),
+                    want.len()
+                ));
+            }
+            match want.iter().zip(&got).position(|(w, g)| w != g) {
+                Some(i) => Err(format!("cached document {i} differs from the cold one")),
+                None => Ok(()),
+            }
+        });
+        if let Err(e) = outcome {
+            failures.push(format!("{case}: {e}"));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "cached answers differ from cold ones:\n{}",
         failures.join("\n")
     );
 }
@@ -398,7 +450,7 @@ fn bless() {
     let dispatcher = Dispatcher::new(0);
     for path in cases() {
         let (request, _) = read_case(&path);
-        let docs =
+        let (docs, _) =
             replay(&dispatcher, &request).unwrap_or_else(|e| panic!("{}: {e}", case_name(&path)));
         let mut text = request;
         for doc in docs {
