@@ -14,46 +14,28 @@
 //! * **plan, parallel** — the same engine with the auto thread count.
 //!
 //! The engine guarantees all three produce bitwise-identical
-//! [`AcPoint`]s; this binary asserts it before reporting throughput.
+//! [`vpd_circuit::AcPoint`]s; this binary asserts it after timing them.
 //!
 //! ```sh
 //! cargo run --release -p vpd-bench --bin ac               # full, writes JSON
-//! cargo run --release -p vpd-bench --bin ac -- --points 16    # CI smoke
+//! cargo run --release -p vpd-bench --bin ac -- --smoke    # CI smoke
 //! ```
-//!
-//! Exits non-zero if any reported quantity is non-finite.
 
-use std::time::Instant;
-use vpd_circuit::{AcPlan, AcPoint};
+use vpd_bench::perf::{auto_threads, Bench, Config, Size};
+use vpd_circuit::AcPlan;
 use vpd_core::{Architecture, ImpedanceSweep, ImpedanceSweepSettings, PdnModel};
 
-fn usage() -> ! {
-    eprintln!("usage: ac [--points N]");
-    std::process::exit(2);
-}
+/// Frequency points of the sweep.
+const POINTS: Size<usize> = Size(240, 16);
+/// Sweeps per timed run.
+const PASSES: Size<usize> = Size(25, 1);
 
 fn main() {
-    let mut points: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--points" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                points = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            _ => usage(),
-        }
-    }
-    let smoke = points.is_some();
-    let points = points.unwrap_or(240).max(2);
+    let bench = Bench::from_args("AC-sweep", "BENCH_ac.json");
+    let points = bench.size(POINTS);
+    let passes = bench.size(PASSES);
 
     let (spec, _, _) = vpd_bench::paper_env();
-    vpd_bench::banner(if smoke {
-        "AC-sweep smoke"
-    } else {
-        "AC-sweep benchmark (BENCH_ac.json)"
-    });
-
     let arch = Architecture::InterposerPeriphery;
     let model = PdnModel::for_architecture(arch);
     let settings = ImpedanceSweepSettings {
@@ -62,40 +44,36 @@ fn main() {
     };
     let freqs = settings.frequencies().unwrap();
     let sweep = ImpedanceSweep::for_architecture(arch, &spec).unwrap();
-    // Warm up every path once so allocator and page effects don't skew
-    // the first timed configuration.
     let reference = model.impedance_profile(&freqs).unwrap();
-    let passes = if smoke { 1 } else { 25 };
 
-    // --- compile-per-point: netlist + plan rebuilt every point ----------
-    let mut rebuilt = Vec::new();
-    let start = Instant::now();
-    for _ in 0..passes {
-        rebuilt = freqs
-            .iter()
-            .map(|&f| {
-                let (net, die) = model.netlist().unwrap();
-                AcPlan::compile(&net).impedance_at(die, f).unwrap()
-            })
-            .collect();
-    }
-    let rebuild_points_per_sec = (passes * points) as f64 / start.elapsed().as_secs_f64();
-
-    // --- compiled plan, serial and parallel -----------------------------
-    let mut serial = Vec::new();
-    let start = Instant::now();
-    for _ in 0..passes {
-        serial = sweep.run_over(&freqs, 1).unwrap().points;
-    }
-    let serial_points_per_sec = (passes * points) as f64 / start.elapsed().as_secs_f64();
-
-    let mut parallel = Vec::new();
-    let start = Instant::now();
-    for _ in 0..passes {
-        parallel = sweep.run_over(&freqs, 0).unwrap().points;
-    }
-    let parallel_points_per_sec = (passes * points) as f64 / start.elapsed().as_secs_f64();
-
+    let work = passes * points;
+    let (mut rebuilt, mut serial, mut parallel) = (Vec::new(), Vec::new(), Vec::new());
+    let m = bench.measure(
+        &format!("ac sweep ({points} points x {passes} passes, A1 ladder)"),
+        &[
+            Config::new("rebuild_points_per_sec", work),
+            Config::new("plan_serial_points_per_sec", work).ratio("plan_vs_rebuild_speedup"),
+            Config::new("plan_parallel_points_per_sec", work).ratio("engine_vs_rebuild_speedup"),
+        ],
+        |config| {
+            for _ in 0..passes {
+                match config {
+                    // Compile-per-point: netlist + plan rebuilt every point.
+                    0 => {
+                        rebuilt = freqs
+                            .iter()
+                            .map(|&f| {
+                                let (net, die) = model.netlist().unwrap();
+                                AcPlan::compile(&net).impedance_at(die, f).unwrap()
+                            })
+                            .collect();
+                    }
+                    1 => serial = sweep.run_over(&freqs, 1).unwrap().points,
+                    _ => parallel = sweep.run_over(&freqs, 0).unwrap().points,
+                }
+            }
+        },
+    );
     assert_eq!(rebuilt, reference, "cold rebuild must match the sweep path");
     assert_eq!(
         serial, reference,
@@ -103,36 +81,9 @@ fn main() {
     );
     assert_eq!(parallel, serial, "thread count must not change the points");
 
-    let plan_speedup = serial_points_per_sec / rebuild_points_per_sec;
-    let engine_speedup = parallel_points_per_sec / rebuild_points_per_sec;
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    println!(
-        "ac sweep ({points} points, A1 ladder): compile-per-point \
-         {rebuild_points_per_sec:.0}/s, plan serial {serial_points_per_sec:.0}/s \
-         ({plan_speedup:.1}x), parallel x{threads} {parallel_points_per_sec:.0}/s \
-         ({engine_speedup:.1}x)"
+    bench.finish(
+        auto_threads(),
+        vec![m.section("ac_sweep", &[("points", points), ("passes", passes)])],
+        &[],
     );
-
-    for (label, v) in [
-        ("rebuild", rebuild_points_per_sec),
-        ("serial", serial_points_per_sec),
-        ("parallel", parallel_points_per_sec),
-    ] {
-        assert!(v.is_finite() && v > 0.0, "{label} rate not finite: {v}");
-    }
-
-    if smoke {
-        println!("\nsmoke OK ({points} points, all three paths bitwise identical)");
-        return;
-    }
-
-    let peak = serial
-        .iter()
-        .map(AcPoint::magnitude)
-        .fold(0.0_f64, f64::max);
-    let json = format!(
-        "{{\n  \"ac_sweep\": {{\n    \"architecture\": \"A1\",\n    \"points\": {points},\n    \"passes\": {passes},\n    \"rebuild_points_per_sec\": {rebuild_points_per_sec:.3},\n    \"plan_serial_points_per_sec\": {serial_points_per_sec:.3},\n    \"plan_parallel_points_per_sec\": {parallel_points_per_sec:.3},\n    \"plan_vs_rebuild_speedup\": {plan_speedup:.3},\n    \"engine_vs_rebuild_speedup\": {engine_speedup:.3},\n    \"threads\": {threads},\n    \"parallel_matches_serial_bitwise\": true\n  }},\n  \"sanity\": {{\n    \"a1_peak_impedance_ohm\": {peak:.9}\n  }}\n}}\n",
-    );
-    std::fs::write("BENCH_ac.json", &json).unwrap();
-    println!("\nwrote BENCH_ac.json");
 }

@@ -4,7 +4,8 @@
 //! The tentpole claim is **plan reuse**: every engine compiles its
 //! solver state once and restamps per scenario, so a contingency set
 //! costs restamp + warm solves rather than a rebuild per scenario.
-//! Three paths are measured, each reuse-vs-rebuild:
+//! Each engine is measured reuse (serial), reuse (parallel) and
+//! rebuild-per-scenario, the baseline:
 //!
 //! * **Faulted impedance** — one compiled AC plan value-restamped per
 //!   fault scenario, against rebuilding the faulted netlist and
@@ -12,26 +13,22 @@
 //! * **VR-failure transients** — one compiled transient plan whose
 //!   switch-config LU cache absorbs the mid-run topology flip, against
 //!   compiling a fresh plan per failure time.
-//! * **Faulted DC solves** — the warm `SharingSolver` restamp path the
-//!   cascade couples through its thermal loop, against a cold grid
-//!   build (ordering + symbolic + nominal solve) per scenario. This is
-//!   the headline `plan_reuse_speedup`: one warm solve per scenario
-//!   against one rebuild per scenario, nothing else in the timer.
+//! * **Faulted DC solves** — the fault sweep's reuse path against a
+//!   cold grid build (ordering + symbolic + nominal solve) per
+//!   scenario. This is the headline plan reuse (`dc.speedup`).
 //! * **Electro-thermal cascade** — the full coupled ladder, where the
 //!   fixed-point iterations dominate both paths, so the speedup is
 //!   structurally smaller than the bare DC path's.
 //!
 //! Every engine's serial report is asserted bitwise-equal to its
-//! parallel report before any rate is trusted.
+//! parallel report.
 //!
 //! ```sh
 //! cargo run --release -p vpd-bench --bin faultdyn              # full, writes JSON
-//! cargo run --release -p vpd-bench --bin faultdyn -- --samples 4   # CI smoke
+//! cargo run --release -p vpd-bench --bin faultdyn -- --smoke   # CI smoke
 //! ```
-//!
-//! Exits non-zero if any reported quantity is non-finite.
 
-use std::time::Instant;
+use vpd_bench::perf::{auto_threads, Bench, Bound, Config, Measured, Size};
 use vpd_converters::VrTopologyKind;
 use vpd_core::{
     CascadeLadder, CascadeSettings, FaultImpedanceSweep, FaultScenario, FaultSweep,
@@ -40,56 +37,61 @@ use vpd_core::{
 use vpd_units::{Hertz, Seconds};
 
 const ARCH: vpd_core::Architecture = vpd_core::Architecture::InterposerEmbedded;
+/// N-1 scenarios per engine: all of them, or the first three.
+const SCENARIOS: Size<usize> = Size(usize::MAX, 3);
+/// Frequency points per faulted impedance profile.
+const POINTS: Size<usize> = Size(48, 16);
+/// Failure times of the transient engine.
+const FAIL_TIMES: Size<usize> = Size(12, 3);
 
-fn usage() -> ! {
-    eprintln!("usage: faultdyn [--samples N]");
-    std::process::exit(2);
+/// The three configurations of one engine, rebuild first.
+fn configs(scenarios: usize) -> [Config; 3] {
+    [
+        Config::new("rebuild_scenarios_per_sec", scenarios),
+        Config::new("reuse_scenarios_per_sec", scenarios).ratio("speedup"),
+        Config::new("parallel_scenarios_per_sec", scenarios).ratio("parallel_speedup"),
+    ]
 }
 
-/// Dies loudly on any non-finite reported quantity instead of writing
-/// a poisoned JSON.
-fn check_finite(label: &str, values: &[(&str, f64)]) {
-    let bad: Vec<String> = values
-        .iter()
-        .filter(|(_, v)| !v.is_finite())
-        .map(|(name, v)| format!("{label}: {name} = {v}"))
-        .collect();
-    if !bad.is_empty() {
-        for b in &bad {
-            eprintln!("non-finite output: {b}");
-        }
-        std::process::exit(1);
-    }
+/// Measures one engine: `rebuild` answers one scenario from scratch,
+/// `reuse(threads)` answers them all on the compiled engine. Asserts
+/// serial == parallel bitwise and returns the serial report.
+fn engine<S, R: PartialEq + std::fmt::Debug>(
+    bench: &Bench,
+    label: &str,
+    scenarios: &[S],
+    rebuild: impl Fn(&S),
+    reuse: impl Fn(usize) -> R,
+) -> (Measured, R) {
+    let (mut serial, mut parallel) = (None, None);
+    let label = format!("{label} ({} scenarios)", scenarios.len());
+    let m = bench.measure(&label, &configs(scenarios.len()), |config| match config {
+        0 => scenarios.iter().for_each(&rebuild),
+        1 => serial = Some(reuse(1)),
+        _ => parallel = Some(reuse(0)),
+    });
+    let serial = serial.expect("serial ran");
+    assert_eq!(
+        Some(&serial),
+        parallel.as_ref(),
+        "{label}: serial != parallel"
+    );
+    (m, serial)
 }
 
 fn main() {
-    let mut samples: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--samples" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                samples = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            _ => usage(),
-        }
-    }
-    let smoke = samples.is_some();
-
+    let bench = Bench::from_args("Dynamic-fault", "BENCH_faultdyn.json");
+    let n_minus_1 = |vrs: usize| {
+        let mut s = FaultScenario::n_minus_1(vrs);
+        s.truncate(bench.size(SCENARIOS));
+        s
+    };
     let (spec, calib, _) = vpd_bench::paper_env();
-    vpd_bench::banner(if smoke {
-        "Dynamic-fault smoke"
-    } else {
-        "Dynamic-fault benchmark (BENCH_faultdyn.json)"
-    });
 
     // --- Faulted impedance: restamp vs rebuild-per-scenario -------------
     let zsweep = FaultImpedanceSweep::new(ARCH, &spec, &calib).unwrap();
-    let mut scenarios = FaultScenario::n_minus_1(zsweep.vr_count());
-    if let Some(n) = samples {
-        scenarios.truncate(n.max(1));
-    }
-    let points = if smoke { 16 } else { 48 };
+    let scenarios = n_minus_1(zsweep.vr_count());
+    let points = bench.size(POINTS);
     let freqs: Vec<Hertz> = ImpedanceSweepSettings {
         points,
         threads: 1,
@@ -97,197 +99,91 @@ fn main() {
     }
     .frequencies()
     .unwrap();
-
-    let t = Instant::now();
-    let z_serial = zsweep.run(&scenarios, &freqs, 1).unwrap();
-    let z_reuse_per_sec = scenarios.len() as f64 / t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let z_parallel = zsweep.run(&scenarios, &freqs, 0).unwrap();
-    let z_parallel_per_sec = scenarios.len() as f64 / t.elapsed().as_secs_f64();
-    assert_eq!(z_serial, z_parallel, "impedance: serial != parallel");
-
-    let t = Instant::now();
-    for s in &scenarios {
-        // Rebuild path: fresh engine, faulted netlist from scratch, no
-        // compiled plan carried between scenarios.
-        let fresh = FaultImpedanceSweep::new(ARCH, &spec, &calib).unwrap();
-        fresh
-            .faulted_model(s)
-            .unwrap()
-            .impedance_profile(&freqs)
-            .unwrap();
-    }
-    let z_rebuild_per_sec = scenarios.len() as f64 / t.elapsed().as_secs_f64();
-    let z_speedup = z_reuse_per_sec / z_rebuild_per_sec;
-    check_finite(
+    let (z, z_report) = engine(
+        &bench,
         "impedance",
-        &[
-            ("reuse_per_sec", z_reuse_per_sec),
-            ("rebuild_per_sec", z_rebuild_per_sec),
-            ("speedup", z_speedup),
-            ("worst_peak", z_serial.worst_peak.value()),
-        ],
+        &scenarios,
+        |s| {
+            // Fresh engine, faulted netlist from scratch, no compiled
+            // plan carried between scenarios.
+            let fresh = FaultImpedanceSweep::new(ARCH, &spec, &calib).unwrap();
+            let model = fresh.faulted_model(s).unwrap();
+            model.impedance_profile(&freqs).unwrap();
+        },
+        |threads| zsweep.run(&scenarios, &freqs, threads).unwrap(),
     );
-    println!(
-        "impedance ({} scenarios x {points} points): reuse {z_reuse_per_sec:.1}/s, \
-         rebuild {z_rebuild_per_sec:.1}/s ({z_speedup:.2}x), worst peak {:.3e} Ω ({})",
-        scenarios.len(),
-        z_serial.worst_peak.value(),
-        z_serial.worst_scenario,
-    );
+    assert!(z_report.worst_peak.value().is_finite());
 
     // --- VR-failure transients: shared plan vs compile-per-scenario -----
     let model = PdnModel::for_architecture(ARCH);
     let step = LoadStep::paper_default(&spec);
     let sim = Seconds::from_microseconds(20.0);
     let dt = Seconds::from_nanoseconds(40.0);
-    let fail_count = samples.unwrap_or(12);
-    let fails = VrFailureScenario::grid(fail_count, Seconds::from_microseconds(16.0));
+    let fails = VrFailureScenario::grid(bench.size(FAIL_TIMES), Seconds::from_microseconds(16.0));
     let tsweep = FaultTransientSweep::new(ARCH, &model, &step, sim, dt).unwrap();
-
-    let t = Instant::now();
-    let t_serial = tsweep.run(&fails, 1).unwrap();
-    let t_reuse_per_sec = fails.len() as f64 / t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let t_parallel = tsweep.run(&fails, 0).unwrap();
-    let t_parallel_per_sec = fails.len() as f64 / t.elapsed().as_secs_f64();
-    assert_eq!(t_serial, t_parallel, "transient: serial != parallel");
-
-    let t = Instant::now();
-    for s in &fails {
-        let fresh = FaultTransientSweep::new(ARCH, &model, &step, sim, dt).unwrap();
-        fresh.run(std::slice::from_ref(s), 1).unwrap();
-    }
-    let t_rebuild_per_sec = fails.len() as f64 / t.elapsed().as_secs_f64();
-    let t_speedup = t_reuse_per_sec / t_rebuild_per_sec;
-    check_finite(
-        "transient",
-        &[
-            ("reuse_per_sec", t_reuse_per_sec),
-            ("rebuild_per_sec", t_rebuild_per_sec),
-            ("speedup", t_speedup),
-            ("worst_droop", t_serial.worst_droop.value()),
-        ],
+    let (t, t_report) = engine(
+        &bench,
+        "transient (20 µs @ 40 ns)",
+        &fails,
+        |s| {
+            let fresh = FaultTransientSweep::new(ARCH, &model, &step, sim, dt).unwrap();
+            fresh.run(std::slice::from_ref(s), 1).unwrap();
+        },
+        |threads| tsweep.run(&fails, threads).unwrap(),
     );
-    println!(
-        "transient ({} scenarios, 20 µs @ 40 ns): reuse {t_reuse_per_sec:.1}/s, \
-         rebuild {t_rebuild_per_sec:.1}/s ({t_speedup:.2}x), worst droop {:.4} V ({})",
-        fails.len(),
-        t_serial.worst_droop.value(),
-        t_serial.worst_scenario,
-    );
+    assert!(t_report.worst_droop.value().is_finite());
 
-    // --- Faulted DC solves: warm restamp vs cold grid build -------------
+    // --- Faulted DC solves: reuse vs cold grid build --------------------
     let dc_sweep = FaultSweep::new(ARCH, VrTopologyKind::Dsch, &spec, &calib).unwrap();
-    let mut dc_scenarios = FaultScenario::n_minus_1(dc_sweep.vr_count());
-    if let Some(n) = samples {
-        dc_scenarios.truncate(n.max(1));
-    }
-
-    let t = Instant::now();
-    let dc_serial = dc_sweep.run(&dc_scenarios, 1).unwrap();
-    let dc_reuse_per_sec = dc_scenarios.len() as f64 / t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let dc_parallel = dc_sweep.run(&dc_scenarios, 0).unwrap();
-    let dc_parallel_per_sec = dc_scenarios.len() as f64 / t.elapsed().as_secs_f64();
-    assert_eq!(dc_serial, dc_parallel, "dc: serial != parallel");
-
-    let t = Instant::now();
-    for s in &dc_scenarios {
-        let fresh = FaultSweep::new(ARCH, VrTopologyKind::Dsch, &spec, &calib).unwrap();
-        fresh.run(std::slice::from_ref(s), 1).unwrap();
-    }
-    let dc_rebuild_per_sec = dc_scenarios.len() as f64 / t.elapsed().as_secs_f64();
-    let plan_reuse_speedup = dc_reuse_per_sec / dc_rebuild_per_sec;
-    check_finite(
+    let dc_scenarios = n_minus_1(dc_sweep.vr_count());
+    let (dc, dc_report) = engine(
+        &bench,
         "dc",
-        &[
-            ("reuse_per_sec", dc_reuse_per_sec),
-            ("rebuild_per_sec", dc_rebuild_per_sec),
-            ("plan_reuse_speedup", plan_reuse_speedup),
-            ("worst_drop", dc_serial.worst_drop.value()),
-        ],
+        &dc_scenarios,
+        |s| {
+            let fresh = FaultSweep::new(ARCH, VrTopologyKind::Dsch, &spec, &calib).unwrap();
+            fresh.run(std::slice::from_ref(s), 1).unwrap();
+        },
+        |threads| dc_sweep.run(&dc_scenarios, threads).unwrap(),
     );
-    println!(
-        "dc ({} scenarios): reuse {dc_reuse_per_sec:.1}/s, \
-         rebuild {dc_rebuild_per_sec:.1}/s ({plan_reuse_speedup:.2}x), worst drop {:.4} V ({})",
-        dc_scenarios.len(),
-        dc_serial.worst_drop.value(),
-        dc_serial.worst_scenario,
-    );
+    assert!(dc_report.worst_drop.value().is_finite());
 
     // --- Electro-thermal cascade: warm solver vs cold build -------------
     let settings = CascadeSettings::default();
     let ladder = CascadeLadder::new(ARCH, VrTopologyKind::Dsch, &spec, &calib, &settings).unwrap();
-    let mut cascade_scenarios = FaultScenario::n_minus_1(ladder.vr_count());
-    if let Some(n) = samples {
-        cascade_scenarios.truncate(n.max(1));
-    }
-
-    let t = Instant::now();
-    let c_serial = ladder.run(&cascade_scenarios, 1).unwrap();
-    let c_reuse_per_sec = cascade_scenarios.len() as f64 / t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let c_parallel = ladder.run(&cascade_scenarios, 0).unwrap();
-    let c_parallel_per_sec = cascade_scenarios.len() as f64 / t.elapsed().as_secs_f64();
-    assert_eq!(c_serial, c_parallel, "cascade: serial != parallel");
-
-    let t = Instant::now();
-    for s in &cascade_scenarios {
-        let fresh =
-            CascadeLadder::new(ARCH, VrTopologyKind::Dsch, &spec, &calib, &settings).unwrap();
-        fresh.run(std::slice::from_ref(s), 1).unwrap();
-    }
-    let c_rebuild_per_sec = cascade_scenarios.len() as f64 / t.elapsed().as_secs_f64();
-    let c_speedup = c_reuse_per_sec / c_rebuild_per_sec;
-    check_finite(
+    let cascade_scenarios = n_minus_1(ladder.vr_count());
+    let (cascade, c_report) = engine(
+        &bench,
         "cascade",
+        &cascade_scenarios,
+        |s| {
+            let fresh =
+                CascadeLadder::new(ARCH, VrTopologyKind::Dsch, &spec, &calib, &settings).unwrap();
+            fresh.run(std::slice::from_ref(s), 1).unwrap();
+        },
+        |threads| ladder.run(&cascade_scenarios, threads).unwrap(),
+    );
+    assert!(c_report.worst_drop.value().is_finite());
+    assert!(c_report.converged > 0, "no cascade scenario converged");
+
+    bench.finish(
+        auto_threads(),
+        vec![
+            z.section(
+                "impedance",
+                &[("scenarios", scenarios.len()), ("points", points)],
+            ),
+            t.section("transient", &[("scenarios", fails.len())]),
+            dc.section("dc", &[("scenarios", dc_scenarios.len())]),
+            cascade.section("cascade", &[("scenarios", cascade_scenarios.len())]),
+        ],
         &[
-            ("reuse_per_sec", c_reuse_per_sec),
-            ("rebuild_per_sec", c_rebuild_per_sec),
-            ("speedup", c_speedup),
-            ("worst_drop", c_serial.worst_drop.value()),
+            Bound::AtLeast("impedance.speedup", 1.0),
+            Bound::AtLeast("transient.speedup", 1.0),
+            // Amortizing one compiled grid across a contingency set must
+            // beat rebuilding it per scenario by 3x (so also 1.0).
+            Bound::AtLeast("dc.speedup", 3.0),
+            Bound::AtLeast("cascade.speedup", 1.0),
         ],
     );
-    println!(
-        "cascade ({} scenarios): reuse {c_reuse_per_sec:.1}/s, \
-         rebuild {c_rebuild_per_sec:.1}/s ({c_speedup:.2}x), \
-         {} converged / {} capped / {} diverged, survives: {}",
-        cascade_scenarios.len(),
-        c_serial.converged,
-        c_serial.capped,
-        c_serial.diverged,
-        c_serial.survives,
-    );
-
-    if smoke {
-        println!(
-            "\nsmoke OK ({} scenarios, all outputs finite, serial == parallel)",
-            scenarios.len() + fails.len() + dc_scenarios.len() + cascade_scenarios.len()
-        );
-        return;
-    }
-
-    // The acceptance bar: amortizing one compiled grid across a
-    // contingency set must beat rebuilding it per scenario by 3x.
-    assert!(
-        plan_reuse_speedup >= 3.0,
-        "dc plan reuse {plan_reuse_speedup:.2}x fell below the 3x bar"
-    );
-
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    let json = format!(
-        "{{\n  \"impedance\": {{\n    \"architecture\": \"A2\",\n    \"scenarios\": {},\n    \"points\": {points},\n    \"reuse_scenarios_per_sec\": {z_reuse_per_sec:.3},\n    \"rebuild_scenarios_per_sec\": {z_rebuild_per_sec:.3},\n    \"parallel_scenarios_per_sec\": {z_parallel_per_sec:.3},\n    \"speedup\": {z_speedup:.3},\n    \"worst_peak_ohm\": {:.6e},\n    \"parallel_matches_serial_bitwise\": true\n  }},\n  \"transient\": {{\n    \"scenarios\": {},\n    \"sim_us\": 20.0,\n    \"dt_ns\": 40.0,\n    \"reuse_scenarios_per_sec\": {t_reuse_per_sec:.3},\n    \"rebuild_scenarios_per_sec\": {t_rebuild_per_sec:.3},\n    \"parallel_scenarios_per_sec\": {t_parallel_per_sec:.3},\n    \"speedup\": {t_speedup:.3},\n    \"worst_droop_volts\": {:.6},\n    \"parallel_matches_serial_bitwise\": true\n  }},\n  \"dc\": {{\n    \"scenarios\": {},\n    \"reuse_scenarios_per_sec\": {dc_reuse_per_sec:.3},\n    \"rebuild_scenarios_per_sec\": {dc_rebuild_per_sec:.3},\n    \"parallel_scenarios_per_sec\": {dc_parallel_per_sec:.3},\n    \"speedup\": {plan_reuse_speedup:.3},\n    \"worst_drop_volts\": {:.6},\n    \"parallel_matches_serial_bitwise\": true\n  }},\n  \"cascade\": {{\n    \"scenarios\": {},\n    \"reuse_scenarios_per_sec\": {c_reuse_per_sec:.3},\n    \"rebuild_scenarios_per_sec\": {c_rebuild_per_sec:.3},\n    \"parallel_scenarios_per_sec\": {c_parallel_per_sec:.3},\n    \"speedup\": {c_speedup:.3},\n    \"converged\": {},\n    \"survives\": {},\n    \"parallel_matches_serial_bitwise\": true\n  }},\n  \"threads\": {threads},\n  \"plan_reuse_speedup\": {plan_reuse_speedup:.3}\n}}\n",
-        scenarios.len(),
-        z_serial.worst_peak.value(),
-        fails.len(),
-        t_serial.worst_droop.value(),
-        dc_scenarios.len(),
-        dc_serial.worst_drop.value(),
-        cascade_scenarios.len(),
-        c_serial.converged,
-        c_serial.survives,
-    );
-    std::fs::write("BENCH_faultdyn.json", &json).unwrap();
-    println!("\nwrote BENCH_faultdyn.json");
 }

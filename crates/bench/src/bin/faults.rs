@@ -13,78 +13,62 @@
 //!   from the nominal regulator response, how many VR-local ones its
 //!   conditioning guard sent back to the restamp path, how many took the
 //!   restamp path (region and sheet faults), and how many of those
-//!   needed a cold restart or the dense-LU fallback; plus a Monte-Carlo
-//!   reference rate so the sweep's cost can be compared against the
-//!   Monte-Carlo engine.
+//!   needed a cold restart or the dense-LU fallback.
+//!
+//! The baseline is the Monte-Carlo engine's serial rate on A1/DSCH.
+//! Both engines answer each item from one nominal regulator response —
+//! a Monte-Carlo sample as a uniform mesh-and-droop update, a VR-local
+//! fault scenario as an edit of its own regulators — so the serial N-1
+//! sweep must hold at least half that rate (`sweep_vs_monte_carlo`).
 //!
 //! ```sh
 //! cargo run --release -p vpd-bench --bin faults              # full, writes JSON
-//! cargo run --release -p vpd-bench --bin faults -- --samples 8   # CI smoke
+//! cargo run --release -p vpd-bench --bin faults -- --smoke   # CI smoke
 //! ```
 //!
 //! Exits non-zero if any reported quantity is non-finite.
 
-use std::time::Instant;
+use vpd_bench::perf::{auto_threads, section, Bench, Bound, Config, Size};
 use vpd_converters::VrTopologyKind;
 use vpd_core::{
     run_tolerance, Architecture, FaultScenario, FaultSweep, FaultSweepReport, McSettings,
 };
 
-fn usage() -> ! {
-    eprintln!("usage: faults [--samples N]");
-    std::process::exit(2);
-}
+/// N-1 scenarios: all of them, or the first eight.
+const N1_SCENARIOS: Size<usize> = Size(usize::MAX, 8);
+/// N-1 sweeps per timed run: one low-rank sweep takes ~100 µs.
+const N1_PASSES: Size<usize> = Size(20, 1);
+/// Random-k scenarios.
+const RANDOM_SCENARIOS: Size<usize> = Size(128, 8);
+/// Monte-Carlo reference samples.
+const MC_SAMPLES: Size<usize> = Size(200, 8);
 
-/// Validates every number the sweep reports; non-finite output is a
-/// solver bug, so die loudly rather than writing a poisoned JSON.
+/// Asserts every number the sweep reports is finite: non-finite output
+/// is a solver bug.
 fn check_finite(label: &str, report: &FaultSweepReport) {
-    let mut bad = Vec::new();
     for o in &report.outcomes {
         let fields = [
-            ("worst_drop", o.worst_drop.value()),
-            ("surviving_min", o.surviving_min.value()),
-            ("surviving_max", o.surviving_max.value()),
-            ("surviving_mean", o.surviving_mean.value()),
-            ("spread", o.spread),
+            o.worst_drop.value(),
+            o.surviving_min.value(),
+            o.surviving_max.value(),
+            o.surviving_mean.value(),
+            o.spread,
         ];
-        for (name, v) in fields {
-            if !v.is_finite() {
-                bad.push(format!("{label}/{}: {name} = {v}", o.name));
-            }
-        }
+        assert!(
+            fields.iter().all(|v| v.is_finite()),
+            "{label}/{}: non-finite output {fields:?}",
+            o.name
+        );
     }
-    if !report.worst_drop.value().is_finite() || !report.max_spread.is_finite() {
-        bad.push(format!("{label}: summary non-finite"));
-    }
-    if !bad.is_empty() {
-        for b in &bad {
-            eprintln!("non-finite output: {b}");
-        }
-        std::process::exit(1);
-    }
+    assert!(
+        report.worst_drop.value().is_finite() && report.max_spread.is_finite(),
+        "{label}: summary non-finite"
+    );
 }
 
 fn main() {
-    let mut samples: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--samples" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                samples = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            _ => usage(),
-        }
-    }
-    let smoke = samples.is_some();
-
+    let bench = Bench::from_args("Fault-sweep", "BENCH_faults.json");
     let (spec, calib, _) = vpd_bench::paper_env();
-    vpd_bench::banner(if smoke {
-        "Fault-sweep smoke"
-    } else {
-        "Fault-sweep benchmark (BENCH_faults.json)"
-    });
-
     let sweep = FaultSweep::new(
         Architecture::InterposerEmbedded,
         VrTopologyKind::Dsch,
@@ -93,116 +77,96 @@ fn main() {
     )
     .unwrap();
 
-    // --- N-1 contingency, serial vs parallel ----------------------------
     let mut n_minus_1 = FaultScenario::n_minus_1(sweep.vr_count());
-    if let Some(n) = samples {
-        n_minus_1.truncate(n.max(1));
-    }
+    n_minus_1.truncate(bench.size(N1_SCENARIOS));
     let n1_count = n_minus_1.len();
-
-    // A low-rank N-1 sweep takes tens of microseconds: rate the median
-    // of a few runs rather than one cold one.
-    let rate = |threads: usize| {
-        let mut rates: Vec<f64> = (0..5)
-            .map(|_| {
-                let start = Instant::now();
-                sweep.run(&n_minus_1, threads).unwrap();
-                n1_count as f64 / start.elapsed().as_secs_f64()
-            })
-            .collect();
-        rates.sort_by(f64::total_cmp);
-        rates[rates.len() / 2]
-    };
-    let serial = sweep.run(&n_minus_1, 1).unwrap();
-    let parallel = sweep.run(&n_minus_1, 0).unwrap();
-    let (serial_per_sec, parallel_per_sec) = (rate(1), rate(0));
-
-    assert_eq!(serial, parallel, "thread count must not change the report");
-    check_finite("n-1", &serial);
-    println!(
-        "A2 N-1 ({n1_count} scenarios): serial {serial_per_sec:.1}/s, \
-         parallel {parallel_per_sec:.1}/s, worst drop {:.4} V ({}), \
-         fallbacks {}",
-        serial.worst_drop.value(),
-        serial.worst_scenario,
-        serial.fallback_count,
-    );
-
-    // --- Random-k batch over the full fault taxonomy --------------------
+    let n1_passes = bench.size(N1_PASSES);
     let k = 3;
-    let batch = samples.unwrap_or(128);
+    let batch = bench.size(RANDOM_SCENARIOS);
     let random = FaultScenario::random_k(k, batch, 0xFA17, sweep.vr_count(), sweep.grid_side());
-    let random_start = Instant::now();
-    let random_report = sweep.run(&random, 0).unwrap();
-    let random_per_sec = batch as f64 / random_start.elapsed().as_secs_f64();
+    let mc_samples = bench.size(MC_SAMPLES);
+    let mc_settings = McSettings {
+        samples: mc_samples,
+        threads: 1,
+        ..McSettings::default()
+    };
+
+    let (mut serial, mut parallel, mut random_report) = (None, None, None);
+    let m = bench.measure(
+        &format!("A2 N-1 ({n1_count}), random-{k} ({batch}), monte-carlo ({mc_samples})"),
+        &[
+            Config::new("monte_carlo_serial_samples_per_sec", mc_samples),
+            Config::new("n1_serial_scenarios_per_sec", n1_passes * n1_count)
+                .ratio("sweep_vs_monte_carlo"),
+            Config::new("n1_parallel_scenarios_per_sec", n1_passes * n1_count),
+            Config::new("random_k_scenarios_per_sec", batch),
+        ],
+        |config| match config {
+            0 => {
+                run_tolerance(
+                    Architecture::InterposerPeriphery,
+                    VrTopologyKind::Dsch,
+                    &spec,
+                    &calib,
+                    &mc_settings,
+                )
+                .unwrap();
+            }
+            1 => (0..n1_passes).for_each(|_| serial = Some(sweep.run(&n_minus_1, 1).unwrap())),
+            2 => (0..n1_passes).for_each(|_| parallel = Some(sweep.run(&n_minus_1, 0).unwrap())),
+            _ => random_report = Some(sweep.run(&random, 0).unwrap()),
+        },
+    );
+    let serial = serial.expect("serial ran");
+    let random_report = random_report.expect("random-k ran");
+    assert_eq!(
+        Some(&serial),
+        parallel.as_ref(),
+        "thread count must not change the report"
+    );
+    check_finite("n-1", &serial);
     check_finite("random-k", &random_report);
 
     let evaluated = n1_count + batch;
     let low_rank = serial.lowrank_scenarios + random_report.lowrank_scenarios;
     let guarded = serial.lowrank_fallbacks + random_report.lowrank_fallbacks;
-    let restamped = evaluated - low_rank;
-    let fallback_rate =
-        (serial.fallback_count + random_report.fallback_count) as f64 / evaluated as f64;
+    let fallbacks = serial.fallback_count + random_report.fallback_count;
     println!(
-        "random-{k} ({batch} scenarios): {random_per_sec:.1}/s, worst drop {:.4} V, \
-         max spread {:.1}x, overloaded scenarios {}",
-        random_report.worst_drop.value(),
-        random_report.max_spread,
-        random_report.overloaded_scenarios,
-    );
-    println!(
-        "solver path: {low_rank}/{evaluated} scenarios low-rank, {restamped} restamped \
-         ({guarded} by the conditioning guard), solver fallback rate {:.1}%, stagnations {}",
-        100.0 * fallback_rate,
-        serial.stagnation_count + random_report.stagnation_count,
-    );
-
-    if smoke {
-        println!("\nsmoke OK ({evaluated} scenarios, all outputs finite)");
-        return;
-    }
-
-    // --- Monte-Carlo reference rate -------------------------------------
-    // The acceptance bar: a Monte-Carlo sample is a restamp plus a warm
-    // solve, the most a fault scenario costs, so the sweep should hold
-    // at least half the MC engine's serial rate.
-    let mc_samples = 200;
-    let mc_start = Instant::now();
-    run_tolerance(
-        Architecture::InterposerPeriphery,
-        VrTopologyKind::Dsch,
-        &spec,
-        &calib,
-        &McSettings {
-            samples: mc_samples,
-            threads: 1,
-            ..McSettings::default()
-        },
-    )
-    .unwrap();
-    let mc_per_sec = mc_samples as f64 / mc_start.elapsed().as_secs_f64();
-    let vs_mc = serial_per_sec / mc_per_sec;
-    println!(
-        "reference: monte-carlo serial {mc_per_sec:.1}/s, \
-         fault sweep at {:.2}x of it",
-        vs_mc
-    );
-    assert!(
-        vs_mc >= 0.5,
-        "fault-sweep throughput {serial_per_sec:.1}/s fell below half the MC rate {mc_per_sec:.1}/s"
-    );
-
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    let json = format!(
-        "{{\n  \"n_minus_1\": {{\n    \"architecture\": \"A2\",\n    \"scenarios\": {n1_count},\n    \"serial_scenarios_per_sec\": {serial_per_sec:.3},\n    \"parallel_scenarios_per_sec\": {parallel_per_sec:.3},\n    \"threads\": {threads},\n    \"worst_drop_volts\": {:.6},\n    \"worst_scenario\": \"{}\",\n    \"max_spread\": {:.3},\n    \"parallel_matches_serial_bitwise\": true\n  }},\n  \"random_k\": {{\n    \"k\": {k},\n    \"scenarios\": {batch},\n    \"scenarios_per_sec\": {random_per_sec:.3},\n    \"worst_drop_volts\": {:.6},\n    \"max_spread\": {:.3},\n    \"overloaded_scenarios\": {}\n  }},\n  \"solver\": {{\n    \"scenarios_evaluated\": {evaluated},\n    \"low_rank\": {low_rank},\n    \"restamp_path\": {restamped},\n    \"low_rank_guard_fallbacks\": {guarded},\n    \"fallback_rate\": {fallback_rate:.4},\n    \"stagnations\": {}\n  }},\n  \"reference\": {{\n    \"monte_carlo_serial_samples_per_sec\": {mc_per_sec:.3},\n    \"sweep_vs_monte_carlo\": {vs_mc:.3}\n  }}\n}}\n",
+        "N-1 worst drop {:.4} V ({}); random-{k} worst drop {:.4} V, max spread {:.1}x; \
+         solver path: {low_rank}/{evaluated} low-rank ({guarded} guarded), \
+         {fallbacks} solver fallbacks",
         serial.worst_drop.value(),
         serial.worst_scenario,
-        serial.max_spread,
         random_report.worst_drop.value(),
         random_report.max_spread,
-        random_report.overloaded_scenarios,
-        serial.stagnation_count + random_report.stagnation_count,
     );
-    std::fs::write("BENCH_faults.json", &json).unwrap();
-    println!("\nwrote BENCH_faults.json");
+
+    let sizes = [
+        ("n1_scenarios", n1_count),
+        ("n1_passes", n1_passes),
+        ("random_k_scenarios", batch),
+        ("monte_carlo_samples", mc_samples),
+    ];
+    bench.finish(
+        auto_threads(),
+        vec![
+            m.section("rates", &sizes),
+            section(
+                "solver",
+                &[
+                    ("scenarios_evaluated", evaluated),
+                    ("low_rank", low_rank),
+                    ("restamp_path", evaluated - low_rank),
+                    ("low_rank_guard_fallbacks", guarded),
+                    ("fallbacks", fallbacks),
+                    (
+                        "stagnations",
+                        serial.stagnation_count + random_report.stagnation_count,
+                    ),
+                ],
+                &[],
+            ),
+        ],
+        &[Bound::AtLeast("rates.sweep_vs_monte_carlo", 0.5)],
+    );
 }

@@ -7,15 +7,15 @@
 //! A2 fault sweep over a seeded
 //! random-3 scenario set kept to the draws that carry a region or sheet
 //! fault, so every scenario takes the instrumented restamp path (restamp,
-//! warm-started CG, current recovery). Off and on trials alternate in
-//! pairs, each pair swapping which runs first, so host drift hits both
-//! sides alike; the overhead is the median of the per-pair time ratios.
-//! Three things are asserted:
+//! warm-started CG, current recovery). Off and on runs alternate in
+//! [`OBS_ROUNDS`] short rounds, each swapping which runs first, so host
+//! drift hits both sides alike; the overhead is the per-round time
+//! ratio on/off − 1. Three things are checked:
 //!
 //! * **Bitwise identity** — enabling metrics must not change a single
 //!   bit of either result (instrumentation is observational only).
-//! * **Overhead bound** — the median instrumented time stays within
-//!   3 % of uninstrumented.
+//! * **Overhead bound** — the median overhead stays within 3 % (the
+//!   audit of the record).
 //! * **Snapshot sanity** — the counters recorded while metrics were on
 //!   match the work performed: every Monte-Carlo sample was answered
 //!   from the response, and the fault half restamped (no scenario was
@@ -23,150 +23,75 @@
 //!
 //! ```sh
 //! cargo run --release -p vpd-bench --bin obs              # full, writes JSON
-//! cargo run --release -p vpd-bench --bin obs -- --samples 8   # CI smoke
+//! cargo run --release -p vpd-bench --bin obs -- --smoke   # CI smoke
 //! ```
 
-use std::time::Instant;
+use vpd_bench::perf::{section, Bench, Bound, Config, Measured, Size, Stat};
 use vpd_converters::VrTopologyKind;
 use vpd_core::{run_tolerance, Architecture, Fault, FaultScenario, FaultSweep, McSettings};
 use vpd_obs::MetricsSnapshot;
-use vpd_report::Json;
 
 /// Largest tolerated median metrics overhead.
 const MARGIN: f64 = 0.03;
 /// Seed of the random-3 fault draws.
 const FAULT_SEED: u64 = 4;
+/// Off/on rounds of a full run: many short rounds keep drift between
+/// the two runs of a round small, and the median of many ratios stable.
+const OBS_ROUNDS: usize = 61;
+/// Monte-Carlo samples per run.
+const MC_SAMPLES: Size<usize> = Size(100, 8);
+/// Restamp-path fault scenarios per run.
+const FAULT_SCENARIOS: Size<usize> = Size(16, 8);
 
-fn usage() -> ! {
-    eprintln!("usage: obs [--samples N]");
-    std::process::exit(2);
-}
-
-/// Paired off/on timings of one workload.
+/// One workload timed with metrics off and on.
 struct Paired<R> {
-    /// Wall seconds with metrics off, one per pair.
-    off: Vec<f64>,
-    /// Wall seconds with metrics on, one per pair.
-    on: Vec<f64>,
     /// The last result with metrics off and on.
-    results: (R, R),
-    /// Metrics recorded by the on trials alone.
+    results: [R; 2],
+    /// Metrics recorded by the on runs alone, and how many there were.
     snapshot: MetricsSnapshot,
+    on_runs: usize,
+    measured: Measured,
+    /// Per-round overhead, on/off time − 1.
+    overhead: Stat,
 }
 
-fn time<R>(f: &mut impl FnMut() -> R) -> (f64, R) {
-    let start = Instant::now();
-    let r = f();
-    (start.elapsed().as_secs_f64(), r)
-}
-
-/// Runs `pairs` off/on trial pairs of `f`, swapping the order in every
-/// other pair, after one untimed warm-up run.
-fn paired<R>(pairs: usize, mut f: impl FnMut() -> R) -> Paired<R> {
-    vpd_obs::set_enabled(false);
-    f();
+/// Times `f` with metrics off (the baseline) and on, `work` items per
+/// run, its rates recorded under `rates`.
+fn paired<R>(
+    bench: &Bench,
+    label: &str,
+    work: usize,
+    rates: [&'static str; 2],
+    mut f: impl FnMut() -> R,
+) -> Paired<R> {
+    let mut results = [None, None];
+    let mut on_runs = 0;
     vpd_obs::reset();
-    let (mut off, mut on) = (Vec::new(), Vec::new());
-    let mut last = (None, None);
-    for pair in 0..pairs {
-        for metrics in [pair % 2 == 1, pair % 2 == 0] {
-            vpd_obs::set_enabled(metrics);
-            let (secs, r) = time(&mut f);
-            if metrics {
-                on.push(secs);
-                last.1 = Some(r);
-            } else {
-                off.push(secs);
-                last.0 = Some(r);
-            }
-        }
-    }
+    let configs = rates.map(|rate| Config::new(rate, work));
+    let measured = bench.measure(label, &configs, |config| {
+        vpd_obs::set_enabled(config == 1);
+        results[config] = Some(f());
+        on_runs += config;
+    });
     vpd_obs::set_enabled(false);
+    let overhead: Vec<f64> = measured.ratios(1).iter().map(|r| 1.0 / r - 1.0).collect();
+    let overhead = Stat::of(&overhead);
+    println!("  {:<36} {overhead}", "overhead");
     Paired {
-        off,
-        on,
-        results: (
-            last.0.expect("at least one pair"),
-            last.1.expect("at least one pair"),
-        ),
+        results: results.map(|r| r.expect("every configuration ran")),
         snapshot: vpd_obs::snapshot(),
-    }
-}
-
-/// The `q`-quantile of `xs` (nearest rank).
-fn quantile(xs: &[f64], q: f64) -> f64 {
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    v[((v.len() - 1) as f64 * q).round() as usize]
-}
-
-impl<R> Paired<R> {
-    /// Per-pair overhead `on/off − 1`: (first quartile, median, third
-    /// quartile).
-    fn overhead(&self) -> (f64, f64, f64) {
-        let ratios: Vec<f64> = self
-            .on
-            .iter()
-            .zip(&self.off)
-            .map(|(on, off)| on / off - 1.0)
-            .collect();
-        (
-            quantile(&ratios, 0.25),
-            quantile(&ratios, 0.5),
-            quantile(&ratios, 0.75),
-        )
-    }
-
-    /// Median throughput `(off, on)` for `work` items per trial.
-    fn rates(&self, work: usize) -> (f64, f64) {
-        (
-            work as f64 / quantile(&self.off, 0.5),
-            work as f64 / quantile(&self.on, 0.5),
-        )
-    }
-
-    /// The record of this workload; `unit` names its work items.
-    fn json(&self, unit: &str, work: usize) -> Json {
-        let (q1, median, q3) = self.overhead();
-        let (off, on) = self.rates(work);
-        Json::obj([
-            (unit.to_owned(), Json::from(work)),
-            ("pairs".to_owned(), Json::from(self.on.len())),
-            (format!("off_{unit}_per_sec"), Json::from(off)),
-            (format!("on_{unit}_per_sec"), Json::from(on)),
-            ("overhead".to_owned(), Json::from(median)),
-            ("overhead_q1".to_owned(), Json::from(q1)),
-            ("overhead_q3".to_owned(), Json::from(q3)),
-        ])
+        on_runs,
+        measured,
+        overhead,
     }
 }
 
 fn main() {
-    let mut samples: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--samples" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                samples = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            _ => usage(),
-        }
-    }
-    let smoke = samples.is_some();
-
+    let bench =
+        Bench::from_args("Observability-overhead", "BENCH_obs.json").with_rounds(OBS_ROUNDS);
     let (spec, calib, _) = vpd_bench::paper_env();
-    vpd_bench::banner(if smoke {
-        "Observability-overhead smoke"
-    } else {
-        "Observability-overhead benchmark (BENCH_obs.json)"
-    });
-
-    // Many short pairs: drift between the two trials of a pair stays
-    // small, and the median of many ratios is stable.
-    let mc_samples = samples.unwrap_or(100);
-    let fault_count = samples.unwrap_or(16).max(1);
-    let pairs = if smoke { 2 } else { 61 };
+    let mc_samples = bench.size(MC_SAMPLES);
+    let fault_count = bench.size(FAULT_SCENARIOS);
     let mc_settings = McSettings {
         samples: mc_samples,
         threads: 1,
@@ -198,32 +123,44 @@ fn main() {
     .collect();
     assert_eq!(scenarios.len(), fault_count, "too few restamp-path draws");
 
-    let mc = paired(pairs, || {
-        run_tolerance(
-            Architecture::InterposerPeriphery,
-            VrTopologyKind::Dsch,
-            &spec,
-            &calib,
-            &mc_settings,
-        )
-        .unwrap()
-    });
-    let faults = paired(pairs, || sweep.run(&scenarios, 1).unwrap());
+    let mc = paired(
+        &bench,
+        &format!("monte-carlo ({mc_samples} samples, serial)"),
+        mc_samples,
+        ["off_samples_per_sec", "on_samples_per_sec"],
+        || {
+            run_tolerance(
+                Architecture::InterposerPeriphery,
+                VrTopologyKind::Dsch,
+                &spec,
+                &calib,
+                &mc_settings,
+            )
+            .unwrap()
+        },
+    );
+    let faults = paired(
+        &bench,
+        &format!("restamp-path fault sweep ({fault_count} scenarios, serial)"),
+        fault_count,
+        ["off_scenarios_per_sec", "on_scenarios_per_sec"],
+        || sweep.run(&scenarios, 1).unwrap(),
+    );
 
     // Instrumentation must be purely observational.
     assert_eq!(
-        mc.results.0, mc.results.1,
+        mc.results[0], mc.results[1],
         "metrics changed the Monte-Carlo summary"
     );
     assert_eq!(
-        faults.results.0, faults.results.1,
+        faults.results[0], faults.results[1],
         "metrics changed the fault report"
     );
 
-    // Counters recorded during the on trials must match the work:
-    // `pairs` MC runs of `mc_samples` each, `pairs` fault sweeps, and
-    // every fault scenario restamped rather than answered low-rank.
-    let runs = pairs as u64;
+    // Counters recorded during the on runs must match the work: one MC
+    // run of `mc_samples` and one fault sweep per on run, and every
+    // fault scenario restamped rather than answered low-rank.
+    let runs = mc.on_runs as u64;
     assert_eq!(mc.snapshot.counter("mc.runs"), Some(runs));
     assert_eq!(
         mc.snapshot.counter("mc.samples"),
@@ -240,84 +177,57 @@ fn main() {
         "a Monte-Carlo run solved its nominal point by CG"
     );
     let f = &faults.snapshot;
-    let scenario_runs = runs * scenarios.len() as u64;
+    let runs = faults.on_runs as u64;
     assert_eq!(f.counter("faults.runs"), Some(runs));
-    assert_eq!(f.counter("faults.scenarios"), Some(scenario_runs));
+    assert_eq!(
+        f.counter("faults.scenarios"),
+        Some(runs * scenarios.len() as u64)
+    );
     assert!(f.counter("plan.restamps").unwrap_or(0) > 0, "no restamps");
     assert_eq!(
         f.counter("faults.lowrank_scenarios").unwrap_or(0),
         0,
         "a fault scenario took the low-rank path"
     );
-
-    let (_, mc_overhead, _) = mc.overhead();
-    let (_, faults_overhead, _) = faults.overhead();
-    let (mc_off, mc_on) = mc.rates(mc_samples);
-    let (faults_off, faults_on) = faults.rates(scenarios.len());
     println!(
-        "monte-carlo ({mc_samples} samples, serial, {pairs} pairs): {mc_off:.1}/s off, \
-         {mc_on:.1}/s on ({:+.2}% median overhead)",
-        100.0 * mc_overhead,
-    );
-    println!(
-        "restamp-path fault sweep ({} scenarios, serial, {pairs} pairs): {faults_off:.1}/s off, \
-         {faults_on:.1}/s on ({:+.2}% median overhead)",
-        scenarios.len(),
-        100.0 * faults_overhead,
-    );
-    println!(
-        "recorded while on: {} cg solves, {} cg iterations, {} fault-sweep restamps",
+        "recorded while on: {} cg solves, {} cg iterations, {} fault-sweep restamps; \
+         metrics on == off, bitwise",
         mc.snapshot.counter("cg.solves").unwrap_or(0) + f.counter("cg.solves").unwrap_or(0),
         mc.snapshot.counter("cg.iterations").unwrap_or(0) + f.counter("cg.iterations").unwrap_or(0),
         f.counter("plan.restamps").unwrap_or(0),
     );
 
-    if smoke {
-        println!("\nsmoke OK (metrics on == metrics off, bitwise)");
-        return;
-    }
-
-    // A recording is a handful of relaxed atomics per solve, so the true
-    // cost is far below the margin.
-    assert!(
-        mc_overhead <= MARGIN,
-        "MC metrics overhead {:.2}% exceeds {:.0}%",
-        100.0 * mc_overhead,
-        100.0 * MARGIN
-    );
-    assert!(
-        faults_overhead <= MARGIN,
-        "fault-sweep metrics overhead {:.2}% exceeds {:.0}%",
-        100.0 * faults_overhead,
-        100.0 * MARGIN
-    );
-
-    let counter = |s: &MetricsSnapshot, name: &str| Json::from(s.counter(name).unwrap_or(0) as f64);
-    let doc = Json::obj([
-        ("monte_carlo", mc.json("samples", mc_samples)),
-        ("fault_sweep", faults.json("scenarios", scenarios.len())),
+    let count = |s: &MetricsSnapshot, name| s.counter(name).unwrap_or(0) as usize;
+    let recorded = [
+        ("on_runs", mc.on_runs),
+        ("mc_cg_solves", count(&mc.snapshot, "cg.solves")),
+        ("mc_cg_iterations", count(&mc.snapshot, "cg.iterations")),
+        ("fault_cg_solves", count(f, "cg.solves")),
+        ("fault_cg_iterations", count(f, "cg.iterations")),
+        ("fault_plan_restamps", count(f, "plan.restamps")),
         (
-            "asserts",
-            Json::obj([
-                ("overhead_margin", Json::from(MARGIN)),
-                ("results_bitwise_identical", Json::from(true)),
-            ]),
+            "fault_lowrank_scenarios",
+            count(f, "faults.lowrank_scenarios"),
         ),
-        (
-            "recorded",
-            Json::obj([
-                ("mc_cg_solves", counter(&mc.snapshot, "cg.solves")),
-                ("mc_cg_iterations", counter(&mc.snapshot, "cg.iterations")),
-                ("fault_cg_solves", counter(f, "cg.solves")),
-                ("fault_cg_iterations", counter(f, "cg.iterations")),
-                ("fault_plan_restamps", counter(f, "plan.restamps")),
-                (
-                    "fault_lowrank_scenarios",
-                    counter(f, "faults.lowrank_scenarios"),
-                ),
-            ]),
-        ),
-    ]);
-    std::fs::write("BENCH_obs.json", format!("{doc}\n")).unwrap();
-    println!("\nwrote BENCH_obs.json");
+    ];
+    let overhead = [
+        ("monte_carlo", mc.overhead),
+        ("fault_sweep", faults.overhead),
+    ];
+    bench.finish(
+        1,
+        vec![
+            mc.measured
+                .section("monte_carlo", &[("samples", mc_samples)]),
+            faults
+                .measured
+                .section("fault_sweep", &[("scenarios", fault_count)]),
+            section("overhead", &[], &overhead),
+            section("recorded", &recorded, &[]),
+        ],
+        &[
+            Bound::AtMost("overhead.monte_carlo", MARGIN),
+            Bound::AtMost("overhead.fault_sweep", MARGIN),
+        ],
+    );
 }

@@ -7,13 +7,14 @@
 //!   documents cycled through [`ScenarioDoc::parse`],
 //!   [`ScenarioDoc::compile`](vpd_scenario::ScenarioDoc::compile), and
 //!   [`ScenarioDoc::render`], reported as docs/s and MiB/s.
-//! * **served inline scenarios, cold vs cached** — a loopback
-//!   `vpd-serve` server answers `kind = "scenario"` requests carrying
+//! * **served inline scenarios, cold vs cached** — loopback
+//!   `vpd-serve` servers answer `kind = "scenario"` requests carrying
 //!   inline user documents (custom spec, converter anchors, and a
-//!   `[tech.tsv]` override — no `[faults]`, which deliberately runs
-//!   cold per request). The first pass compiles each document's
-//!   analysis session into the sharded scenario cache; warmed passes
-//!   must run at least 3x faster and return bit-identical results.
+//!   `[tech.tsv]` override, no `[faults]`). A server without a cache
+//!   answers every pass cold, compiling each document's analysis
+//!   session; a caching server, warmed by one first-touch pass, answers
+//!   from its sharded scenario cache. Cached passes must run at least
+//!   3x faster and return bit-identical results.
 //! * **spelling-invariance audit** — a respelled copy of one document
 //!   (comments, reordered keys) must hit the cache entry its canonical
 //!   twin populated, proving the content-hash key is spelling-blind.
@@ -22,37 +23,19 @@
 //! cargo run --release -p vpd-bench --bin scenario             # full, writes JSON
 //! cargo run --release -p vpd-bench --bin scenario -- --smoke  # CI smoke
 //! ```
-//!
-//! Exits non-zero if any rate is non-finite or an audit fails.
 
-use std::time::Instant;
-
+use vpd_bench::perf::{Bench, Bound, Config, Size};
+use vpd_bench::Loopback;
 use vpd_report::Json;
 use vpd_scenario::{builtin_docs, ScenarioDoc};
-use vpd_serve::{call, ServeConfig, Server};
+use vpd_serve::{call, ServeConfig};
 
-fn usage() -> ! {
-    eprintln!("usage: scenario [--smoke]");
-    std::process::exit(2);
-}
-
-/// Escapes a document for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 16);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Passes over the builtin corpus per timed run.
+const CORPUS_PASSES: Size<usize> = Size(2_000, 20);
+/// Served passes over the user documents per timed run.
+const SERVED_PASSES: Size<usize> = Size(10, 3);
+/// Serving workers of each server.
+const WORKERS: usize = 2;
 
 /// A user scenario the paper does not ship: A2 with DPMIH modules, a
 /// custom power budget, explicit converter anchors, and a tightened
@@ -86,8 +69,8 @@ fn respelled_doc(power_w: f64) -> String {
 
 fn request_line(id: usize, doc: &str) -> String {
     format!(
-        r#"{{"id":{id},"kind":"scenario","params":{{"doc":"{}"}}}}"#,
-        json_escape(doc)
+        r#"{{"id":{id},"kind":"scenario","params":{{"doc":{}}}}}"#,
+        Json::from(doc)
     )
 }
 
@@ -117,57 +100,38 @@ fn unpack_pass(responses: &[String]) -> Vec<(bool, String)> {
 }
 
 fn main() {
-    let mut smoke = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            _ => usage(),
-        }
-    }
-    vpd_bench::banner(if smoke {
-        "scenario smoke"
-    } else {
-        "scenario benchmark (BENCH_scenario.json)"
-    });
+    let bench = Bench::from_args("scenario", "BENCH_scenario.json");
 
     // --- phase 1: parse / compile / render throughput -------------------
     let corpus: Vec<&str> = builtin_docs().iter().map(|(_, text)| *text).collect();
     let corpus_bytes: usize = corpus.iter().map(|t| t.len()).sum();
-    let iters = if smoke { 20 } else { 2_000 };
-
-    let start = Instant::now();
-    let mut parsed = Vec::new();
-    for _ in 0..iters {
-        parsed = corpus
-            .iter()
-            .map(|t| ScenarioDoc::parse(t).expect("builtin parses"))
-            .collect();
-    }
-    let parse_s = start.elapsed().as_secs_f64();
-    let n_docs = (iters * corpus.len()) as f64;
-    let parse_docs_per_sec = n_docs / parse_s;
-    let parse_mib_per_sec = (iters * corpus_bytes) as f64 / parse_s / (1024.0 * 1024.0);
-
-    let start = Instant::now();
-    for _ in 0..iters {
-        for doc in &parsed {
-            std::hint::black_box(doc.compile().expect("builtin compiles"));
-        }
-    }
-    let compile_docs_per_sec = n_docs / start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    for _ in 0..iters {
-        for doc in &parsed {
-            std::hint::black_box(doc.render());
-        }
-    }
-    let render_docs_per_sec = n_docs / start.elapsed().as_secs_f64();
-
-    println!(
-        "parse    {parse_docs_per_sec:>10.0} docs/s  ({parse_mib_per_sec:.1} MiB/s)\n\
-         compile  {compile_docs_per_sec:>10.0} docs/s\n\
-         render   {render_docs_per_sec:>10.0} docs/s"
+    let iters = bench.size(CORPUS_PASSES);
+    let n_docs = iters * corpus.len();
+    let parse = |t: &&str| ScenarioDoc::parse(t).expect("builtin parses");
+    let mut parsed: Vec<ScenarioDoc> = corpus.iter().map(parse).collect();
+    let docs = bench.measure(
+        &format!(
+            "builtin corpus ({} docs, {corpus_bytes} bytes)",
+            corpus.len()
+        ),
+        &[
+            Config::new("parse_docs_per_sec", n_docs),
+            Config::new("compile_docs_per_sec", n_docs),
+            Config::new("render_docs_per_sec", n_docs),
+        ],
+        |config| {
+            for _ in 0..iters {
+                match config {
+                    0 => parsed = corpus.iter().map(parse).collect(),
+                    1 => parsed.iter().for_each(|doc| {
+                        std::hint::black_box(doc.compile().expect("builtin compiles"));
+                    }),
+                    _ => parsed.iter().for_each(|doc| {
+                        std::hint::black_box(doc.render());
+                    }),
+                }
+            }
+        },
     );
 
     // --- phase 2: served inline scenarios, cold vs cached ---------------
@@ -177,92 +141,73 @@ fn main() {
         .enumerate()
         .map(|(i, &p)| request_line(i, &user_doc(p)))
         .collect();
-    let cfg = ServeConfig {
-        workers: 2,
-        queue_depth: 64,
-        cache_capacity: 64,
-        ..ServeConfig::default()
-    };
-    let server = Server::bind("127.0.0.1:0", cfg).expect("bind loopback");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let server_thread = std::thread::spawn(move || server.run());
-
-    let start = Instant::now();
-    let cold_responses = call(&addr, &lines, false).expect("cold pass");
-    let cold_s = start.elapsed().as_secs_f64();
-    let cold = unpack_pass(&cold_responses);
-    for (cached, _) in &cold {
+    let servers = [0, 64].map(|cache_capacity| {
+        Loopback::start(ServeConfig {
+            workers: WORKERS,
+            queue_depth: 64,
+            cache_capacity,
+            ..ServeConfig::default()
+        })
+    });
+    let addr = &servers[1].addr;
+    let first = unpack_pass(&call(addr, &lines, false).expect("first-touch pass"));
+    for (cached, _) in &first {
         assert!(!cached, "first touch of a user scenario must be a miss");
     }
 
-    let warm_passes = if smoke { 3 } else { 30 };
-    let start = Instant::now();
-    let mut warm: Vec<(bool, String)> = Vec::new();
-    for _ in 0..warm_passes {
-        let responses = call(&addr, &lines, false).expect("warm pass");
-        warm = unpack_pass(&responses);
-    }
-    let warm_s = start.elapsed().as_secs_f64() / f64::from(warm_passes);
-    let warm_speedup = cold_s / warm_s;
-
-    let mut cached_matches_cold = true;
-    for ((c_cached, c_result), (w_cached, w_result)) in cold.iter().zip(&warm) {
-        assert!(!c_cached && *w_cached, "warm pass must hit the cache");
-        cached_matches_cold &= c_result == w_result;
-    }
-    assert!(
-        cached_matches_cold,
-        "cached scenario results must be bit-identical to cold"
+    let passes = bench.size(SERVED_PASSES);
+    let served = passes * lines.len();
+    let mut last = [Vec::new(), Vec::new()];
+    let m = bench.measure(
+        &format!("served {} inline scenarios, {passes} passes", lines.len()),
+        &[
+            Config::new("cold_docs_per_sec", served),
+            Config::new("cached_docs_per_sec", served).ratio("cold_vs_cached_speedup"),
+        ],
+        |config| {
+            for _ in 0..passes {
+                let responses = call(&servers[config].addr, &lines, false).expect("served pass");
+                last[config] = unpack_pass(&responses);
+            }
+        },
     );
+    for (((cold_cached, cold), (cached, result)), (_, first)) in
+        last[0].iter().zip(&last[1]).zip(&first)
+    {
+        assert!(!cold_cached, "a server without a cache answered from one");
+        assert!(cached, "a warmed pass must hit the cache");
+        assert_eq!(cold, result, "cached scenario results must equal cold ones");
+        assert_eq!(
+            first, result,
+            "cached scenario results must equal the first touch"
+        );
+    }
 
     // Spelling invariance: a never-sent respelling of the first
     // document must land on the cache entry its canonical twin filled.
     let respelled = vec![request_line(99, &respelled_doc(powers[0]))];
-    let responses = call(&addr, &respelled, false).expect("respelled pass");
+    let responses = call(addr, &respelled, false).expect("respelled pass");
     let (_, respelled_cached, respelled_result) = unpack(&responses[0]);
-    let respelled_shares_cache = respelled_cached && respelled_result == cold[0].1;
     assert!(
-        respelled_shares_cache,
+        respelled_cached && respelled_result == first[0].1,
         "a respelled document must share its canonical twin's cache entry"
     );
-    call(&addr, &[], true).expect("shutdown");
-    let _ = server_thread.join().expect("server thread");
+    servers.into_iter().for_each(Loopback::shutdown);
+    println!("cached == cold bitwise; a respelled document shares the cache entry");
 
-    println!(
-        "\nserved {} inline scenarios: cold {:.1} ms, cached {:.1} ms \
-         ({warm_speedup:.2}x), bitwise equal, respelling shares cache",
-        lines.len(),
-        cold_s * 1e3,
-        warm_s * 1e3,
+    bench.finish(
+        WORKERS,
+        vec![
+            docs.section(
+                "corpus",
+                &[
+                    ("docs", corpus.len()),
+                    ("bytes", corpus_bytes),
+                    ("passes", iters),
+                ],
+            ),
+            m.section("served", &[("docs", lines.len()), ("passes", passes)]),
+        ],
+        &[Bound::AtLeast("served.cold_vs_cached_speedup", 3.0)],
     );
-
-    for (label, v) in [
-        ("parse_docs_per_sec", parse_docs_per_sec),
-        ("compile_docs_per_sec", compile_docs_per_sec),
-        ("render_docs_per_sec", render_docs_per_sec),
-        ("warm_speedup", warm_speedup),
-    ] {
-        assert!(v.is_finite() && v > 0.0, "{label} not finite: {v}");
-    }
-
-    if smoke {
-        println!("\nsmoke OK");
-        return;
-    }
-
-    assert!(
-        warm_speedup >= 3.0,
-        "cached scenario pass must be at least 3x faster than cold \
-         (got {warm_speedup:.2}x)"
-    );
-
-    let json = format!(
-        "{{\n  \"scenario\": {{\n    \"corpus_docs\": {},\n    \"corpus_bytes\": {corpus_bytes},\n    \"parse_docs_per_sec\": {parse_docs_per_sec:.0},\n    \"parse_mib_per_sec\": {parse_mib_per_sec:.2},\n    \"compile_docs_per_sec\": {compile_docs_per_sec:.0},\n    \"render_docs_per_sec\": {render_docs_per_sec:.0},\n    \"served_docs\": {},\n    \"warm_passes\": {warm_passes},\n    \"cold_pass_ms\": {:.3},\n    \"cached_pass_ms\": {:.3},\n    \"cold_vs_cached_speedup\": {warm_speedup:.3},\n    \"cached_matches_cold_bitwise\": {cached_matches_cold},\n    \"respelled_doc_shares_cache\": {respelled_shares_cache}\n  }}\n}}\n",
-        corpus.len(),
-        lines.len(),
-        cold_s * 1e3,
-        warm_s * 1e3,
-    );
-    std::fs::write("BENCH_scenario.json", &json).unwrap();
-    println!("\nwrote BENCH_scenario.json");
 }

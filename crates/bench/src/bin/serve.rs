@@ -3,17 +3,20 @@
 //! Phases, all over TCP servers on ephemeral loopback ports:
 //!
 //! * **cold vs warm** — a single closed-loop client runs the mixed
-//!   scenario set once against an empty scenario cache (every request
-//!   compiles its plan) and then repeatedly against the warmed cache.
-//!   Scenario sizes are chosen so plan compilation dominates the solve,
-//!   which is exactly the workload the cache exists for.
+//!   scenario set against a server without a cache (every request
+//!   compiles its plan) and against a server whose cache the warm-up
+//!   filled. Scenario sizes are chosen so plan compilation dominates
+//!   the solve, which is exactly the workload the cache exists for.
+//! * **mixed concurrency** — several closed-loop clients, one thread
+//!   each, run the mixed set against the warm server at once.
 //! * **saturation curve** — N concurrent connections (for several N),
 //!   each closed-loop with one request in flight, issue
-//!   `sharing_sweep` requests against the warm server. Per-request
-//!   latencies aggregate into p50/p95/p99 per connection count; the
+//!   `sharing_sweep` requests against the warm server; each run opens
+//!   its own N connections and closes them at its end. Per-request
+//!   latencies give p50/p95/p99 per round and connection count; the
 //!   peak entry is compared against the thread-per-connection baseline
 //!   recorded before this redesign.
-//! * **determinism audits** — every response seen by every client is
+//! * **determinism audits** — every response of the last round is
 //!   compared against a cold oracle (a zero-capacity [`Dispatcher`]
 //!   dispatching one request at a time): cached bits must equal cold
 //!   bits, request by request.
@@ -26,17 +29,16 @@
 //! cargo run --release -p vpd-bench --bin serve             # full, writes JSON
 //! cargo run --release -p vpd-bench --bin serve -- --smoke  # CI smoke
 //! ```
-//!
-//! Exits non-zero if any rate is non-finite or an audit fails.
 
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
+use vpd_bench::perf::{auto_threads, quantile, section, Bench, Bound, Config, Size, Stat};
+use vpd_bench::Loopback;
 use vpd_report::Json;
 use vpd_serve::proto::Request;
-use vpd_serve::{Dispatcher, ServeConfig, Server};
+use vpd_serve::{Dispatcher, ServeConfig};
 
 /// Peak throughput of the previous thread-per-connection server (its
 /// `BENCH_serve.json`), the yardstick for this redesign.
@@ -46,10 +48,16 @@ const BASELINE_THROUGHPUT: f64 = 658.879;
 /// trade its throughput for tail latency.
 const BASELINE_P99_MS: f64 = 26.0686;
 
-fn usage() -> ! {
-    eprintln!("usage: serve [--smoke]");
-    std::process::exit(2);
-}
+/// Mixed-set passes per client per timed run.
+const PASSES: Size<usize> = Size(20, 2);
+/// Concurrent clients of the mixed phase.
+const CLIENTS: Size<usize> = Size(8, 2);
+/// Connection counts of the saturation curve.
+const CURVE: Size<&[usize]> = Size(&[2, 8, 32], &[2, 4]);
+/// Requests per connection per timed run of the curve.
+const SWEEP_PASSES: Size<usize> = Size(150, 10);
+/// Doomed requests of the shed flood.
+const SHED_FLOOD: Size<usize> = Size(32, 8);
 
 /// The mixed scenario set: every cacheable analysis kind, sized so the
 /// compiled plan (grid factorization, AC plan, fault nominal) costs far
@@ -86,9 +94,9 @@ fn sweep_line(client: usize) -> String {
     )
 }
 
-/// One closed-loop pass: send each line, wait for its response, record
-/// the latency. Returns the response body per request line.
-fn run_pass(addr: &str, lines: &[String], latencies: &mut Vec<f64>) -> Vec<String> {
+/// One closed-loop pass: send each line and wait for its response.
+/// Returns the response body per request line.
+fn run_pass(addr: &str, lines: &[String]) -> Vec<String> {
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
     let mut writer = stream.try_clone().expect("clone stream");
@@ -96,13 +104,11 @@ fn run_pass(addr: &str, lines: &[String], latencies: &mut Vec<f64>) -> Vec<Strin
     let mut responses = Vec::with_capacity(lines.len());
     let mut buf = String::new();
     for line in lines {
-        let start = Instant::now();
         writeln!(writer, "{line}").expect("send request");
         writer.flush().expect("flush request");
         buf.clear();
         let n = reader.read_line(&mut buf).expect("read response");
         assert!(n > 0, "server closed mid-pass");
-        latencies.push(start.elapsed().as_secs_f64());
         responses.push(buf.trim_end().to_owned());
     }
     responses
@@ -119,85 +125,73 @@ fn result_of(line: &str) -> String {
     doc.get("result").expect("result present").to_string()
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty());
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-/// One saturation measurement: `conns` concurrent connections, each
-/// closed-loop with one request in flight, all driven from one client
-/// thread (the client multiplexes exactly like the server does — the
-/// point of the measurement is many *connections*, and a
-/// thread-per-connection client on a small host would measure its own
-/// scheduler, not the server). Each cycle writes every connection's
-/// request, then reads every response; per-request latency runs from
-/// that request's write to its response read. Returns (throughput
-/// req/s, p50 ms, p95 ms, p99 ms, last responses per connection).
-fn saturate(addr: &str, conns: usize, passes: usize) -> (f64, f64, f64, f64, Vec<String>) {
-    let mut writers = Vec::with_capacity(conns);
-    let mut readers = Vec::with_capacity(conns);
-    let mut lines = Vec::with_capacity(conns);
-    for c in 0..conns {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
-        writers.push(stream.try_clone().expect("clone stream"));
-        readers.push(BufReader::new(stream));
-        let mut line = sweep_line(c);
-        line.push('\n');
-        lines.push(line);
-    }
+/// One saturation run over `conns` connections to `addr`, connection
+/// `c` carrying `sweep_line(c)`: every connection closed-loop with one
+/// request in flight, all driven from one client thread (the client
+/// multiplexes exactly like the server does — the point of the
+/// measurement is many *connections*, and a thread-per-connection
+/// client on a small host would measure its own scheduler, not the
+/// server). Each cycle writes every connection's request, then reads
+/// every response; per-request latency runs from that request's write
+/// to its response read. The connections close when the run returns,
+/// so no idle socket of another run sits in the server's event loop.
+/// Returns the sorted latencies (ms) and the last response per
+/// connection.
+fn saturate(addr: &str, conns: usize, passes: usize) -> (Vec<f64>, Vec<String>) {
+    let mut streams: Vec<_> = (0..conns)
+        .map(|c| {
+            let stream = TcpStream::connect(addr).expect("connect");
+            stream.set_nodelay(true).expect("nodelay");
+            let writer = stream.try_clone().expect("clone stream");
+            (
+                writer,
+                BufReader::new(stream),
+                format!("{}\n", sweep_line(c)),
+            )
+        })
+        .collect();
     let mut latencies = Vec::with_capacity(conns * passes);
     let mut responses = vec![String::new(); conns];
     let mut sent = vec![Instant::now(); conns];
     let mut buf = String::new();
-    let start = Instant::now();
     for _ in 0..passes {
-        for (c, writer) in writers.iter_mut().enumerate() {
+        for (c, (writer, _, line)) in streams.iter_mut().enumerate() {
             sent[c] = Instant::now();
-            writer.write_all(lines[c].as_bytes()).expect("send request");
+            writer.write_all(line.as_bytes()).expect("send request");
         }
-        for (c, reader) in readers.iter_mut().enumerate() {
+        for (c, (_, reader, _)) in streams.iter_mut().enumerate() {
             buf.clear();
             let n = reader.read_line(&mut buf).expect("read response");
             assert!(n > 0, "server closed mid-pass");
-            latencies.push(sent[c].elapsed().as_secs_f64());
+            latencies.push(sent[c].elapsed().as_secs_f64() * 1e3);
             responses[c] = buf.trim_end().to_owned();
         }
     }
-    let elapsed = start.elapsed().as_secs_f64();
-    let throughput = (conns * passes) as f64 / elapsed;
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let (p50, p95, p99) = (
-        percentile(&latencies, 0.50) * 1e3,
-        percentile(&latencies, 0.95) * 1e3,
-        percentile(&latencies, 0.99) * 1e3,
-    );
-    (throughput, p50, p95, p99, responses)
+    latencies.sort_by(f64::total_cmp);
+    (latencies, responses)
 }
 
 /// Floods a deliberately tiny server with doomed deadlines and checks
 /// that every response is well-formed, typed NDJSON. Returns
 /// (responses checked, rejects seen).
-fn validate_shedding(smoke: bool) -> (usize, usize) {
+fn validate_shedding(flood: usize) -> (usize, usize) {
     let cfg = ServeConfig {
         workers: 1,
         queue_depth: 2,
         cache_capacity: 8,
         ..ServeConfig::default()
     };
-    let server = Server::bind("127.0.0.1:0", cfg).expect("bind shed server");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let thread = std::thread::spawn(move || server.run());
+    let server = Loopback::start(cfg);
+    let addr = &server.addr;
     // Warm the admission controller's service-time estimate.
     let warm = vec![r#"{"id":0,"kind":"sharing","params":{"modules":48}}"#.to_owned()];
-    vpd_serve::call(&addr, &warm, false).expect("shed warmup");
-    let flood: Vec<String> = (0..if smoke { 8 } else { 32 })
+    vpd_serve::call(addr, &warm, false).expect("shed warmup");
+    let flood: Vec<String> = (0..flood)
         .map(|i| {
             format!(r#"{{"id":{i},"kind":"sharing","params":{{"modules":48}},"deadline_ms":1}}"#)
         })
         .collect();
-    let responses = vpd_serve::call(&addr, &flood, false).expect("shed flood");
+    let responses = vpd_serve::call(addr, &flood, false).expect("shed flood");
     assert_eq!(responses.len(), flood.len(), "overload dropped responses");
     let mut rejects = 0usize;
     for line in &responses {
@@ -220,228 +214,217 @@ fn validate_shedding(smoke: bool) -> (usize, usize) {
             None => panic!("overload response without ok flag: {line}"),
         }
     }
-    vpd_serve::call(&addr, &[], true).expect("drain shed server");
-    thread.join().expect("shed server thread").expect("run");
+    server.shutdown();
     (responses.len(), rejects)
 }
 
 fn main() {
-    let mut smoke = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            _ => usage(),
-        }
-    }
-    vpd_bench::banner(if smoke {
-        "serve smoke"
-    } else {
-        "serve benchmark (BENCH_serve.json)"
+    let bench = Bench::from_args("serve", "BENCH_serve.json");
+    let workers = auto_threads().min(8);
+    let [server, cold] = [64, 0].map(|cache_capacity| {
+        Loopback::start(ServeConfig {
+            workers,
+            queue_depth: 256,
+            cache_capacity,
+            ..ServeConfig::default()
+        })
     });
-
-    let workers = std::thread::available_parallelism()
-        .map_or(2, usize::from)
-        .min(8);
-    let cfg = ServeConfig {
-        workers,
-        queue_depth: 256,
-        cache_capacity: 64,
-        ..ServeConfig::default()
-    };
-    let server = Server::bind("127.0.0.1:0", cfg).expect("bind loopback");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let server_thread = std::thread::spawn(move || server.run());
-
+    let (addr, cold_addr) = (&server.addr, &cold.addr);
     let lines = scenarios();
-    let (clients, warm_passes) = if smoke { (2, 2) } else { (8, 20) };
+    let clients = bench.size(CLIENTS);
+    let passes = bench.size(PASSES);
 
-    // --- phase 1: cold vs warm, one closed-loop client ------------------
-    let mut cold_latencies = Vec::new();
-    let start = Instant::now();
-    let cold_responses = run_pass(&addr, &lines, &mut cold_latencies);
-    let cold_s = start.elapsed().as_secs_f64();
+    // --- cold vs warm, then mixed-workload concurrency ------------------
+    let mut last: [Vec<String>; 2] = Default::default();
+    let mut concurrent = Vec::new();
+    let mixed = bench.measure(
+        &format!(
+            "mixed set ({} scenarios, {workers} workers, {clients} clients)",
+            lines.len()
+        ),
+        &[
+            Config::new("cold_req_per_sec", lines.len()),
+            Config::new("warm_req_per_sec", passes * lines.len()).ratio("cold_vs_warm_speedup"),
+            Config::new("mixed_req_per_sec", clients * passes * lines.len()),
+        ],
+        |config| match config {
+            0 => last[0] = run_pass(cold_addr, &lines),
+            1 => (0..passes).for_each(|_| last[1] = run_pass(addr, &lines)),
+            _ => {
+                let handles: Vec<_> = (0..clients)
+                    .map(|_| {
+                        let (addr, lines) = (addr.to_owned(), lines.clone());
+                        std::thread::spawn(move || {
+                            let mut responses = Vec::new();
+                            for _ in 0..passes {
+                                responses = run_pass(&addr, &lines);
+                            }
+                            responses
+                        })
+                    })
+                    .collect();
+                concurrent = handles
+                    .into_iter()
+                    .map(|h| h.join().expect("client thread"))
+                    .collect();
+            }
+        },
+    );
 
-    let mut warm_latencies = Vec::new();
-    let start = Instant::now();
-    let mut warm_responses = Vec::new();
-    for _ in 0..warm_passes {
-        warm_responses = run_pass(&addr, &lines, &mut warm_latencies);
-    }
-    let warm_s = start.elapsed().as_secs_f64() / warm_passes as f64;
-    let warm_speedup = cold_s / warm_s;
-
-    // --- phase 2: mixed-workload concurrency (continuity metric) --------
-    let start = Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|_| {
-            let addr = addr.clone();
-            let lines = lines.clone();
-            std::thread::spawn(move || {
-                let mut latencies = Vec::new();
-                let mut responses = Vec::new();
-                for _ in 0..warm_passes {
-                    responses = run_pass(&addr, &lines, &mut latencies);
-                }
-                (latencies, responses)
-            })
+    // --- saturation curve over the sweep workload -----------------------
+    let curve = bench.size(CURVE);
+    let sweep_passes = bench.size(SWEEP_PASSES);
+    // Warm the sweep plan so the curve measures serving, not compiling.
+    run_pass(addr, &[sweep_line(0)]);
+    let configs: Vec<Config> = curve
+        .iter()
+        .map(|&n| Config::new("throughput_req_per_sec", n * sweep_passes))
+        .collect();
+    // Per connection count: p50, p95 and p99 of each round, and the
+    // last responses.
+    let mut percentiles = vec![[Vec::new(), Vec::new(), Vec::new()]; curve.len()];
+    let mut sweep_responses = vec![Vec::new(); curve.len()];
+    let sat = bench.measure(
+        &format!("saturation over {curve:?} connections"),
+        &configs,
+        |config| {
+            let (latencies, responses) = saturate(addr, curve[config], sweep_passes);
+            for (values, p) in percentiles[config].iter_mut().zip([0.50, 0.95, 0.99]) {
+                values.push(quantile(&latencies, p));
+            }
+            sweep_responses[config] = responses;
+        },
+    );
+    // The warm-up round's percentiles come first; keep the timed ones.
+    let saturation: Vec<[Stat; 4]> = (0..curve.len())
+        .map(|c| {
+            let rates = sat.rates(c);
+            let timed = |values: &[f64]| Stat::of(&values[values.len() - rates.len()..]);
+            let [p50, p95, p99] = &percentiles[c];
+            [Stat::of(rates), timed(p50), timed(p95), timed(p99)]
         })
         .collect();
-    let mut concurrent_responses = Vec::new();
-    for h in handles {
-        let (_lat, resp) = h.join().expect("client thread");
-        concurrent_responses.push(resp);
-    }
-    let mixed_s = start.elapsed().as_secs_f64();
-    let mixed_throughput = (clients * warm_passes * lines.len()) as f64 / mixed_s;
-
-    // --- phase 3: saturation curve over the sweep workload --------------
-    let curve_clients: &[usize] = if smoke { &[2, 4] } else { &[2, 8, 32] };
-    let sweep_passes = if smoke { 10 } else { 150 };
-    // Warm the sweep plan so the curve measures serving, not compiling.
-    let mut warmup_lat = Vec::new();
-    run_pass(&addr, &[sweep_line(0)], &mut warmup_lat);
-    let mut curve = Vec::new();
-    let mut sweep_responses: Vec<(usize, String)> = Vec::new();
-    for &n in curve_clients {
-        let (throughput, p50, p95, p99, responses) = saturate(&addr, n, sweep_passes);
-        println!(
-            "saturation {n:>3} clients: {throughput:>8.0} req/s, \
-             p50 {p50:.2} ms p95 {p95:.2} ms p99 {p99:.2} ms"
-        );
-        for (c, r) in responses.into_iter().enumerate() {
-            sweep_responses.push((c, r));
-        }
-        curve.push((n, throughput, p50, p95, p99));
-    }
-    let peak = curve
-        .iter()
-        .cloned()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite throughput"))
+    let peak = (0..curve.len())
+        .max_by(|&a, &b| saturation[a][0].median.total_cmp(&saturation[b][0].median))
         .expect("curve has entries");
-    let (peak_clients, peak_throughput, peak_p50, peak_p95, peak_p99) = peak;
-    let speedup_vs_baseline = peak_throughput / BASELINE_THROUGHPUT;
+    let vs_baseline: Vec<f64> = sat
+        .rates(peak)
+        .iter()
+        .map(|r| r / BASELINE_THROUGHPUT)
+        .collect();
+    let vs_baseline = Stat::of(&vs_baseline);
+    for (n, [throughput, p50, p95, p99]) in curve.iter().zip(&saturation) {
+        println!(
+            "saturation {n:>3} clients: {throughput} req/s\n  p50 {p50} ms\n  \
+             p95 {p95} ms\n  p99 {p99} ms"
+        );
+    }
+    println!("peak {} clients: {vs_baseline} x baseline", curve[peak]);
 
-    // --- cache stats, then drain the server ------------------------------
+    // --- cache stats, then drain the servers -----------------------------
     let stats_lines = vec![r#"{"id":90,"kind":"stats"}"#.to_owned()];
-    let stats = vpd_serve::call(&addr, &stats_lines, false).expect("stats call");
+    let stats = vpd_serve::call(addr, &stats_lines, false).expect("stats call");
     let stats_doc = Json::parse(&stats[0]).expect("stats parses");
-    let result = stats_doc.get("result").expect("stats result");
-    let cache = result.get("cache").expect("cache stats");
-    let hits = cache.get("hits").and_then(Json::as_i64).unwrap_or(0);
-    let misses = cache.get("misses").and_then(Json::as_i64).unwrap_or(0);
-    let steals = cache.get("steals").and_then(Json::as_i64).unwrap_or(0);
-    let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-    vpd_serve::call(&addr, &[], true).expect("drain call");
-    server_thread
-        .join()
-        .expect("server thread")
-        .expect("server run");
+    let cache = stats_doc
+        .get("result")
+        .and_then(|r| r.get("cache"))
+        .expect("cache stats");
+    let count = |key| cache.get(key).and_then(Json::as_i64).unwrap_or(0) as usize;
+    let (hits, misses, steals) = (count("hits"), count("misses"), count("steals"));
+    server.shutdown();
+    cold.shutdown();
 
     // --- determinism audits ----------------------------------------------
-    // Mixed workload: every cached response equals the cold oracle.
+    // Mixed workload: every response equals the cold oracle.
     let oracle = Dispatcher::new(0);
-    let mut expected: HashMap<String, String> = HashMap::new();
-    for line in &lines {
+    let expected = |line: &str| {
         let request = Request::parse_line(line).expect("scenario parses");
         let (doc, cached) = oracle.dispatch(&request.work).expect("oracle dispatch");
         assert!(!cached, "zero-capacity oracle must always be cold");
-        expected.insert(line.clone(), doc.to_string());
-    }
+        doc.to_string()
+    };
+    let expected_mixed: Vec<String> = lines.iter().map(|l| expected(l)).collect();
     let mut audited = 0usize;
-    for responses in std::iter::once(&cold_responses)
-        .chain(std::iter::once(&warm_responses))
-        .chain(concurrent_responses.iter())
-    {
-        for (line, response) in lines.iter().zip(responses) {
+    for responses in last.iter().chain(&concurrent) {
+        for ((line, response), expected) in lines.iter().zip(responses).zip(&expected_mixed) {
             assert_eq!(
-                result_of(response),
-                expected[line.as_str()],
+                &result_of(response),
+                expected,
                 "served bits diverged from the cold oracle for {line}"
             );
             audited += 1;
         }
     }
     // Sweep workload: every cached response equals the cold oracle.
-    let mut sweep_expected: HashMap<usize, String> = HashMap::new();
-    for (client, response) in &sweep_responses {
-        let entry = sweep_expected.entry(*client).or_insert_with(|| {
-            let request = Request::parse_line(&sweep_line(*client)).expect("sweep parses");
-            let (doc, _) = oracle.dispatch(&request.work).expect("oracle sweep");
-            doc.to_string()
-        });
-        assert_eq!(
-            &result_of(response),
-            entry,
-            "served sweep bits diverged from the cold oracle (client {client})"
-        );
-        audited += 1;
+    for responses in &sweep_responses {
+        for (client, response) in responses.iter().enumerate() {
+            assert_eq!(
+                result_of(response),
+                expected(&sweep_line(client)),
+                "served sweep bits diverged from the cold oracle (client {client})"
+            );
+            audited += 1;
+        }
     }
 
-    // --- phase 4: overload sheds with typed, well-formed responses ------
-    let (shed_checked, shed_rejects) = validate_shedding(smoke);
-
+    // --- overload sheds with typed, well-formed responses ---------------
+    let (shed_checked, shed_rejects) = validate_shedding(bench.size(SHED_FLOOD));
     println!(
-        "serve ({} scenarios, {workers} workers): cold pass {:.1} ms, warm pass {:.1} ms \
-         ({warm_speedup:.1}x), mixed {clients} clients: {mixed_throughput:.0} req/s; \
-         sweep peak {peak_clients} clients: {peak_throughput:.0} req/s \
-         ({speedup_vs_baseline:.1}x baseline {BASELINE_THROUGHPUT:.0}), \
-         p50 {peak_p50:.2} ms p95 {peak_p95:.2} ms p99 {peak_p99:.2} ms, \
-         cache hit rate {:.1}% ({steals} steals), \
-         {audited} responses bitwise-audited, \
-         {shed_rejects}/{shed_checked} overload responses typed-rejected",
-        lines.len(),
-        cold_s * 1e3,
-        warm_s * 1e3,
-        hit_rate * 100.0,
+        "cache {hits} hits, {misses} misses ({steals} steals), {audited} responses equal \
+         the cold oracle, {shed_rejects}/{shed_checked} overload responses typed-rejected"
     );
 
-    for (label, v) in [
-        ("mixed_throughput", mixed_throughput),
-        ("peak_throughput", peak_throughput),
-        ("warm_speedup", warm_speedup),
-        ("p50", peak_p50),
-        ("p95", peak_p95),
-        ("p99", peak_p99),
-    ] {
-        assert!(v.is_finite() && v > 0.0, "{label} not finite: {v}");
-    }
-
-    if smoke {
-        println!("\nsmoke OK ({audited} responses audited)");
-        return;
-    }
-
-    assert!(
-        warm_speedup >= 2.0,
-        "warm pass must be at least 2x faster than cold (got {warm_speedup:.2}x)"
+    let entry = |c: usize| {
+        let [throughput, p50, p95, p99] = saturation[c];
+        vec![
+            ("clients", Json::from(curve[c])),
+            ("throughput_req_per_sec", throughput.json()),
+            ("latency_p50_ms", p50.json()),
+            ("latency_p95_ms", p95.json()),
+            ("latency_p99_ms", p99.json()),
+        ]
+    };
+    let mut peak_entry = entry(peak);
+    peak_entry.push(("speedup_vs_baseline", vs_baseline.json()));
+    let audits = [
+        ("cache_hits", hits),
+        ("cache_misses", misses),
+        ("cache_steals", steals),
+        ("responses_audited", audited),
+        ("shed_responses_checked", shed_checked),
+        ("shed_responses_typed", shed_rejects),
+    ];
+    let sizes = [
+        ("scenarios", lines.len()),
+        ("clients", clients),
+        ("passes", passes),
+    ];
+    bench.finish(
+        workers,
+        vec![
+            mixed.section("mixed", &sizes),
+            (
+                "saturation",
+                Json::obj([
+                    ("passes", Json::from(sweep_passes)),
+                    (
+                        "baseline_throughput_req_per_sec",
+                        Json::from(BASELINE_THROUGHPUT),
+                    ),
+                    ("baseline_p99_ms", Json::from(BASELINE_P99_MS)),
+                    (
+                        "curve",
+                        Json::array((0..curve.len()).map(|c| Json::obj(entry(c)))),
+                    ),
+                    ("peak", Json::obj(peak_entry)),
+                ]),
+            ),
+            section("audits", &audits, &[]),
+        ],
+        &[
+            Bound::AtLeast("mixed.cold_vs_warm_speedup", 2.0),
+            Bound::AtLeast("saturation.peak.speedup_vs_baseline", 5.0),
+            Bound::AtMost("saturation.peak.latency_p99_ms", BASELINE_P99_MS),
+        ],
     );
-    assert!(
-        speedup_vs_baseline >= 5.0,
-        "saturation peak must beat the thread-per-connection baseline 5x \
-         (got {speedup_vs_baseline:.2}x)"
-    );
-    assert!(
-        peak_p99 <= BASELINE_P99_MS,
-        "peak p99 {peak_p99:.3} ms regressed past the baseline {BASELINE_P99_MS} ms"
-    );
-
-    let curve_json: Vec<String> = curve
-        .iter()
-        .map(|(n, t, p50, p95, p99)| {
-            format!(
-                "      {{ \"clients\": {n}, \"throughput_req_per_sec\": {t:.3}, \
-                 \"latency_p50_ms\": {p50:.4}, \"latency_p95_ms\": {p95:.4}, \
-                 \"latency_p99_ms\": {p99:.4} }}"
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"serve\": {{\n    \"scenarios\": {},\n    \"workers\": {workers},\n    \"clients\": {clients},\n    \"warm_passes\": {warm_passes},\n    \"cold_pass_ms\": {:.3},\n    \"warm_pass_ms\": {:.3},\n    \"cold_vs_warm_speedup\": {warm_speedup:.3},\n    \"mixed_throughput_req_per_sec\": {mixed_throughput:.3},\n    \"throughput_req_per_sec\": {peak_throughput:.3},\n    \"latency_p50_ms\": {peak_p50:.4},\n    \"latency_p95_ms\": {peak_p95:.4},\n    \"latency_p99_ms\": {peak_p99:.4},\n    \"baseline_throughput_req_per_sec\": {BASELINE_THROUGHPUT},\n    \"baseline_p99_ms\": {BASELINE_P99_MS},\n    \"speedup_vs_baseline\": {speedup_vs_baseline:.3},\n    \"saturation\": [\n{}\n    ],\n    \"cache_hit_rate\": {hit_rate:.4},\n    \"cache_hits\": {hits},\n    \"cache_misses\": {misses},\n    \"cache_steals\": {steals},\n    \"responses_audited\": {audited},\n    \"cached_matches_cold_bitwise\": true,\n    \"sweeps_match_cold_oracle_bitwise\": true,\n    \"shed_responses_checked\": {shed_checked},\n    \"shed_responses_typed\": {shed_rejects},\n    \"shed_responses_well_formed\": true\n  }}\n}}\n",
-        lines.len(),
-        cold_s * 1e3,
-        warm_s * 1e3,
-        curve_json.join(",\n"),
-    );
-    std::fs::write("BENCH_serve.json", &json).unwrap();
-    println!("\nwrote BENCH_serve.json");
 }

@@ -9,29 +9,25 @@
 //!   start per call).
 //! * **Monte-Carlo** — the rebuild-per-sample baseline against
 //!   [`run_tolerance`] serially (`threads = 1`) and with the auto
-//!   thread count, 200 samples each. The engine guarantees the three
+//!   thread count. The engine guarantees the serial and parallel
 //!   summaries are bitwise identical; this binary asserts it.
 //!
 //! ```sh
-//! cargo run --release -p vpd-bench --bin sweeps
+//! cargo run --release -p vpd-bench --bin sweeps               # full, writes JSON
+//! cargo run --release -p vpd-bench --bin sweeps -- --smoke    # CI smoke
 //! ```
 
-use std::time::Instant;
+use vpd_bench::perf::{auto_threads, Bench, Config, Size};
 use vpd_converters::VrTopologyKind;
 use vpd_core::{
     analyze, run_tolerance, solve_sharing_at, Architecture, Calibration, McSettings, SharingSolver,
-    VrPlacement,
 };
 use vpd_units::Ohms;
 
-/// Times `f` over `iters` calls and returns calls per second.
-fn rate(iters: usize, mut f: impl FnMut(usize)) -> f64 {
-    let start = Instant::now();
-    for i in 0..iters {
-        f(i);
-    }
-    iters as f64 / start.elapsed().as_secs_f64()
-}
+/// Sharing solves per timed run.
+const SOLVES: Size<usize> = Size(40, 4);
+/// Monte-Carlo samples per timed run.
+const SAMPLES: Size<usize> = Size(200, 8);
 
 /// One ±2%-style perturbed sheet resistance per iteration, so neither
 /// path can cache the numeric answer.
@@ -40,105 +36,80 @@ fn perturbed_sheet(base: Ohms, i: usize) -> Ohms {
 }
 
 fn main() {
-    let (spec, calib, _) = vpd_bench::paper_env();
-    vpd_bench::banner("Sweep-engine benchmark (BENCH_sweeps.json)");
+    let bench = Bench::from_args("Sweep-engine", "BENCH_sweeps.json");
+    let solves = bench.size(SOLVES);
+    let samples = bench.size(SAMPLES);
+    let (spec, calib, opts) = vpd_bench::paper_env();
+    let perturbed = |i| Calibration {
+        grid_sheet_resistance: perturbed_sheet(calib.grid_sheet_resistance, i),
+        ..calib
+    };
 
     // --- Layer 1: sharing solves, cold vs reuse -------------------------
     let n_vrs = 48;
-    let (sites, droop) = {
-        let n = calib.grid_nodes_per_side;
-        (
-            vpd_core::placement::below_die_sites(n_vrs, n, n),
-            calib.vr_droop_below_die,
-        )
-    };
-    let solve_iters = 40;
-
-    let cold_solves_per_sec = rate(solve_iters, |i| {
-        let c = Calibration {
-            grid_sheet_resistance: perturbed_sheet(calib.grid_sheet_resistance, i),
-            ..calib
-        };
-        solve_sharing_at(&spec, &c, &sites, droop).unwrap();
-    });
-
+    let n = calib.grid_nodes_per_side;
+    let sites = vpd_core::placement::below_die_sites(n_vrs, n, n);
+    let droop = calib.vr_droop_below_die;
     let mut solver = SharingSolver::new(&spec, &calib, &sites, droop).unwrap();
     solver.solve().unwrap();
     solver.anchor_last();
-    let reuse_solves_per_sec = rate(solve_iters, |i| {
-        let c = Calibration {
-            grid_sheet_resistance: perturbed_sheet(calib.grid_sheet_resistance, i),
-            ..calib
-        };
-        solver.restamp(&spec, &c, droop).unwrap();
-        solver.solve().unwrap();
-    });
-    let solve_speedup = reuse_solves_per_sec / cold_solves_per_sec;
-    println!(
-        "sharing solves ({n_vrs} VRs): cold {cold_solves_per_sec:.1}/s, \
-         reuse {reuse_solves_per_sec:.1}/s ({solve_speedup:.1}x)"
+    let sharing = bench.measure(
+        &format!("sharing solves ({n_vrs} VRs)"),
+        &[
+            Config::new("cold_solves_per_sec", solves),
+            Config::new("reuse_solves_per_sec", solves).ratio("reuse_speedup"),
+        ],
+        |config| {
+            for i in 0..solves {
+                if config == 0 {
+                    solve_sharing_at(&spec, &perturbed(i), &sites, droop).unwrap();
+                } else {
+                    solver.restamp(&spec, &perturbed(i), droop).unwrap();
+                    solver.solve().unwrap();
+                }
+            }
+        },
     );
 
     // --- Layer 2: Monte-Carlo, baseline vs engine -----------------------
     let arch = Architecture::InterposerPeriphery;
     let topo = VrTopologyKind::Dsch;
-    let samples = 200;
-    let settings = McSettings {
+    let settings = |threads| McSettings {
         samples,
-        threads: 1,
+        threads,
         ..McSettings::default()
     };
-
-    // Baseline: what the pre-engine implementation did — a fresh
-    // `analyze` (netlist rebuild + plan compile + cold solve) per sample.
-    let baseline_start = Instant::now();
-    let opts = vpd_core::AnalysisOptions::default();
-    for i in 0..samples {
-        let c = Calibration {
-            grid_sheet_resistance: perturbed_sheet(calib.grid_sheet_resistance, i),
-            ..calib
-        };
-        analyze(arch, topo, &spec, &c, &opts).unwrap();
-    }
-    let baseline_samples_per_sec = samples as f64 / baseline_start.elapsed().as_secs_f64();
-
-    let serial_start = Instant::now();
-    let serial = run_tolerance(arch, topo, &spec, &calib, &settings).unwrap();
-    let serial_samples_per_sec = samples as f64 / serial_start.elapsed().as_secs_f64();
-
-    let parallel_start = Instant::now();
-    let parallel = run_tolerance(
-        arch,
-        topo,
-        &spec,
-        &calib,
-        &McSettings {
-            threads: 0,
-            ..settings
+    let (mut serial, mut parallel) = (None, None);
+    let mc = bench.measure(
+        &format!("monte-carlo ({samples} samples, A1/DSCH)"),
+        &[
+            Config::new("baseline_samples_per_sec", samples),
+            Config::new("serial_samples_per_sec", samples).ratio("serial_speedup"),
+            Config::new("parallel_samples_per_sec", samples).ratio("parallel_speedup"),
+        ],
+        |config| match config {
+            // What the pre-engine implementation did: a fresh `analyze`
+            // (netlist rebuild + plan compile + cold solve) per sample.
+            0 => (0..samples).for_each(|i| {
+                analyze(arch, topo, &spec, &perturbed(i), &opts).unwrap();
+            }),
+            1 => serial = Some(run_tolerance(arch, topo, &spec, &calib, &settings(1)).unwrap()),
+            _ => parallel = Some(run_tolerance(arch, topo, &spec, &calib, &settings(0)).unwrap()),
         },
-    )
-    .unwrap();
-    let parallel_samples_per_sec = samples as f64 / parallel_start.elapsed().as_secs_f64();
-
-    assert_eq!(serial, parallel, "thread count must not change the summary");
-
-    let serial_speedup = serial_samples_per_sec / baseline_samples_per_sec;
-    let parallel_speedup = parallel_samples_per_sec / baseline_samples_per_sec;
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    println!(
-        "monte-carlo ({samples} samples, A1/DSCH): baseline {baseline_samples_per_sec:.1}/s, \
-         serial reuse {serial_samples_per_sec:.1}/s ({serial_speedup:.1}x), \
-         parallel x{threads} {parallel_samples_per_sec:.1}/s ({parallel_speedup:.1}x)"
+    );
+    let serial = serial.expect("serial ran");
+    assert_eq!(
+        Some(&serial),
+        parallel.as_ref(),
+        "thread count must not change the summary"
     );
 
-    // Periphery vs below-die solve rates round out the report.
-    let peri = vpd_core::solve_sharing(&spec, &calib, VrPlacement::Periphery, n_vrs).unwrap();
-
-    let json = format!(
-        "{{\n  \"sharing_solves\": {{\n    \"n_vrs\": {n_vrs},\n    \"cold_solves_per_sec\": {cold_solves_per_sec:.3},\n    \"reuse_solves_per_sec\": {reuse_solves_per_sec:.3},\n    \"reuse_speedup\": {solve_speedup:.3}\n  }},\n  \"monte_carlo\": {{\n    \"samples\": {samples},\n    \"baseline_samples_per_sec\": {baseline_samples_per_sec:.3},\n    \"serial_samples_per_sec\": {serial_samples_per_sec:.3},\n    \"parallel_samples_per_sec\": {parallel_samples_per_sec:.3},\n    \"serial_speedup\": {serial_speedup:.3},\n    \"parallel_speedup\": {parallel_speedup:.3},\n    \"threads\": {threads},\n    \"parallel_matches_serial_bitwise\": true\n  }},\n  \"sanity\": {{\n    \"a1_mean_loss_percent\": {:.3},\n    \"periphery_worst_drop_volts\": {:.6}\n  }}\n}}\n",
-        serial.mean,
-        peri.worst_drop().value(),
+    bench.finish(
+        auto_threads(),
+        vec![
+            sharing.section("sharing_solves", &[("n_vrs", n_vrs), ("solves", solves)]),
+            mc.section("monte_carlo", &[("samples", samples)]),
+        ],
+        &[],
     );
-    std::fs::write("BENCH_sweeps.json", &json).unwrap();
-    println!("\nwrote BENCH_sweeps.json");
 }

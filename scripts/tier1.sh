@@ -27,34 +27,14 @@ CARGO_TARGET_DIR=.bench_build cargo build --offline --release \
 CARGO_TARGET_DIR=.bench_build cargo test --offline --release -q \
     --manifest-path benchmark/Cargo.toml || fail=1
 
-step "fault-sweep smoke (8 scenarios, finiteness-checked)"
-cargo run --release -p vpd-bench --bin faults -- --samples 8 || fail=1
+step "fault-sweep smoke (finiteness, serial == parallel; BENCH_faults.json audit)"
+cargo run --release -p vpd-bench --bin faults -- --smoke || fail=1
 
-step "dynamic-fault smoke (3 scenarios per engine, serial == parallel bitwise)"
-cargo run --release -p vpd-bench --bin faultdyn -- --samples 3 || fail=1
+step "dynamic-fault smoke (serial == parallel; BENCH_faultdyn.json audit)"
+cargo run --release -p vpd-bench --bin faultdyn -- --smoke || fail=1
 
-step "BENCH_faultdyn.json audit (speedups >= 1.0, plan reuse >= 3x)"
-python3 - BENCH_faultdyn.json <<'EOF' || fail=1
-import json, math, sys
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-for section in ("impedance", "transient", "dc", "cascade"):
-    entry = doc[section]
-    for key in ("reuse_scenarios_per_sec", "rebuild_scenarios_per_sec", "speedup"):
-        assert math.isfinite(entry[key]) and entry[key] > 0, f"{section}.{key}: {entry}"
-    assert entry["speedup"] >= 1.0, f"{section} plan reuse regressed below 1.0: {entry}"
-    assert entry["parallel_matches_serial_bitwise"] is True, entry
-assert math.isfinite(doc["plan_reuse_speedup"]), doc
-assert doc["plan_reuse_speedup"] >= 3.0, (
-    f"headline plan reuse fell below 3x: {doc['plan_reuse_speedup']}"
-)
-assert doc["cascade"]["converged"] > 0, doc["cascade"]
-print(
-    f"faultdyn bench audit OK: plan reuse {doc['plan_reuse_speedup']:.2f}x, "
-    "every engine >= 1.0 and serial == parallel bitwise"
-)
-EOF
+step "sweep-engine smoke (Monte-Carlo serial == parallel; BENCH_sweeps.json audit)"
+cargo run --release -p vpd-bench --bin sweeps -- --smoke || fail=1
 
 step "CLI smoke: vpd faults --dynamic --format json"
 if cargo run --release --bin vpd -- --format json \
@@ -87,32 +67,17 @@ else
     fail=1
 fi
 
-step "sparse-cholesky smoke (block bitwise, BENCH_cholesky.json speedups >= 1.0)"
+step "sparse-cholesky smoke (block == sequential; BENCH_cholesky.json audit)"
 cargo run --release -p vpd-bench --bin cholesky -- --smoke || fail=1
 
-step "observability smoke (metrics on == off, bitwise)"
-cargo run --release -p vpd-bench --bin obs -- --samples 8 || fail=1
+step "observability smoke (metrics on == off, bitwise; BENCH_obs.json audit)"
+cargo run --release -p vpd-bench --bin obs -- --smoke || fail=1
 
-step "ac-sweep smoke (16 points, three paths bitwise identical)"
-cargo run --release -p vpd-bench --bin ac -- --points 16 || fail=1
+step "ac-sweep smoke (three paths bitwise identical; BENCH_ac.json audit)"
+cargo run --release -p vpd-bench --bin ac -- --smoke || fail=1
 
-step "transient bench smoke (4 runs, three engine paths bitwise identical)"
-cargo run --release -p vpd-bench --bin transient -- --runs 4 || fail=1
-
-step "BENCH_transient.json audit (checked-in speedups >= 1.0)"
-python3 - BENCH_transient.json <<'EOF' || fail=1
-import json, math, sys
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-plan = doc["transient_plan"]
-for key in ("plan_reuse_vs_rebuild_speedup", "engine_vs_rebuild_speedup"):
-    assert math.isfinite(plan[key]), f"non-finite {key}"
-    assert plan[key] >= 1.0, f"{key} regressed below 1.0: {plan[key]}"
-assert plan["refactorizations_during_reuse"] == 0, plan
-assert plan["parallel_matches_serial_bitwise"] is True, plan
-print("transient bench audit OK: checked-in speedups >= 1.0, zero re-factorizations")
-EOF
+step "transient bench smoke (three paths bitwise identical; BENCH_transient.json audit)"
+cargo run --release -p vpd-bench --bin transient -- --smoke || fail=1
 
 step "CLI smoke: vpd impedance --format json"
 if cargo run --release --bin vpd -- --format json \
@@ -226,37 +191,8 @@ else
     fail=1
 fi
 
-step "serve bench smoke (cold/warm, saturation, shed validation)"
+step "serve bench smoke (cached == cold oracle, typed shedding; BENCH_serve.json audit)"
 cargo run --release -p vpd-bench --bin serve -- --smoke || fail=1
-
-step "BENCH_serve.json audit (saturation curve, >=5x baseline, p99 bound)"
-python3 - BENCH_serve.json <<'EOF' || fail=1
-import json, math, sys
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-serve = doc["serve"]
-curve = serve["saturation"]
-assert len(curve) >= 3, f"saturation curve needs >=3 client counts, got {len(curve)}"
-for entry in curve:
-    for key in ("throughput_req_per_sec", "latency_p50_ms", "latency_p99_ms"):
-        assert math.isfinite(entry[key]) and entry[key] > 0, entry
-baseline = serve["baseline_throughput_req_per_sec"]
-peak = serve["throughput_req_per_sec"]
-speedup = peak / baseline
-assert speedup >= 5.0, f"peak {peak:.0f} req/s is only {speedup:.2f}x baseline {baseline}"
-assert serve["latency_p99_ms"] <= serve["baseline_p99_ms"], (
-    f"p99 {serve['latency_p99_ms']} regressed past baseline {serve['baseline_p99_ms']}"
-)
-assert serve["sweeps_match_cold_oracle_bitwise"] is True, serve
-assert serve["cached_matches_cold_bitwise"] is True, serve
-assert serve["shed_responses_well_formed"] is True, serve
-print(
-    f"serve bench audit OK: peak {peak:.0f} req/s = {speedup:.1f}x baseline, "
-    f"p99 {serve['latency_p99_ms']:.2f} ms <= {serve['baseline_p99_ms']} ms, "
-    f"cached sweeps bitwise-identical to the cold oracle"
-)
-EOF
 
 step "CLI smoke: vpd serve / vpd call round-trip over loopback"
 serve_log="target/tier1-serve.log"
@@ -447,26 +383,8 @@ assert 0.8 < eff < 1.0, f"implausible A2 efficiency {eff}"
 print(f"scenario run OK: a2 hash {doc['hash']}, efficiency {eff:.4f}")
 EOF
 
-step "scenario bench smoke (parse/compile throughput, served cold vs cached bitwise)"
+step "scenario bench smoke (cached == cold, respelling shares; BENCH_scenario.json audit)"
 cargo run --release -p vpd-bench --bin scenario -- --smoke || fail=1
-
-step "BENCH_scenario.json audit (cached >= 3x cold, bitwise + hash-sharing flags)"
-python3 - BENCH_scenario.json <<'EOF' || fail=1
-import json, sys
-
-with open(sys.argv[1]) as f:
-    s = json.load(f)["scenario"]
-for key in ("parse_docs_per_sec", "compile_docs_per_sec", "render_docs_per_sec"):
-    assert s[key] > 0, f"{key} not positive: {s[key]}"
-speedup = s["cold_vs_cached_speedup"]
-assert speedup >= 3.0, f"served scenario cache speedup {speedup} < 3x"
-assert s["cached_matches_cold_bitwise"] is True, s
-assert s["respelled_doc_shares_cache"] is True, s
-print(
-    f"BENCH_scenario OK: {s['parse_docs_per_sec']:.0f} docs/s parse, "
-    f"cached {speedup:.2f}x cold, bitwise, respelling shares cache"
-)
-EOF
 
 step "cargo clippy --release -- -D warnings"
 cargo clippy --release --workspace --all-targets -- -D warnings || fail=1
