@@ -10,7 +10,8 @@
 //!   per amplitude, so the compile and the factorization are paid
 //!   every run.
 //! * **plan reuse, serial** — one compiled plan; each amplitude is a
-//!   source-only restamp ([`TransientPlan::set_load_step`]) plus a run.
+//!   source-only restamp ([`TransientPlan::set_load_ramp`] with a zero
+//!   rise) plus a run.
 //!   Repeated runs at the same `dt` re-factor zero times.
 //! * **plan reuse, parallel** — the same restamp-and-run closure fanned
 //!   over [`par_map_with`] with the auto thread count; the prefactored
@@ -49,12 +50,13 @@ fn build(after: f64) -> (Netlist, ElementId, TransientSettings) {
             .expect("decap");
     }
     let el = net
-        .step_current_source(
+        .ramp_current_source(
             die,
             net.ground(),
             Amps::new(I_BASE),
             Amps::new(after),
             Seconds::from_microseconds(STEP_AT_US),
+            Seconds::ZERO,
         )
         .expect("load step");
     let settings = TransientSettings::new(
@@ -85,11 +87,12 @@ fn main() {
     let shared = plan.clone();
     let factors_before = plan.cached_factorizations();
     let restamp = |plan: &mut TransientPlan, a: f64| {
-        plan.set_load_step(
+        plan.set_load_ramp(
             el,
             Amps::new(I_BASE),
             Amps::new(a),
             Seconds::from_microseconds(STEP_AT_US),
+            Seconds::ZERO,
         )
         .expect("restamp");
         plan.run().expect("reused run").voltage(die).to_vec()

@@ -151,9 +151,7 @@ impl AcPlan {
         for (i, e) in net.elements().iter().enumerate() {
             let (a, b) = (idx(e.a), idx(e.b));
             op_index.push(match e.kind {
-                ElementKind::CurrentSource { .. }
-                | ElementKind::StepCurrentSource { .. }
-                | ElementKind::RampCurrentSource { .. } => None,
+                ElementKind::CurrentSource { .. } | ElementKind::RampCurrentSource { .. } => None,
                 _ => Some(ops.len()),
             });
             match &e.kind {
@@ -198,9 +196,7 @@ impl AcPlan {
                     });
                     sources.push(i);
                 }
-                ElementKind::CurrentSource { .. }
-                | ElementKind::StepCurrentSource { .. }
-                | ElementKind::RampCurrentSource { .. } => {
+                ElementKind::CurrentSource { .. } | ElementKind::RampCurrentSource { .. } => {
                     // DC bias sources are AC opens: no stamp.
                 }
             }

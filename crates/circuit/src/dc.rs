@@ -216,12 +216,11 @@ fn kind_tag(kind: &ElementKind) -> u8 {
     match kind {
         ElementKind::Resistor { .. } => 0,
         ElementKind::CurrentSource { .. } => 1,
-        ElementKind::StepCurrentSource { .. } => 2,
+        ElementKind::RampCurrentSource { .. } => 2,
         ElementKind::VoltageSource { .. } => 3,
         ElementKind::Capacitor { .. } => 4,
         ElementKind::Inductor { .. } => 5,
         ElementKind::Switch { .. } => 6,
-        ElementKind::RampCurrentSource { .. } => 7,
     }
 }
 
@@ -243,7 +242,6 @@ fn dc_conductance(kind: &ElementKind) -> Option<f64> {
 fn dc_current(kind: &ElementKind) -> Option<f64> {
     match kind {
         ElementKind::CurrentSource { i } => Some(i.value()),
-        ElementKind::StepCurrentSource { before, .. } => Some(before.value()),
         ElementKind::RampCurrentSource { before, .. } => Some(before.value()),
         _ => None,
     }
@@ -780,10 +778,6 @@ fn lower(net: &Netlist) -> Vec<Branch> {
                     1.0 / dc_switch_resistance(*r_on, *r_off, *schedule, *initial),
                 ),
                 ElementKind::CurrentSource { i } => BranchKind::Current(i.value()),
-                // DC operating point precedes the step.
-                ElementKind::StepCurrentSource { before, .. } => {
-                    BranchKind::Current(before.value())
-                }
                 // DC operating point precedes the ramp.
                 ElementKind::RampCurrentSource { before, .. } => {
                     BranchKind::Current(before.value())

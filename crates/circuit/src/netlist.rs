@@ -168,17 +168,6 @@ pub enum ElementKind {
         /// Source current.
         i: Amps,
     },
-    /// A stepping current source: `before` until `at`, `after` from then
-    /// on. DC analysis uses `before`; AC treats it as an open (like any
-    /// bias current source).
-    StepCurrentSource {
-        /// Current before the step.
-        before: Amps,
-        /// Current after the step.
-        after: Amps,
-        /// Step time.
-        at: Seconds,
-    },
     /// A ramping current source: `before` until `at`, then a linear
     /// ramp reaching `after` at `at + rise` (an ideal step when
     /// `rise = 0`) — the finite-slew load transient. DC analysis uses
@@ -367,49 +356,17 @@ impl Netlist {
         self.push(ElementKind::CurrentSource { i }, a, b, "I")
     }
 
-    /// Adds a stepping current source (`before` until `at`, `after`
-    /// afterwards) — the load-transient stimulus for droop studies. DC
-    /// analysis uses the pre-step value.
+    /// Adds a ramping current source (`before` until `at`, linear to
+    /// `after` over `rise`, then `after`) — the finite-di/dt load
+    /// transient for slew studies. `rise = 0` is an ideal step, the
+    /// load-step stimulus of droop studies. DC analysis uses the
+    /// pre-ramp value.
     ///
     /// # Errors
     ///
     /// As for [`Netlist::current_source`], plus
-    /// [`CircuitError::InvalidValue`] for a negative or non-finite step
-    /// time.
-    pub fn step_current_source(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        before: Amps,
-        after: Amps,
-        at: Seconds,
-    ) -> Result<ElementId, CircuitError> {
-        self.check_finite("step current source (before)", before.value())?;
-        self.check_finite("step current source (after)", after.value())?;
-        if !(at.value().is_finite() && at.value() >= 0.0) {
-            return Err(CircuitError::InvalidValue {
-                element: "step time",
-                value: at.value(),
-            });
-        }
-        self.push(
-            ElementKind::StepCurrentSource { before, after, at },
-            a,
-            b,
-            "Istep",
-        )
-    }
-
-    /// Adds a ramping current source (`before` until `at`, linear to
-    /// `after` over `rise`, then `after`) — the finite-di/dt load
-    /// transient for slew studies. `rise = 0` degenerates to an ideal
-    /// step. DC analysis uses the pre-ramp value.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Netlist::step_current_source`], plus
-    /// [`CircuitError::InvalidValue`] for a negative or non-finite rise
-    /// time.
+    /// [`CircuitError::InvalidValue`] for a negative or non-finite start
+    /// or rise time.
     pub fn ramp_current_source(
         &mut self,
         a: NodeId,

@@ -194,9 +194,7 @@ enum TranOpKind {
     VoltageSource { v: f64, row: usize },
     /// Constant current source.
     CurrentSource { i: f64 },
-    /// Step current source.
-    StepCurrent { before: f64, after: f64, at: f64 },
-    /// Ramp current source.
+    /// Ramp current source (a step when `rise` is zero).
     RampCurrent {
         before: f64,
         after: f64,
@@ -215,8 +213,8 @@ enum TranOpKind {
 ///
 /// The per-switch-configuration LU cache **persists across runs**:
 /// repeated runs at the same `dt` re-factor zero times, and the
-/// restamp API ([`TransientPlan::set_load_step`],
-/// [`TransientPlan::set_load_ramp`], [`TransientPlan::set_source`])
+/// restamp API ([`TransientPlan::set_load_ramp`],
+/// [`TransientPlan::set_source`])
 /// rewrites only right-hand-side inputs — voltage-source matrix stamps
 /// are topological `±1` entries — so sweeps over source values never
 /// invalidate a factorization. The plan is `Clone`, so parallel sweeps
@@ -341,11 +339,6 @@ impl TransientPlan {
                     TranOpKind::VoltageSource { v: v.value(), row }
                 }
                 ElementKind::CurrentSource { i } => TranOpKind::CurrentSource { i: i.value() },
-                ElementKind::StepCurrentSource { before, after, at } => TranOpKind::StepCurrent {
-                    before: before.value(),
-                    after: after.value(),
-                    at: at.value(),
-                },
                 ElementKind::RampCurrentSource {
                     before,
                     after,
@@ -492,52 +485,15 @@ impl TransientPlan {
         Ok(done)
     }
 
-    /// Repoints a step current source's parameters (RHS-only, so the
-    /// LU cache survives).
+    /// Repoints a ramp current source's parameters (RHS-only, so the
+    /// LU cache survives). A zero `rise` makes the ramp a load step.
     ///
     /// # Errors
     ///
     /// * [`CircuitError::UnknownElement`] — no such element.
-    /// * [`CircuitError::InvalidValue`] — the element is not a step
-    ///   current source, a current is non-finite, or the step time is
-    ///   negative or non-finite.
-    pub fn set_load_step(
-        &mut self,
-        element: ElementId,
-        before: Amps,
-        after: Amps,
-        at: Seconds,
-    ) -> Result<(), CircuitError> {
-        check_source_value("set_load_step current", before.value())?;
-        check_source_value("set_load_step current", after.value())?;
-        check_source_time("set_load_step time", at.value())?;
-        let op = self.op_mut(element)?;
-        match &mut op.kind {
-            TranOpKind::StepCurrent {
-                before: b,
-                after: a,
-                at: t0,
-            } => {
-                *b = before.value();
-                *a = after.value();
-                *t0 = at.value();
-                Ok(())
-            }
-            _ => Err(CircuitError::InvalidValue {
-                element: "set_load_step on a non-step element",
-                value: element.index() as f64,
-            }),
-        }
-    }
-
-    /// Repoints a ramp current source's parameters (RHS-only, so the
-    /// LU cache survives).
-    ///
-    /// # Errors
-    ///
-    /// As for [`TransientPlan::set_load_step`], with the target being a
-    /// ramp current source and `rise` also required finite and
-    /// non-negative.
+    /// * [`CircuitError::InvalidValue`] — the element is not a ramp
+    ///   current source, a current is non-finite, or the start or rise
+    ///   time is negative or non-finite.
     pub fn set_load_ramp(
         &mut self,
         element: ElementId,
@@ -717,9 +673,7 @@ impl TransientPlan {
                         a.add_at(*row, j, -1.0)?;
                     }
                 }
-                TranOpKind::CurrentSource { .. }
-                | TranOpKind::StepCurrent { .. }
-                | TranOpKind::RampCurrent { .. } => {}
+                TranOpKind::CurrentSource { .. } | TranOpKind::RampCurrent { .. } => {}
             }
         }
         let lu = LuFactor::new(&a)?;
@@ -751,15 +705,6 @@ impl TransientPlan {
                     }
                     if let Some(ib) = op.nb {
                         self.rhs[ib] += *i_src;
-                    }
-                }
-                TranOpKind::StepCurrent { before, after, at } => {
-                    let i_src = if t < *at { *before } else { *after };
-                    if let Some(ia) = op.na {
-                        self.rhs[ia] -= i_src;
-                    }
-                    if let Some(ib) = op.nb {
-                        self.rhs[ib] += i_src;
                     }
                 }
                 TranOpKind::RampCurrent {
@@ -824,13 +769,6 @@ impl TransientPlan {
                     vab / r
                 }
                 TranOpKind::CurrentSource { i } => *i,
-                TranOpKind::StepCurrent { before, after, at } => {
-                    if t < *at {
-                        *before
-                    } else {
-                        *after
-                    }
-                }
                 TranOpKind::RampCurrent {
                     before,
                     after,
@@ -994,9 +932,9 @@ mod tests {
     }
 
     #[test]
-    fn step_current_source_steps() {
-        // A step source into an RC supply node produces the classic
-        // first-order droop toward the new operating point.
+    fn zero_rise_ramp_source_steps() {
+        // A zero-rise ramp source into an RC supply node is a load step:
+        // the classic first-order droop toward the new operating point.
         let mut net = Netlist::new();
         let n = net.node("n");
         net.voltage_source(n, net.ground(), Volts::new(1.0))
@@ -1011,12 +949,13 @@ mod tests {
         )
         .unwrap();
         let step_id = net
-            .step_current_source(
+            .ramp_current_source(
                 mid,
                 net.ground(),
                 Amps::new(10.0),
                 Amps::new(100.0),
                 Seconds::from_microseconds(1.0),
+                Seconds::ZERO,
             )
             .unwrap();
         let settings = TransientSettings::new(
@@ -1093,33 +1032,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_rise_ramp_is_bitwise_a_step() {
-        let build = |ramp: bool| {
-            let mut net = Netlist::new();
-            let n = net.node("n");
-            net.resistor(n, net.ground(), Ohms::new(0.5)).unwrap();
-            net.capacitor(n, net.ground(), Farads::from_microfarads(1.0), Volts::ZERO)
-                .unwrap();
-            let (before, after) = (Amps::new(1.0), Amps::new(4.0));
-            let at = Seconds::from_microseconds(2.0);
-            if ramp {
-                net.ramp_current_source(n, net.ground(), before, after, at, Seconds::ZERO)
-                    .unwrap();
-            } else {
-                net.step_current_source(n, net.ground(), before, after, at)
-                    .unwrap();
-            }
-            let settings = TransientSettings::new(
-                Seconds::from_microseconds(8.0),
-                Seconds::from_nanoseconds(20.0),
-            )
-            .unwrap();
-            run(&net, &settings)
-        };
-        assert_results_bitwise(&build(true), &build(false));
-    }
-
-    #[test]
     fn ramp_source_validation() {
         let mut net = Netlist::new();
         let n = net.node("n");
@@ -1148,8 +1060,8 @@ mod tests {
 
     #[test]
     fn plan_restamp_matches_rebuild_from_scratch() {
-        // Build with placeholder step params, restamp, and compare to a
-        // netlist built directly with the final params.
+        // Build with placeholder load-step params, restamp, and compare
+        // to a netlist built directly with the final params.
         let make = |before: f64, after: f64, at_us: f64| {
             let mut net = Netlist::new();
             let vin = net.node("vin");
@@ -1165,12 +1077,13 @@ mod tests {
             )
             .unwrap();
             let id = net
-                .step_current_source(
+                .ramp_current_source(
                     mid,
                     net.ground(),
                     Amps::new(before),
                     Amps::new(after),
                     Seconds::from_microseconds(at_us),
+                    Seconds::ZERO,
                 )
                 .unwrap();
             (net, id)
@@ -1184,11 +1097,12 @@ mod tests {
         let (net_b, _) = make(2.5, 40.0, 3.0);
         let mut plan = TransientPlan::compile(&net_a, &settings).unwrap();
         plan.run().unwrap();
-        plan.set_load_step(
+        plan.set_load_ramp(
             step_a,
             Amps::new(2.5),
             Amps::new(40.0),
             Seconds::from_microseconds(3.0),
+            Seconds::ZERO,
         )
         .unwrap();
         let restamped = plan.run().unwrap();
@@ -1226,9 +1140,6 @@ mod tests {
         assert_eq!(plan.cached_factorizations(), 1);
         // Wrong-kind and out-of-range restamps are typed errors.
         assert!(plan.set_source(r, 1.0).is_err());
-        assert!(plan
-            .set_load_step(r, Amps::ZERO, Amps::ZERO, Seconds::ZERO)
-            .is_err());
         assert!(plan
             .set_load_ramp(vs, Amps::ZERO, Amps::ZERO, Seconds::ZERO, Seconds::ZERO)
             .is_err());

@@ -1,9 +1,7 @@
 //! The paper's power-delivery architectures and their PCB-to-POL
 //! analysis (§II and §IV).
 
-use crate::gridshare::{
-    placement_droop, placement_sites, solve_sharing, SharingReport, SharingSolver,
-};
+use crate::gridshare::{placement_droop, placement_sites, SharingReport, SharingSolver};
 use crate::loss::{LossBreakdown, LossKind, LossSegment};
 use crate::placement::{modules_required, VrPlacement};
 use crate::{Calibration, CoreError, SystemSpec};
@@ -170,7 +168,8 @@ pub fn single_stage_converter(kind: VrTopologyKind) -> Converter {
     }
 }
 
-/// Analyzes one architecture under a spec and calibration.
+/// Analyzes one architecture under a spec and calibration: a fresh
+/// [`AnalysisSession`], asked once.
 ///
 /// For [`Architecture::Reference`] the `topology` parameter is ignored
 /// (the PCB converter is fixed); for [`Architecture::TwoStage`] the
@@ -196,6 +195,10 @@ pub fn single_stage_converter(kind: VrTopologyKind) -> Converter {
 ///
 /// # Errors
 ///
+/// * [`CoreError::InvalidSpec`] for an invalid calibration or a zero
+///   module count.
+/// * [`CoreError::InsufficientVrCapacity`] when the module bank's
+///   combined rating cannot carry the POL current.
 /// * [`CoreError::VrOverload`] when a module exceeds its rating and
 ///   `allow_overload` is off.
 /// * [`CoreError::Package`] when an interconnect level cannot carry its
@@ -209,28 +212,7 @@ pub fn analyze(
     calib: &Calibration,
     opts: &AnalysisOptions,
 ) -> Result<ArchitectureReport, CoreError> {
-    match architecture {
-        Architecture::Reference => analyze_reference(spec, calib),
-        Architecture::InterposerPeriphery => analyze_single_stage(
-            architecture,
-            topology,
-            VrPlacement::Periphery,
-            spec,
-            calib,
-            opts,
-        ),
-        Architecture::InterposerEmbedded => analyze_single_stage(
-            architecture,
-            topology,
-            VrPlacement::BelowDie,
-            spec,
-            calib,
-            opts,
-        ),
-        Architecture::TwoStage { bus } => {
-            analyze_two_stage(architecture, topology, bus, spec, calib, opts)
-        }
-    }
+    AnalysisSession::new(architecture, spec, calib, opts)?.analyze(topology, calib)
 }
 
 /// Analyzes every architecture × topology pair of the paper's Figure 7.
@@ -319,198 +301,6 @@ fn bank_loss(
     Ok((total, overloaded))
 }
 
-fn analyze_reference(
-    spec: &SystemSpec,
-    calib: &Calibration,
-) -> Result<ArchitectureReport, CoreError> {
-    // POL current enters the die through distributed via clusters; the
-    // on-die spreading is the same mesh physics as the proposed
-    // architectures, with under-die entry points.
-    let entry_clusters = PAPER_VR_POSITIONS;
-    let sharing = solve_sharing(spec, calib, VrPlacement::BelowDie, entry_clusters)?;
-    finish_reference(spec, calib, entry_clusters, sharing)
-}
-
-/// Everything in the reference analysis downstream of the die-grid
-/// solve ([`AnalysisSession`] supplies the sharing from its reusable
-/// solver; [`analyze`] from a one-shot solve).
-fn finish_reference(
-    spec: &SystemSpec,
-    calib: &Calibration,
-    entry_clusters: usize,
-    sharing: SharingReport,
-) -> Result<ArchitectureReport, CoreError> {
-    let i_pol = spec.pol_current();
-    let mut breakdown = LossBreakdown::new(spec.pol_power());
-    let mut utilization = Vec::new();
-
-    breakdown.push(LossSegment {
-        name: "die-grid spreading".to_owned(),
-        kind: LossKind::GridSpreading,
-        power: sharing.grid_loss() + sharing.droop_loss(),
-    });
-
-    // Lateral PCB + package routing at POL voltage.
-    let horizontal = i_pol.dissipation_in(calib.horizontal_pol_resistance);
-    breakdown.push(LossSegment {
-        name: "horizontal PCB/PKG (1 V)".to_owned(),
-        kind: LossKind::Horizontal,
-        power: horizontal,
-    });
-
-    // Vertical levels at full POL current. The reference die must grow
-    // until its C4 field can sink the current (the paper's 1,200 mm²).
-    let c4_platform = required_platform_area(InterconnectTech::C4, i_pol)?;
-    let bga_platform = {
-        let needed = required_platform_area(InterconnectTech::BGA, i_pol)?;
-        needed.max(platform_bga(spec))
-    };
-    push_vertical(
-        &mut breakdown,
-        &mut utilization,
-        InterconnectTech::BGA,
-        i_pol,
-        bga_platform,
-    )?;
-    push_vertical(
-        &mut breakdown,
-        &mut utilization,
-        InterconnectTech::C4,
-        i_pol,
-        c4_platform,
-    )?;
-
-    // The PCB converter supplies the POL power plus everything the PPDN
-    // dissipates downstream of it.
-    let converter = Converter::reference_pcb_48v_to_1v();
-    let p_out = spec.pol_power() + horizontal + breakdown.vertical_loss();
-    let i_out = p_out / spec.pol_voltage();
-    let vr_loss = converter.loss(i_out)?;
-    breakdown.push(LossSegment {
-        name: "VR at PCB (48V→1V)".to_owned(),
-        kind: LossKind::Conversion { stage: 1 },
-        power: vr_loss,
-    });
-
-    Ok(ArchitectureReport {
-        architecture: Architecture::Reference,
-        topology: None,
-        breakdown,
-        sharing,
-        stage1_modules: None,
-        stage2_modules: entry_clusters,
-        utilization,
-        overloaded: false,
-    })
-}
-
-/// Rejects a module bank whose combined rating cannot meet the demand.
-fn check_capacity(max_load: Amps, modules: usize, demand: Amps) -> Result<(), CoreError> {
-    let capacity = max_load.value() * modules as f64;
-    if capacity < demand.value() {
-        return Err(CoreError::InsufficientVrCapacity {
-            modules,
-            capacity,
-            demand: demand.value(),
-        });
-    }
-    Ok(())
-}
-
-fn analyze_single_stage(
-    architecture: Architecture,
-    topology: VrTopologyKind,
-    placement: VrPlacement,
-    spec: &SystemSpec,
-    calib: &Calibration,
-    opts: &AnalysisOptions,
-) -> Result<ArchitectureReport, CoreError> {
-    let ch = TopologyCharacteristics::table_ii(topology);
-    let n_vrs = opts.module_count.unwrap_or(PAPER_VR_POSITIONS);
-    check_capacity(ch.max_load, n_vrs, spec.pol_current())?;
-    let sharing = solve_sharing(spec, calib, placement, n_vrs)?;
-    finish_single_stage(architecture, topology, spec, calib, opts, n_vrs, sharing)
-}
-
-/// The single-stage analysis downstream of the die-grid solve.
-fn finish_single_stage(
-    architecture: Architecture,
-    topology: VrTopologyKind,
-    spec: &SystemSpec,
-    calib: &Calibration,
-    opts: &AnalysisOptions,
-    n_vrs: usize,
-    sharing: SharingReport,
-) -> Result<ArchitectureReport, CoreError> {
-    let i_pol = spec.pol_current();
-    let ch = TopologyCharacteristics::table_ii(topology);
-    let conv = single_stage_converter(topology);
-    let (vr_loss, overloaded) = bank_loss(&conv, sharing.per_vr(), opts.allow_overload)?;
-
-    let mut breakdown = LossBreakdown::new(spec.pol_power());
-    let mut utilization = Vec::new();
-
-    breakdown.push(LossSegment {
-        name: format!("VR {} (48V→1V)", ch.kind),
-        kind: LossKind::Conversion { stage: 1 },
-        power: vr_loss + sharing.droop_loss(),
-    });
-    breakdown.push(LossSegment {
-        name: "die-grid spreading".to_owned(),
-        kind: LossKind::GridSpreading,
-        power: sharing.grid_loss(),
-    });
-
-    // 48 V side: lateral PCB feed plus BGA/C4 at the reduced current.
-    let p_in = spec.pol_power() + vr_loss;
-    let i_hv = p_in / spec.pcb_voltage();
-    breakdown.push(LossSegment {
-        name: "horizontal PCB (48 V)".to_owned(),
-        kind: LossKind::Horizontal,
-        power: i_hv.dissipation_in(calib.horizontal_hv_resistance),
-    });
-    push_vertical(
-        &mut breakdown,
-        &mut utilization,
-        InterconnectTech::BGA,
-        i_hv,
-        platform_bga(spec),
-    )?;
-    push_vertical(
-        &mut breakdown,
-        &mut utilization,
-        InterconnectTech::C4,
-        i_hv,
-        platform_c4(spec),
-    )?;
-    // 1 V side: TSVs and Cu pads at full POL current.
-    push_vertical(
-        &mut breakdown,
-        &mut utilization,
-        InterconnectTech::TSV,
-        i_pol,
-        platform_tsv(spec),
-    )?;
-    push_vertical(
-        &mut breakdown,
-        &mut utilization,
-        InterconnectTech::CU_PAD,
-        i_pol,
-        spec.die_area(),
-    )?;
-
-    Ok(ArchitectureReport {
-        architecture,
-        topology: Some(topology),
-        breakdown,
-        sharing,
-        stage1_modules: None,
-        stage2_modules: n_vrs,
-        utilization,
-        overloaded,
-    })
-}
-
 /// Stage 2 of A3: the selected topology below the die at bus→1 V. The
 /// paper prefers DSCH for the second stage (§III); DSCH calibration data
 /// is what we carry, so non-DSCH selections fall back to the DSCH curve
@@ -520,131 +310,6 @@ fn finish_single_stage(
 pub(crate) fn second_stage_converter(bus: Volts) -> Result<Converter, CoreError> {
     Ok(Converter::dsch_second_stage(bus)
         .or_else(|_| Converter::dsch_second_stage_for_ratio(bus))?)
-}
-
-fn analyze_two_stage(
-    architecture: Architecture,
-    topology: VrTopologyKind,
-    bus: Volts,
-    spec: &SystemSpec,
-    calib: &Calibration,
-    opts: &AnalysisOptions,
-) -> Result<ArchitectureReport, CoreError> {
-    let conv2 = second_stage_converter(bus)?;
-    let n2 = opts.module_count.unwrap_or(PAPER_VR_POSITIONS);
-    check_capacity(conv2.max_load(), n2, spec.pol_current())?;
-    let sharing = solve_sharing(spec, calib, VrPlacement::BelowDie, n2)?;
-    finish_two_stage(architecture, topology, bus, spec, calib, opts, n2, sharing)
-}
-
-/// The two-stage analysis downstream of the die-grid solve.
-#[allow(clippy::too_many_arguments)]
-fn finish_two_stage(
-    architecture: Architecture,
-    topology: VrTopologyKind,
-    bus: Volts,
-    spec: &SystemSpec,
-    calib: &Calibration,
-    opts: &AnalysisOptions,
-    n2: usize,
-    sharing: SharingReport,
-) -> Result<ArchitectureReport, CoreError> {
-    let i_pol = spec.pol_current();
-    let conv2 = second_stage_converter(bus)?;
-    let (vr2_loss, overloaded) = bank_loss(&conv2, sharing.per_vr(), opts.allow_overload)?;
-
-    let mut breakdown = LossBreakdown::new(spec.pol_power());
-    let mut utilization = Vec::new();
-
-    breakdown.push(LossSegment {
-        name: format!("VR stage 2 ({}V→1V)", bus.value()),
-        kind: LossKind::Conversion { stage: 2 },
-        power: vr2_loss + sharing.droop_loss(),
-    });
-    breakdown.push(LossSegment {
-        name: "die-grid spreading".to_owned(),
-        kind: LossKind::GridSpreading,
-        power: sharing.grid_loss(),
-    });
-
-    // Interposer lateral bus from the periphery first stage to the
-    // under-die second stage.
-    let p2_in = spec.pol_power() + vr2_loss;
-    let i_bus = p2_in / bus;
-    let bus_loss = i_bus.dissipation_in(calib.interposer_bus_resistance);
-    breakdown.push(LossSegment {
-        name: format!("interposer bus ({} V)", bus.value()),
-        kind: LossKind::Horizontal,
-        power: bus_loss,
-    });
-
-    // Stage 1: DPMIH 48 V→bus on the periphery, module count chosen to
-    // run modules near their peak-efficiency current.
-    let conv1 = Converter::dpmih_first_stage(bus)
-        .or_else(|_| Converter::dpmih_first_stage_for_ratio(bus))?;
-    let p1_out = p2_in + bus_loss;
-    let i1_total = p1_out / bus;
-    let n1 = (i1_total.value() / conv1.curve().peak_efficiency_current().value())
-        .round()
-        .max(1.0) as usize;
-    let n1 = n1.max(modules_required(i1_total, conv1.max_load(), 1.0));
-    let per_module = i1_total / n1 as f64;
-    let vr1_loss = conv1.loss(per_module)? * n1 as f64;
-    breakdown.push(LossSegment {
-        name: format!("VR stage 1 (48V→{}V)", bus.value()),
-        kind: LossKind::Conversion { stage: 1 },
-        power: vr1_loss,
-    });
-
-    // 48 V side feed.
-    let p1_in = p1_out + vr1_loss;
-    let i_hv = p1_in / spec.pcb_voltage();
-    breakdown.push(LossSegment {
-        name: "horizontal PCB (48 V)".to_owned(),
-        kind: LossKind::Horizontal,
-        power: i_hv.dissipation_in(calib.horizontal_hv_resistance),
-    });
-    push_vertical(
-        &mut breakdown,
-        &mut utilization,
-        InterconnectTech::BGA,
-        i_hv,
-        platform_bga(spec),
-    )?;
-    push_vertical(
-        &mut breakdown,
-        &mut utilization,
-        InterconnectTech::C4,
-        i_hv,
-        platform_c4(spec),
-    )?;
-    // The bus crosses the interposer TSVs; the POL current crosses the
-    // pads into the die.
-    push_vertical(
-        &mut breakdown,
-        &mut utilization,
-        InterconnectTech::TSV,
-        i_bus,
-        platform_tsv(spec),
-    )?;
-    push_vertical(
-        &mut breakdown,
-        &mut utilization,
-        InterconnectTech::CU_PAD,
-        i_pol,
-        spec.die_area(),
-    )?;
-
-    Ok(ArchitectureReport {
-        architecture,
-        topology: Some(topology),
-        breakdown,
-        sharing,
-        stage1_modules: Some(n1),
-        stage2_modules: n2,
-        utilization,
-        overloaded,
-    })
 }
 
 /// The placement pattern and module count an architecture analyzes
@@ -666,15 +331,16 @@ pub(crate) fn session_placement(
     }
 }
 
-/// A reusable analysis pipeline for sweep hot loops.
+/// A reusable analysis pipeline, and the one path every architecture
+/// analysis takes.
 ///
-/// [`analyze`] rebuilds the die-grid netlist and re-factorizes/compiles
-/// its solve plan on every call; a session builds the
-/// [`SharingSolver`](crate::SharingSolver) once per architecture and
-/// merely restamps element values for each subsequent evaluation, so
-/// topology columns and bus/spec sweep points all reuse the same
-/// symbolic work — and can warm-start from an anchored nominal solution.
-/// A Monte-Carlo run ([`crate::run_tolerance_with`]) also leaves the
+/// A session builds the [`SharingSolver`](crate::SharingSolver) once
+/// per architecture and merely restamps element values for each
+/// evaluation, so topology columns and bus/spec sweep points all reuse
+/// the same symbolic work — and can warm-start from an anchored nominal
+/// solution. [`analyze`] is a fresh session asked once, so until its
+/// grid values move a session answers exactly as [`analyze`] does. A
+/// Monte-Carlo run ([`crate::run_tolerance_with`]) also leaves the
 /// nominal regulator response with the session, and later runs answer
 /// their samples from it while the nominal grid inputs stay the same.
 ///
@@ -699,9 +365,9 @@ pub(crate) fn session_placement(
 /// let dsch = session.analyze(VrTopologyKind::Dsch, &calib)?;
 /// let dpmih = session.analyze(VrTopologyKind::Dpmih, &calib)?;
 /// let one_shot = analyze(
-///     Architecture::InterposerEmbedded, VrTopologyKind::Dsch, &spec, &calib, &opts,
+///     Architecture::InterposerEmbedded, VrTopologyKind::Dpmih, &spec, &calib, &opts,
 /// )?;
-/// assert!((dsch.loss_percent() - one_shot.loss_percent()).abs() < 1e-6);
+/// assert_eq!(dpmih.loss_percent(), one_shot.loss_percent());
 /// assert!(dpmih.loss_percent() != dsch.loss_percent());
 /// # Ok(())
 /// # }
@@ -729,20 +395,26 @@ struct Pipeline {
 }
 
 impl Pipeline {
-    /// Capacity validation, run before any solve to preserve
-    /// [`analyze`]'s error order (a hopeless module count fails first).
+    /// Rejects a module bank whose combined rating cannot meet the POL
+    /// current, before any solve (a hopeless module count fails first).
     fn check_capacity(&self, topology: VrTopologyKind) -> Result<(), CoreError> {
-        match self.architecture {
-            Architecture::Reference => Ok(()),
+        let max_load = match self.architecture {
+            Architecture::Reference => return Ok(()),
             Architecture::InterposerPeriphery | Architecture::InterposerEmbedded => {
-                let ch = TopologyCharacteristics::table_ii(topology);
-                check_capacity(ch.max_load, self.n_vrs, self.spec.pol_current())
+                TopologyCharacteristics::table_ii(topology).max_load
             }
-            Architecture::TwoStage { bus } => {
-                let conv2 = second_stage_converter(bus)?;
-                check_capacity(conv2.max_load(), self.n_vrs, self.spec.pol_current())
-            }
+            Architecture::TwoStage { bus } => second_stage_converter(bus)?.max_load(),
+        };
+        let capacity = max_load.value() * self.n_vrs as f64;
+        let demand = self.spec.pol_current().value();
+        if capacity < demand {
+            return Err(CoreError::InsufficientVrCapacity {
+                modules: self.n_vrs,
+                capacity,
+                demand,
+            });
         }
+        Ok(())
     }
 
     /// The restamp path: restamp `solver` to this spec and `calib`,
@@ -767,29 +439,270 @@ impl Pipeline {
         sharing: SharingReport,
     ) -> Result<ArchitectureReport, CoreError> {
         match self.architecture {
-            Architecture::Reference => finish_reference(&self.spec, calib, self.n_vrs, sharing),
+            Architecture::Reference => self.finish_reference(calib, sharing),
             Architecture::InterposerPeriphery | Architecture::InterposerEmbedded => {
-                finish_single_stage(
-                    self.architecture,
-                    topology,
-                    &self.spec,
-                    calib,
-                    &self.opts,
-                    self.n_vrs,
-                    sharing,
-                )
+                self.finish_single_stage(topology, calib, sharing)
             }
-            Architecture::TwoStage { bus } => finish_two_stage(
-                self.architecture,
-                topology,
-                bus,
-                &self.spec,
-                calib,
-                &self.opts,
-                self.n_vrs,
-                sharing,
-            ),
+            Architecture::TwoStage { bus } => self.finish_two_stage(topology, bus, calib, sharing),
         }
+    }
+
+    /// The reference breakdown. POL current enters the die through
+    /// distributed via clusters (the session's `n_vrs` entry points); the
+    /// on-die spreading is the same mesh physics as the proposed
+    /// architectures, with under-die entry points.
+    fn finish_reference(
+        &self,
+        calib: &Calibration,
+        sharing: SharingReport,
+    ) -> Result<ArchitectureReport, CoreError> {
+        let spec = &self.spec;
+        let i_pol = spec.pol_current();
+        let mut breakdown = LossBreakdown::new(spec.pol_power());
+        let mut utilization = Vec::new();
+
+        breakdown.push(LossSegment {
+            name: "die-grid spreading".to_owned(),
+            kind: LossKind::GridSpreading,
+            power: sharing.grid_loss() + sharing.droop_loss(),
+        });
+
+        // Lateral PCB + package routing at POL voltage.
+        let horizontal = i_pol.dissipation_in(calib.horizontal_pol_resistance);
+        breakdown.push(LossSegment {
+            name: "horizontal PCB/PKG (1 V)".to_owned(),
+            kind: LossKind::Horizontal,
+            power: horizontal,
+        });
+
+        // Vertical levels at full POL current. The reference die must grow
+        // until its C4 field can sink the current (the paper's 1,200 mm²).
+        let c4_platform = required_platform_area(InterconnectTech::C4, i_pol)?;
+        let bga_platform = {
+            let needed = required_platform_area(InterconnectTech::BGA, i_pol)?;
+            needed.max(platform_bga(spec))
+        };
+        push_vertical(
+            &mut breakdown,
+            &mut utilization,
+            InterconnectTech::BGA,
+            i_pol,
+            bga_platform,
+        )?;
+        push_vertical(
+            &mut breakdown,
+            &mut utilization,
+            InterconnectTech::C4,
+            i_pol,
+            c4_platform,
+        )?;
+
+        // The PCB converter supplies the POL power plus everything the PPDN
+        // dissipates downstream of it.
+        let converter = Converter::reference_pcb_48v_to_1v();
+        let p_out = spec.pol_power() + horizontal + breakdown.vertical_loss();
+        let i_out = p_out / spec.pol_voltage();
+        let vr_loss = converter.loss(i_out)?;
+        breakdown.push(LossSegment {
+            name: "VR at PCB (48V→1V)".to_owned(),
+            kind: LossKind::Conversion { stage: 1 },
+            power: vr_loss,
+        });
+
+        Ok(ArchitectureReport {
+            architecture: Architecture::Reference,
+            topology: None,
+            breakdown,
+            sharing,
+            stage1_modules: None,
+            stage2_modules: self.n_vrs,
+            utilization,
+            overloaded: false,
+        })
+    }
+
+    /// The single-stage (A1/A2) breakdown.
+    fn finish_single_stage(
+        &self,
+        topology: VrTopologyKind,
+        calib: &Calibration,
+        sharing: SharingReport,
+    ) -> Result<ArchitectureReport, CoreError> {
+        let spec = &self.spec;
+        let i_pol = spec.pol_current();
+        let ch = TopologyCharacteristics::table_ii(topology);
+        let conv = single_stage_converter(topology);
+        let (vr_loss, overloaded) = bank_loss(&conv, sharing.per_vr(), self.opts.allow_overload)?;
+
+        let mut breakdown = LossBreakdown::new(spec.pol_power());
+        let mut utilization = Vec::new();
+
+        breakdown.push(LossSegment {
+            name: format!("VR {} (48V→1V)", ch.kind),
+            kind: LossKind::Conversion { stage: 1 },
+            power: vr_loss + sharing.droop_loss(),
+        });
+        breakdown.push(LossSegment {
+            name: "die-grid spreading".to_owned(),
+            kind: LossKind::GridSpreading,
+            power: sharing.grid_loss(),
+        });
+
+        // 48 V side: lateral PCB feed plus BGA/C4 at the reduced current.
+        let p_in = spec.pol_power() + vr_loss;
+        let i_hv = p_in / spec.pcb_voltage();
+        breakdown.push(LossSegment {
+            name: "horizontal PCB (48 V)".to_owned(),
+            kind: LossKind::Horizontal,
+            power: i_hv.dissipation_in(calib.horizontal_hv_resistance),
+        });
+        push_vertical(
+            &mut breakdown,
+            &mut utilization,
+            InterconnectTech::BGA,
+            i_hv,
+            platform_bga(spec),
+        )?;
+        push_vertical(
+            &mut breakdown,
+            &mut utilization,
+            InterconnectTech::C4,
+            i_hv,
+            platform_c4(spec),
+        )?;
+        // 1 V side: TSVs and Cu pads at full POL current.
+        push_vertical(
+            &mut breakdown,
+            &mut utilization,
+            InterconnectTech::TSV,
+            i_pol,
+            platform_tsv(spec),
+        )?;
+        push_vertical(
+            &mut breakdown,
+            &mut utilization,
+            InterconnectTech::CU_PAD,
+            i_pol,
+            spec.die_area(),
+        )?;
+
+        Ok(ArchitectureReport {
+            architecture: self.architecture,
+            topology: Some(topology),
+            breakdown,
+            sharing,
+            stage1_modules: None,
+            stage2_modules: self.n_vrs,
+            utilization,
+            overloaded,
+        })
+    }
+
+    /// The two-stage (A3) breakdown.
+    fn finish_two_stage(
+        &self,
+        topology: VrTopologyKind,
+        bus: Volts,
+        calib: &Calibration,
+        sharing: SharingReport,
+    ) -> Result<ArchitectureReport, CoreError> {
+        let spec = &self.spec;
+        let i_pol = spec.pol_current();
+        let conv2 = second_stage_converter(bus)?;
+        let (vr2_loss, overloaded) = bank_loss(&conv2, sharing.per_vr(), self.opts.allow_overload)?;
+
+        let mut breakdown = LossBreakdown::new(spec.pol_power());
+        let mut utilization = Vec::new();
+
+        breakdown.push(LossSegment {
+            name: format!("VR stage 2 ({}V→1V)", bus.value()),
+            kind: LossKind::Conversion { stage: 2 },
+            power: vr2_loss + sharing.droop_loss(),
+        });
+        breakdown.push(LossSegment {
+            name: "die-grid spreading".to_owned(),
+            kind: LossKind::GridSpreading,
+            power: sharing.grid_loss(),
+        });
+
+        // Interposer lateral bus from the periphery first stage to the
+        // under-die second stage.
+        let p2_in = spec.pol_power() + vr2_loss;
+        let i_bus = p2_in / bus;
+        let bus_loss = i_bus.dissipation_in(calib.interposer_bus_resistance);
+        breakdown.push(LossSegment {
+            name: format!("interposer bus ({} V)", bus.value()),
+            kind: LossKind::Horizontal,
+            power: bus_loss,
+        });
+
+        // Stage 1: DPMIH 48 V→bus on the periphery, module count chosen to
+        // run modules near their peak-efficiency current.
+        let conv1 = Converter::dpmih_first_stage(bus)
+            .or_else(|_| Converter::dpmih_first_stage_for_ratio(bus))?;
+        let p1_out = p2_in + bus_loss;
+        let i1_total = p1_out / bus;
+        let n1 = (i1_total.value() / conv1.curve().peak_efficiency_current().value())
+            .round()
+            .max(1.0) as usize;
+        let n1 = n1.max(modules_required(i1_total, conv1.max_load(), 1.0));
+        let per_module = i1_total / n1 as f64;
+        let vr1_loss = conv1.loss(per_module)? * n1 as f64;
+        breakdown.push(LossSegment {
+            name: format!("VR stage 1 (48V→{}V)", bus.value()),
+            kind: LossKind::Conversion { stage: 1 },
+            power: vr1_loss,
+        });
+
+        // 48 V side feed.
+        let p1_in = p1_out + vr1_loss;
+        let i_hv = p1_in / spec.pcb_voltage();
+        breakdown.push(LossSegment {
+            name: "horizontal PCB (48 V)".to_owned(),
+            kind: LossKind::Horizontal,
+            power: i_hv.dissipation_in(calib.horizontal_hv_resistance),
+        });
+        push_vertical(
+            &mut breakdown,
+            &mut utilization,
+            InterconnectTech::BGA,
+            i_hv,
+            platform_bga(spec),
+        )?;
+        push_vertical(
+            &mut breakdown,
+            &mut utilization,
+            InterconnectTech::C4,
+            i_hv,
+            platform_c4(spec),
+        )?;
+        // The bus crosses the interposer TSVs; the POL current crosses the
+        // pads into the die.
+        push_vertical(
+            &mut breakdown,
+            &mut utilization,
+            InterconnectTech::TSV,
+            i_bus,
+            platform_tsv(spec),
+        )?;
+        push_vertical(
+            &mut breakdown,
+            &mut utilization,
+            InterconnectTech::CU_PAD,
+            i_pol,
+            spec.die_area(),
+        )?;
+
+        Ok(ArchitectureReport {
+            architecture: self.architecture,
+            topology: Some(topology),
+            breakdown,
+            sharing,
+            stage1_modules: Some(n1),
+            stage2_modules: self.n_vrs,
+            utilization,
+            overloaded,
+        })
     }
 }
 
@@ -798,7 +711,8 @@ impl AnalysisSession {
     ///
     /// # Errors
     ///
-    /// * [`CoreError::InvalidSpec`] for a zero module count.
+    /// * [`CoreError::InvalidSpec`] for a zero module count or an
+    ///   invalid calibration.
     /// * [`CoreError::Circuit`] if the grid cannot be built.
     pub fn new(
         architecture: Architecture,
@@ -807,6 +721,12 @@ impl AnalysisSession {
         opts: &AnalysisOptions,
     ) -> Result<Self, CoreError> {
         let (placement, n_vrs) = session_placement(architecture, opts);
+        if n_vrs == 0 {
+            return Err(CoreError::InvalidSpec {
+                what: "regulator count",
+                value: 0.0,
+            });
+        }
         let (sites, droop) = placement_sites(placement, calib, n_vrs);
         let mut solver = SharingSolver::new(spec, calib, &sites, droop)?;
         solver.set_solve_mode(opts.solve_mode)?;
@@ -824,8 +744,10 @@ impl AnalysisSession {
     }
 
     /// Analyzes the session's architecture for one (topology,
-    /// calibration) point, reusing the compiled grid. Matches
-    /// [`analyze`] to solver tolerance.
+    /// calibration) point, reusing the compiled grid. Until the grid
+    /// values move away from the ones the session was built with (for
+    /// another topology, say), this is [`analyze`]'s answer bit for bit;
+    /// after they move, the warm start matches it to solver tolerance.
     ///
     /// # Errors
     ///
@@ -1160,17 +1082,55 @@ mod tests {
             for topo in [VrTopologyKind::Dsch, VrTopologyKind::Dpmih] {
                 let fresh = analyze(arch, topo, &spec, &calib, &opts).unwrap();
                 let reused = session.analyze(topo, &calib).unwrap();
-                assert!(
-                    (reused.loss_percent() - fresh.loss_percent()).abs() < 1e-6,
-                    "{} {topo}: session {:.6}% vs one-shot {:.6}%",
+                // The second topology reuses the session's solved grid
+                // and still answers exactly like a fresh one.
+                assert_eq!(
+                    reused.loss_percent().to_bits(),
+                    fresh.loss_percent().to_bits(),
+                    "{} {topo}: session {}% vs one-shot {}%",
                     arch.name(),
                     reused.loss_percent(),
                     fresh.loss_percent()
                 );
+                assert_eq!(reused.sharing, fresh.sharing, "{} {topo}", arch.name());
                 assert_eq!(reused.stage2_modules, fresh.stage2_modules);
                 assert_eq!(reused.overloaded, fresh.overloaded);
             }
         }
+    }
+
+    #[test]
+    fn zero_module_count_is_a_typed_error() {
+        let spec = SystemSpec::paper_default();
+        let calib = Calibration::paper_default();
+        let opts = AnalysisOptions {
+            module_count: Some(0),
+            ..AnalysisOptions::default()
+        };
+        let zero = |err: CoreError| {
+            matches!(
+                err,
+                CoreError::InvalidSpec {
+                    what: "regulator count",
+                    ..
+                }
+            )
+        };
+        for arch in Architecture::paper_set().into_iter().skip(1) {
+            let session = AnalysisSession::new(arch, &spec, &calib, &opts);
+            assert!(session.is_err_and(zero), "{arch} session");
+            let one_shot = analyze(arch, VrTopologyKind::Dsch, &spec, &calib, &opts);
+            assert!(one_shot.is_err_and(zero), "{arch} analyze");
+        }
+        // The reference's 48 via-entry clusters ignore the override.
+        assert!(analyze(
+            Architecture::Reference,
+            VrTopologyKind::Dsch,
+            &spec,
+            &calib,
+            &opts
+        )
+        .is_ok());
     }
 
     #[test]

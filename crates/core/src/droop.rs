@@ -56,7 +56,8 @@ pub struct DroopReport {
 }
 
 /// A compiled, reusable droop scenario: one architecture's PDN ladder
-/// plus a step current source, lowered once into a [`TransientPlan`].
+/// plus the load step (a zero-rise ramp current source), lowered once
+/// into a [`TransientPlan`].
 ///
 /// The scenario owns the plan, so repeated runs — swept step
 /// parameters via [`DroopScenario::set_step`], or re-runs of the same
@@ -89,7 +90,14 @@ impl DroopScenario {
     ) -> Result<Self, CoreError> {
         let (mut net, die) = model.netlist()?;
         let step_el = net
-            .step_current_source(die, net.ground(), step.base, step.after, step.at)
+            .ramp_current_source(
+                die,
+                net.ground(),
+                step.base,
+                step.after,
+                step.at,
+                Seconds::ZERO,
+            )
             .map_err(CoreError::Circuit)?;
         let settings = TransientSettings::new(sim_time, dt).map_err(CoreError::Circuit)?;
         let plan = TransientPlan::compile(&net, &settings).map_err(CoreError::Circuit)?;
@@ -108,10 +116,10 @@ impl DroopScenario {
     ///
     /// # Errors
     ///
-    /// Propagates [`TransientPlan::set_load_step`] validation failures.
+    /// Propagates [`TransientPlan::set_load_ramp`] validation failures.
     pub fn set_step(&mut self, step: &LoadStep) -> Result<(), CoreError> {
         self.plan
-            .set_load_step(self.step_el, step.base, step.after, step.at)
+            .set_load_ramp(self.step_el, step.base, step.after, step.at, Seconds::ZERO)
             .map_err(CoreError::Circuit)?;
         self.step = *step;
         Ok(())
@@ -179,20 +187,11 @@ impl DroopScenario {
         Ok(self.report())
     }
 
-    /// Derives the droop report from the recorded waveforms — the exact
-    /// arithmetic the pre-plan `simulate_droop` applied.
+    /// Derives the droop report from the recorded waveforms.
     #[must_use]
     pub fn report(&self) -> DroopReport {
         let result = self.plan.result();
-        let times = result.times();
-        let v = result.voltage(self.die);
-        let step_idx = times
-            .iter()
-            .position(|&t| t >= self.step.at.value())
-            .unwrap_or(0)
-            .saturating_sub(1);
-        let v_before = v[step_idx];
-        let v_min = v[step_idx..].iter().copied().fold(f64::INFINITY, f64::min);
+        let (v_before, v_min) = dip(result.times(), result.voltage(self.die), self.step.at);
         DroopReport {
             v_before: Volts::new(v_before),
             v_min: Volts::new(v_min),
@@ -200,6 +199,22 @@ impl DroopScenario {
             impedance_bound: self.step.delta() * self.peak_z,
         }
     }
+}
+
+/// The dip an event leaves in a sampled rail `v`: the voltage at the
+/// last sample before `event` (the first sample when the event is at or
+/// before it, or never reached) and the minimum from that sample on —
+/// the droop measurement every load-step and fault transient reports.
+pub(crate) fn dip(times: &[f64], v: &[f64], event: Seconds) -> (f64, f64) {
+    let idx = times
+        .iter()
+        .position(|&t| t >= event.value())
+        .unwrap_or(0)
+        .saturating_sub(1);
+    (
+        v[idx],
+        v[idx..].iter().copied().fold(f64::INFINITY, f64::min),
+    )
 }
 
 /// Simulates a load step against an architecture's PDN model.

@@ -12,6 +12,7 @@
 //! so the serial and parallel sweeps are **bitwise identical** — the
 //! same contract every other engine in this crate makes.
 
+use crate::droop::dip;
 use crate::par::par_map_with;
 use crate::{Architecture, CoreError, PdnModel, SystemSpec};
 use vpd_circuit::{ElementId, NodeId, TransientPlan, TransientResult, TransientSettings};
@@ -266,13 +267,7 @@ impl DroopSweep {
     ) -> DroopSweepPoint {
         let times = result.times();
         let v = result.voltage(self.die);
-        let step_idx = times
-            .iter()
-            .position(|&t| t >= self.at.value())
-            .unwrap_or(0)
-            .saturating_sub(1);
-        let v_before = v[step_idx];
-        let v_min = v[step_idx..].iter().copied().fold(f64::INFINITY, f64::min);
+        let (v_before, v_min) = dip(times, v, self.at);
         let droop = v_before - v_min;
 
         let v_final = v[v.len() - 1];

@@ -1,7 +1,7 @@
 //! Design-space exploration: the full architecture × topology matrix
 //! and the parameter sweeps behind the ablation studies.
 
-use crate::arch::{analyze, AnalysisOptions, AnalysisSession, Architecture, ArchitectureReport};
+use crate::arch::{AnalysisOptions, AnalysisSession, Architecture, ArchitectureReport};
 use crate::{Calibration, CoreError, SystemSpec};
 use vpd_converters::VrTopologyKind;
 use vpd_units::{CurrentDensity, Volts};
@@ -46,11 +46,11 @@ pub fn explore_matrix(
             out.push(MatrixEntry {
                 architecture: arch,
                 topology,
+                // A session that could not be built fails every cell of
+                // its row with the construction error.
                 outcome: match session.as_mut() {
                     Ok(session) => session.analyze(topology, calib),
-                    // Grid construction failed: carry the per-cell error
-                    // the one-shot path would have produced.
-                    Err(_) => analyze(arch, topology, spec, calib, opts),
+                    Err(e) => Err(e.clone()),
                 },
             });
         }
@@ -70,19 +70,20 @@ pub fn sweep_bus_voltage(
 ) -> Vec<(Volts, Result<ArchitectureReport, CoreError>)> {
     // All bus points share the under-die placement, so one session's
     // grid serves the whole sweep via `set_architecture`.
-    let mut session = buses.first().and_then(|&bus| {
-        AnalysisSession::new(Architecture::TwoStage { bus }, spec, calib, opts).ok()
-    });
+    let Some(&first) = buses.first() else {
+        return Vec::new();
+    };
+    let mut session =
+        AnalysisSession::new(Architecture::TwoStage { bus: first }, spec, calib, opts);
     buses
         .iter()
         .map(|&bus| {
-            let arch = Architecture::TwoStage { bus };
-            let reused = session.as_mut().and_then(|s| {
-                s.set_architecture(arch).ok()?;
-                Some(s.analyze(VrTopologyKind::Dsch, calib))
-            });
-            let outcome =
-                reused.unwrap_or_else(|| analyze(arch, VrTopologyKind::Dsch, spec, calib, opts));
+            let outcome = match session.as_mut() {
+                Ok(s) => s
+                    .set_architecture(Architecture::TwoStage { bus })
+                    .and_then(|()| s.analyze(VrTopologyKind::Dsch, calib)),
+                Err(e) => Err(e.clone()),
+            };
             (bus, outcome)
         })
         .collect()
@@ -113,7 +114,7 @@ pub fn sweep_current_density(
     calib: &Calibration,
     opts: &AnalysisOptions,
 ) -> Vec<(f64, Result<ArchitectureReport, CoreError>)> {
-    let mut session = AnalysisSession::new(architecture, base, calib, opts).ok();
+    let mut session = AnalysisSession::new(architecture, base, calib, opts);
     densities_a_per_mm2
         .iter()
         .map(|&d| {
@@ -124,11 +125,11 @@ pub fn sweep_current_density(
                 CurrentDensity::from_amps_per_square_millimeter(d),
             );
             let outcome = match (spec, session.as_mut()) {
-                (Ok(s), Some(sess)) => {
+                (Ok(s), Ok(sess)) => {
                     sess.set_spec(&s);
                     sess.analyze(topology, calib)
                 }
-                (Ok(s), None) => analyze(architecture, topology, &s, calib, opts),
+                (Ok(_), Err(e)) => Err(e.clone()),
                 (Err(e), _) => Err(e),
             };
             (d, outcome)
@@ -149,7 +150,7 @@ pub fn sweep_pol_power(
     calib: &Calibration,
     opts: &AnalysisOptions,
 ) -> Vec<(f64, Result<ArchitectureReport, CoreError>)> {
-    let mut session = AnalysisSession::new(architecture, base, calib, opts).ok();
+    let mut session = AnalysisSession::new(architecture, base, calib, opts);
     powers_w
         .iter()
         .map(|&p| {
@@ -160,11 +161,11 @@ pub fn sweep_pol_power(
                 base.current_density(),
             );
             let outcome = match (spec, session.as_mut()) {
-                (Ok(s), Some(sess)) => {
+                (Ok(s), Ok(sess)) => {
                     sess.set_spec(&s);
                     sess.analyze(topology, calib)
                 }
-                (Ok(s), None) => analyze(architecture, topology, &s, calib, opts),
+                (Ok(_), Err(e)) => Err(e.clone()),
                 (Err(e), _) => Err(e),
             };
             (p, outcome)
@@ -245,15 +246,49 @@ mod tests {
             module_count: Some(84),
             ..AnalysisOptions::default()
         };
-        let report = analyze(
-            Architecture::InterposerPeriphery,
-            VrTopologyKind::ThreeLevelHybridDickson,
+        let entries = explore_matrix(
+            &[VrTopologyKind::ThreeLevelHybridDickson],
             &spec,
             &calib,
             &opts,
-        )
-        .unwrap();
-        assert!(report.loss_percent() < 35.0);
+        );
+        let a1 = entries
+            .iter()
+            .find(|e| e.architecture == Architecture::InterposerPeriphery)
+            .unwrap();
+        assert!(a1.outcome.as_ref().unwrap().loss_percent() < 35.0);
+    }
+
+    #[test]
+    fn zero_module_count_fails_every_regulator_cell() {
+        let (spec, calib, _) = env();
+        let opts = AnalysisOptions {
+            module_count: Some(0),
+            ..AnalysisOptions::default()
+        };
+        let entries = explore_matrix(&VrTopologyKind::ALL, &spec, &calib, &opts);
+        assert_eq!(entries.len(), 13);
+        for e in &entries {
+            if e.architecture == Architecture::Reference {
+                // The reference's 48 via-entry clusters ignore the
+                // override.
+                assert!(e.outcome.is_ok());
+            } else {
+                assert!(
+                    matches!(
+                        e.outcome,
+                        Err(CoreError::InvalidSpec {
+                            what: "regulator count",
+                            ..
+                        })
+                    ),
+                    "{} {}: {:?}",
+                    e.architecture,
+                    e.topology,
+                    e.outcome
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! same bits as compiling the faulted netlist from scratch.
 
 use crate::arch::{second_stage_converter, session_placement};
+use crate::droop::dip;
 use crate::electro_thermal::FixedPointTermination;
 use crate::faults::{apply_fault, Fault, FaultScenario, OPEN_RESISTANCE};
 use crate::gridshare::placement_sites;
@@ -572,7 +573,7 @@ impl FaultTransientSweep {
             )
             .map_err(CoreError::Circuit)?;
         model.stamp_ladder(&mut net, vr, board, pkg, die)?;
-        net.step_current_source(die, g, step.base, step.after, step.at)
+        net.ramp_current_source(die, g, step.base, step.after, step.at, Seconds::ZERO)
             .map_err(CoreError::Circuit)?;
         let settings = TransientSettings::new(sim_time, dt).map_err(CoreError::Circuit)?;
         let mut plan = TransientPlan::compile(&net, &settings).map_err(CoreError::Circuit)?;
@@ -632,20 +633,13 @@ impl FaultTransientSweep {
 
     fn derive(&self, scenario: &VrFailureScenario, plan: &TransientPlan) -> FaultTransientOutcome {
         let result = plan.result();
-        let times = result.times();
         let v = result.voltage(self.die);
         // Reference point: just before the earliest event — the failure
         // or the load step, whichever fires first.
-        let event = scenario.fail_at.map_or(self.step.at.value(), |f| {
-            f.value().min(self.step.at.value())
-        });
-        let idx = times
-            .iter()
-            .position(|&t| t >= event)
-            .unwrap_or(0)
-            .saturating_sub(1);
-        let v_before = v[idx];
-        let v_min = v[idx..].iter().copied().fold(f64::INFINITY, f64::min);
+        let event = scenario
+            .fail_at
+            .map_or(self.step.at, |f| f.min(self.step.at));
+        let (v_before, v_min) = dip(result.times(), v, event);
         FaultTransientOutcome {
             name: scenario.name.clone(),
             fail_at: scenario.fail_at,

@@ -87,7 +87,7 @@ impl SharingReport {
 /// Solves current sharing for `n_vrs` modules in the given placement.
 ///
 /// Thin convenience over [`SharingSolver::builder`] — prefer the
-/// builder when you need a non-default setpoint, explicit sites, or the
+/// builder when you need explicit sites, a non-default droop, or the
 /// solver itself for repeated solves.
 ///
 /// ```
@@ -168,9 +168,9 @@ pub fn solve_sharing_at(
 }
 
 /// Step-by-step configuration for a [`SharingSolver`]: placement and
-/// module count (or explicit sites), droop resistance, and setpoint all
-/// default to the paper's §II values and can be overridden
-/// independently.
+/// module count (or explicit sites) and droop resistance all default to
+/// the paper's §II values and can be overridden independently; the
+/// setpoint is the spec's POL voltage.
 ///
 /// ```
 /// use vpd_core::{Calibration, SharingSolver, SystemSpec, VrPlacement};
@@ -197,7 +197,6 @@ pub struct SharingSolverBuilder<'a> {
     modules: usize,
     sites: Option<Vec<(usize, usize)>>,
     droop: Option<Ohms>,
-    setpoint: Option<Volts>,
 }
 
 impl<'a> SharingSolverBuilder<'a> {
@@ -234,16 +233,8 @@ impl<'a> SharingSolverBuilder<'a> {
         self
     }
 
-    /// Regulator setpoint (default: the spec's POL voltage). Also the
-    /// worst-drop reference.
-    #[must_use]
-    pub fn setpoint(mut self, setpoint: Volts) -> Self {
-        self.setpoint = Some(setpoint);
-        self
-    }
-
-    /// Builds the solver: resolves sites and droop, constructs the mesh,
-    /// and applies any setpoint override.
+    /// Builds the solver: resolves sites and droop and constructs the
+    /// mesh.
     ///
     /// # Errors
     ///
@@ -266,15 +257,7 @@ impl<'a> SharingSolverBuilder<'a> {
                 placement_sites(self.placement, self.calib, self.modules).0
             }
         };
-        let mut solver = SharingSolver::new(self.spec, self.calib, &sites, droop)?;
-        if let Some(setpoint) = self.setpoint {
-            for k in 0..solver.vr_count() {
-                solver.set_vr_setpoint(k, setpoint)?;
-            }
-            // The worst-drop reference follows the override.
-            solver.setpoint = setpoint;
-        }
-        Ok(solver)
+        SharingSolver::new(self.spec, self.calib, &sites, droop)
     }
 
     /// Builds the solver and solves once.
@@ -348,7 +331,6 @@ impl SharingSolver {
             modules: crate::PAPER_VR_POSITIONS,
             sites: None,
             droop: None,
-            setpoint: None,
         }
     }
 
@@ -746,25 +728,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(defaulted.vr_droop(0), Some(calib.vr_droop_periphery));
-    }
-
-    #[test]
-    fn builder_setpoint_override_shifts_the_rail() {
-        let (spec, calib) = paper();
-        let lowered = Volts::new(spec.pol_voltage().value() - 0.05);
-        let mut solver = SharingSolver::builder(&spec, &calib)
-            .setpoint(lowered)
-            .build()
-            .unwrap();
-        assert_eq!(solver.setpoint(), lowered);
-        let rep = solver.solve().unwrap();
-        let nominal = solve_sharing(&spec, &calib, VrPlacement::Periphery, 48).unwrap();
-        // Same load, same droop: identical sharing, and the worst drop
-        // is referenced to the overridden setpoint.
-        for (a, b) in rep.per_vr().iter().zip(nominal.per_vr()) {
-            assert!((a.value() - b.value()).abs() < 1e-6, "{a} vs {b}");
-        }
-        assert!((rep.worst_drop().value() - nominal.worst_drop().value()).abs() < 1e-6);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 #
 # The workspace's `default-members` lists every package, so the plain
 # `cargo test` below runs the whole workspace suite. Third-party
-# dev-dependencies (criterion, proptest, rand) are offline stand-ins
-# under compat/.
+# dependencies (proptest, rand) are offline stand-ins under compat/.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 

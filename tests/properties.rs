@@ -53,12 +53,13 @@ fn random_ladder_with_step(
     )
     .unwrap();
     let el = net
-        .step_current_source(
+        .ramp_current_source(
             load,
             net.ground(),
             Amps::new(base),
             Amps::new(after),
             Seconds::from_nanoseconds(at_ns),
+            Seconds::ZERO,
         )
         .unwrap();
     (net, load, el)
@@ -257,11 +258,12 @@ proptest! {
         let mut plan = TransientPlan::compile(&net, &settings).unwrap();
         plan.run().unwrap();
         let factorizations = plan.cached_factorizations();
-        plan.set_load_step(
+        plan.set_load_ramp(
             el,
             Amps::new(first * 0.25),
             Amps::new(second),
             Seconds::from_nanoseconds(at_ns),
+            Seconds::ZERO,
         ).unwrap();
         // The rebuilt netlist carries the second stimulus from scratch.
         let (fresh, _, _) = random_ladder_with_step(

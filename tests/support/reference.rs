@@ -71,11 +71,6 @@ fn ramp(before: f64, after: f64, at: f64, rise: f64, t: f64) -> f64 {
 fn source_current(kind: &ElementKind, t: f64) -> Option<f64> {
     match kind {
         ElementKind::CurrentSource { i } => Some(i.value()),
-        ElementKind::StepCurrentSource { before, after, at } => Some(if t < at.value() {
-            before.value()
-        } else {
-            after.value()
-        }),
         ElementKind::RampCurrentSource {
             before,
             after,

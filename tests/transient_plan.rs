@@ -59,8 +59,15 @@ fn stepped_netlist(arch: Architecture) -> (Netlist, vertical_power_delivery::cir
     let spec = SystemSpec::paper_default();
     let step = LoadStep::paper_default(&spec);
     let (mut net, die) = PdnModel::for_architecture(arch).netlist().unwrap();
-    net.step_current_source(die, net.ground(), step.base, step.after, step.at)
-        .unwrap();
+    net.ramp_current_source(
+        die,
+        net.ground(),
+        step.base,
+        step.after,
+        step.at,
+        Seconds::ZERO,
+    )
+    .unwrap();
     (net, die)
 }
 
@@ -163,7 +170,7 @@ fn plan_is_bitwise_identical_to_legacy_transient() {
 
 #[test]
 fn restamped_plan_matches_a_rebuilt_netlist_bitwise() {
-    // Sweeping the stimulus through `set_load_step` must be
+    // Sweeping the stimulus through `set_load_ramp` must be
     // indistinguishable from building a fresh netlist with the new
     // step — across amplitude, timing, and a return to the original.
     let spec = SystemSpec::paper_default();
@@ -179,7 +186,14 @@ fn restamped_plan_matches_a_rebuilt_netlist_bitwise() {
             .netlist()
             .unwrap();
         let el = net
-            .step_current_source(die, net.ground(), step.base, step.after, step.at)
+            .ramp_current_source(
+                die,
+                net.ground(),
+                step.base,
+                step.after,
+                step.at,
+                Seconds::ZERO,
+            )
             .unwrap();
         let _ = die;
         (net, el)
@@ -199,7 +213,7 @@ fn restamped_plan_matches_a_rebuilt_netlist_bitwise() {
         base,
     ];
     for step in &sweep {
-        plan.set_load_step(el, step.base, step.after, step.at)
+        plan.set_load_ramp(el, step.base, step.after, step.at, Seconds::ZERO)
             .unwrap();
         let (fresh_net, _) = build(step);
         let fresh = reference::transient(&fresh_net, &settings).unwrap();
@@ -252,8 +266,8 @@ fn reference_droops_worse_than_interposer_embedded() {
 }
 
 /// A netlist exercising every element kind the plan compiles: PWM
-/// switches, R, L, C, a voltage source, and all three current-source
-/// flavors.
+/// switches, R, L, C, a voltage source, a constant current source, and
+/// ramp sources with a zero rise (a load step) and a finite one.
 fn full_coverage_netlist() -> (Netlist, vertical_power_delivery::circuit::NodeId) {
     let f = Hertz::from_megahertz(2.0);
     let mut net = Netlist::new();
@@ -292,12 +306,13 @@ fn full_coverage_netlist() -> (Netlist, vertical_power_delivery::circuit::NodeId
     net.resistor(out, net.ground(), Ohms::new(2.0)).unwrap();
     net.current_source(out, net.ground(), Amps::new(0.05))
         .unwrap();
-    net.step_current_source(
+    net.ramp_current_source(
         out,
         net.ground(),
         Amps::new(0.01),
         Amps::new(0.2),
         Seconds::from_microseconds(3.0),
+        Seconds::ZERO,
     )
     .unwrap();
     net.ramp_current_source(
