@@ -24,6 +24,11 @@
 //!   one-millisecond deadlines; every response must stay well-formed
 //!   NDJSON with a typed code (`ok`, `queue_full`, `shed`,
 //!   `deadline_exceeded`) — overload must never hang or disconnect.
+//! * **idle CPU** — a default-configured server gets no traffic past
+//!   its event loop's 1 s back-off onset, then each window reads the
+//!   CPU time of every thread of this process (only that server is
+//!   running): the share of one core an idle server costs, the price
+//!   of the loop's wake-up policy when nobody calls.
 //!
 //! ```sh
 //! cargo run --release -p vpd-bench --bin serve             # full, writes JSON
@@ -32,9 +37,9 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use vpd_bench::perf::{auto_threads, quantile, section, Bench, Bound, Config, Size, Stat};
+use vpd_bench::perf::{auto_threads, quantile, section, Bench, Bound, Config, Size, Stat, ROUNDS};
 use vpd_bench::Loopback;
 use vpd_report::Json;
 use vpd_serve::proto::Request;
@@ -58,6 +63,18 @@ const CURVE: Size<&[usize]> = Size(&[2, 8, 32], &[2, 4]);
 const SWEEP_PASSES: Size<usize> = Size(150, 10);
 /// Doomed requests of the shed flood.
 const SHED_FLOOD: Size<usize> = Size(32, 8);
+/// Idle windows of the idle-CPU phase, one per round.
+const IDLE_WINDOWS: Size<usize> = Size(ROUNDS, 1);
+/// Length of one idle window.
+const IDLE_WINDOW: Duration = Duration::from_millis(500);
+/// How long the idle server goes without traffic before the first
+/// window: past the 1 s after which its event loop backs off.
+const IDLE_SETTLE: Duration = Duration::from_millis(1500);
+/// Median idle CPU share of one core of the server whose event loop
+/// slept a fixed 200 µs after every empty scan, measured by the idle
+/// phase on the host of the checked-in record. An idle server may cost
+/// no more.
+const FIXED_SLEEP_IDLE_CPU_SHARE: f64 = 0.0339;
 
 /// The mixed scenario set: every cacheable analysis kind, sized so the
 /// compiled plan (grid factorization, AC plan, fault nominal) costs far
@@ -218,6 +235,44 @@ fn validate_shedding(flood: usize) -> (usize, usize) {
     (responses.len(), rejects)
 }
 
+/// Nanoseconds every thread of this process has run on a CPU: the sum
+/// of the first field of each `/proc/self/task/<tid>/schedstat`.
+fn run_ns() -> u64 {
+    std::fs::read_dir("/proc/self/task")
+        .expect("the idle phase reads /proc/self/task (Linux)")
+        .map(|task| {
+            let path = task.expect("task entry").path().join("schedstat");
+            let stat = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            stat.split_whitespace()
+                .next()
+                .and_then(|ns| ns.parse::<u64>().ok())
+                .unwrap_or_else(|| panic!("{}: no run time in {stat:?}", path.display()))
+        })
+        .sum()
+}
+
+/// The share of one core an idle server uses, per window: a fresh
+/// default server (the only one running) sits without traffic for
+/// [`IDLE_SETTLE`], then each [`IDLE_WINDOW`] divides the CPU time
+/// this process's threads ran by the wall time.
+fn idle_cpu_shares(windows: usize) -> Vec<f64> {
+    let server = Loopback::start(ServeConfig::default());
+    std::thread::sleep(IDLE_SETTLE);
+    let shares = (0..windows)
+        .map(|_| {
+            let (ran, started) = (run_ns(), Instant::now());
+            std::thread::sleep(IDLE_WINDOW);
+            let ran = run_ns()
+                .checked_sub(ran)
+                .expect("no thread exits during an idle window");
+            ran as f64 / started.elapsed().as_nanos() as f64
+        })
+        .collect();
+    server.shutdown();
+    shares
+}
+
 fn main() {
     let bench = Bench::from_args("serve", "BENCH_serve.json");
     let workers = auto_threads().min(8);
@@ -374,6 +429,11 @@ fn main() {
          the cold oracle, {shed_rejects}/{shed_checked} overload responses typed-rejected"
     );
 
+    // --- an idle server's CPU, every other server gone -------------------
+    let idle_windows = bench.size(IDLE_WINDOWS);
+    let idle = Stat::of(&idle_cpu_shares(idle_windows));
+    println!("idle server: {idle} of one core");
+
     let entry = |c: usize| {
         let [throughput, p50, p95, p99] = saturation[c];
         vec![
@@ -419,12 +479,22 @@ fn main() {
                     ("peak", Json::obj(peak_entry)),
                 ]),
             ),
+            section(
+                "idle",
+                &[
+                    ("windows", idle_windows),
+                    ("window_ms", IDLE_WINDOW.as_millis() as usize),
+                    ("settle_ms", IDLE_SETTLE.as_millis() as usize),
+                ],
+                &[("cpu_share", idle)],
+            ),
             section("audits", &audits, &[]),
         ],
         &[
             Bound::AtLeast("mixed.cold_vs_warm_speedup", 2.0),
             Bound::AtLeast("saturation.peak.speedup_vs_baseline", 5.0),
             Bound::AtMost("saturation.peak.latency_p99_ms", BASELINE_P99_MS),
+            Bound::AtMost("idle.cpu_share", FIXED_SLEEP_IDLE_CPU_SHARE),
         ],
     );
 }

@@ -215,35 +215,6 @@ pub fn analyze(
     AnalysisSession::new(architecture, spec, calib, opts)?.analyze(topology, calib)
 }
 
-/// Analyzes every architecture × topology pair of the paper's Figure 7.
-///
-/// Returns the reports in `(architecture, topology)` order:
-/// A0 once, then A1/A2/A3@12V/A3@6V for each requested topology.
-///
-/// # Errors
-///
-/// Propagates the first analysis failure.
-pub fn analyze_paper_matrix(
-    topologies: &[VrTopologyKind],
-    spec: &SystemSpec,
-    calib: &Calibration,
-    opts: &AnalysisOptions,
-) -> Result<Vec<ArchitectureReport>, CoreError> {
-    let mut out = vec![analyze(
-        Architecture::Reference,
-        VrTopologyKind::Dsch,
-        spec,
-        calib,
-        opts,
-    )?];
-    for arch in Architecture::paper_set().into_iter().skip(1) {
-        for &topo in topologies {
-            out.push(analyze(arch, topo, spec, calib, opts)?);
-        }
-    }
-    Ok(out)
-}
-
 fn platform_bga(spec: &SystemSpec) -> SquareMeters {
     // Paper ratios: 1800 mm² of PCB/PKG platform for a 500 mm² die.
     spec.die_area() * 3.6
@@ -1041,25 +1012,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::VrOverload { .. }));
-    }
-
-    #[test]
-    fn paper_matrix_covers_all_bars() {
-        let reports = analyze_paper_matrix(
-            &[VrTopologyKind::Dpmih, VrTopologyKind::Dsch],
-            &SystemSpec::paper_default(),
-            &Calibration::paper_default(),
-            &AnalysisOptions::default(),
-        )
-        .unwrap();
-        // A0 + 4 architectures × 2 topologies.
-        assert_eq!(reports.len(), 9);
-        // A0 is the worst of the set.
-        let worst = reports
-            .iter()
-            .map(ArchitectureReport::loss_percent)
-            .fold(0.0, f64::max);
-        assert!((reports[0].loss_percent() - worst).abs() < 1e-9);
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub mod wire;
 mod zsweep;
 
 pub use arch::{
-    analyze, analyze_paper_matrix, single_stage_converter, AnalysisOptions, AnalysisSession,
-    Architecture, ArchitectureReport, PAPER_VR_POSITIONS,
+    analyze, single_stage_converter, AnalysisOptions, AnalysisSession, Architecture,
+    ArchitectureReport, PAPER_VR_POSITIONS,
 };
 pub use calib::Calibration;
 pub use designer::{recommend, Candidate, Recommendation};

@@ -678,7 +678,7 @@ pub const FAULT_TRANSIENT_WINDOW_US: f64 = 16.0;
 /// `droop` report. Dropping the run — finished or aborted mid-stream —
 /// checks the scenario back in (`Dispatcher::checkin`), so the
 /// compiled plan (and its LU cache) stays warm even when a deadline
-/// kills the stream.
+/// kills the stream; a run dropped by a panic checks nothing in.
 pub struct TransientStreamRun<'a> {
     dispatcher: &'a Dispatcher,
     key: ScenarioKey,
@@ -758,6 +758,11 @@ impl TransientStreamRun<'_> {
 
 impl Drop for TransientStreamRun<'_> {
     fn drop(&mut self) {
+        // A run dropped by a panic may hold a half-stepped scenario: it
+        // is dropped, not checked back in.
+        if std::thread::panicking() {
+            return;
+        }
         if let Some(s) = self.scenario.take() {
             self.dispatcher.checkin(self.worker, self.key.clone(), s);
         }

@@ -4,7 +4,14 @@
 //! answer with a machine-readable rejection.
 //!
 //! Each worker runs the handler with its worker index, which addresses
-//! the worker's home cache shard.
+//! the worker's home cache shard. A handler that panics loses its job,
+//! not its worker: the panic is caught and counted (`serve.panics`).
+//!
+//! The pool counts the jobs it holds ([`WorkerPool::in_flight`]) and the
+//! jobs it has finished ([`WorkerPool::completed`]), and unparks one
+//! registered thread after every finished job
+//! ([`WorkerPool::unpark_on_completion`]) — the TCP event loop's
+//! wake-up signal.
 //!
 //! Two shutdown flavors match the two ways a serve session ends:
 //!
@@ -15,8 +22,10 @@
 //!   new submissions are refused.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{JoinHandle, Thread};
 
 /// Why [`WorkerPool::submit`] handed a job back.
 #[derive(Debug)]
@@ -43,6 +52,34 @@ struct Inner<T> {
     state: Mutex<State<T>>,
     available: Condvar,
     depth: usize,
+    /// Jobs accepted and not yet finished: queued plus running.
+    in_flight: AtomicUsize,
+    /// Jobs finished, panicked ones included.
+    completed: AtomicU64,
+    /// The thread every finished job unparks, once registered.
+    waker: OnceLock<Thread>,
+}
+
+impl<T> Inner<T> {
+    /// The queue state. No code panics while holding the lock, so a
+    /// poisoned one is taken over as is.
+    fn state(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs one job on worker `index`; a panic is caught and counted.
+    /// Either way the job leaves the in-flight count and wakes the
+    /// registered thread.
+    fn run<F: Fn(usize, T)>(&self, handler: &F, index: usize, job: T) {
+        if catch_unwind(AssertUnwindSafe(|| handler(index, job))).is_err() {
+            vpd_obs::incr("serve.panics");
+        }
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.completed.fetch_add(1, Ordering::SeqCst);
+        if let Some(thread) = self.waker.get() {
+            thread.unpark();
+        }
+    }
 }
 
 /// A fixed-size pool of workers draining a bounded FIFO queue.
@@ -67,6 +104,9 @@ impl<T: Send + 'static> WorkerPool<T> {
             }),
             available: Condvar::new(),
             depth: depth.max(1),
+            in_flight: AtomicUsize::new(0),
+            completed: AtomicU64::new(0),
+            waker: OnceLock::new(),
         });
         let handler = Arc::new(handler);
         let handles = (0..workers.max(1))
@@ -75,7 +115,7 @@ impl<T: Send + 'static> WorkerPool<T> {
                 let handler = Arc::clone(&handler);
                 std::thread::spawn(move || loop {
                     let job = {
-                        let mut st = inner.state.lock().expect("pool state poisoned");
+                        let mut st = inner.state();
                         loop {
                             if let Some(job) = st.queue.pop_front() {
                                 break Some(job);
@@ -83,11 +123,14 @@ impl<T: Send + 'static> WorkerPool<T> {
                             if st.mode != Mode::Running {
                                 break None;
                             }
-                            st = inner.available.wait(st).expect("pool state poisoned");
+                            st = inner
+                                .available
+                                .wait(st)
+                                .unwrap_or_else(PoisonError::into_inner);
                         }
                     };
                     match job {
-                        Some(job) => handler(index, job),
+                        Some(job) => inner.run(&*handler, index, job),
                         None => return,
                     }
                 })
@@ -107,13 +150,15 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// once any shutdown has begun. The job rides inside the error so
     /// the caller can still answer it.
     pub fn submit(&self, job: T) -> Result<(), SubmitError<T>> {
-        let mut st = self.inner.state.lock().expect("pool state poisoned");
+        let mut st = self.inner.state();
         if st.mode != Mode::Running {
             return Err(SubmitError::Draining(job));
         }
         if st.queue.len() >= self.inner.depth {
             return Err(SubmitError::QueueFull(job));
         }
+        // Counted under the lock, so no worker can finish the job first.
+        self.inner.in_flight.fetch_add(1, Ordering::SeqCst);
         st.queue.push_back(job);
         drop(st);
         self.inner.available.notify_one();
@@ -123,19 +168,30 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// Jobs currently waiting (diagnostic, and the admission-control
     /// depth signal).
     pub fn queued(&self) -> usize {
-        self.inner
-            .state
-            .lock()
-            .expect("pool state poisoned")
-            .queue
-            .len()
+        self.inner.state().queue.len()
+    }
+
+    /// Jobs accepted and not yet finished: queued plus running.
+    pub fn in_flight(&self) -> usize {
+        self.inner.in_flight.load(Ordering::SeqCst)
+    }
+
+    /// Jobs finished so far, panicked ones included.
+    pub fn completed(&self) -> u64 {
+        self.inner.completed.load(Ordering::SeqCst)
+    }
+
+    /// Unparks `thread` after every job a worker finishes. One thread
+    /// per pool: a later registration is ignored.
+    pub fn unpark_on_completion(&self, thread: Thread) {
+        let _ = self.inner.waker.set(thread);
     }
 
     fn join_workers(&self) {
         let handles: Vec<_> = self
             .workers
             .lock()
-            .expect("pool workers poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .drain(..)
             .collect();
         for h in handles {
@@ -148,7 +204,7 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// refused as draining.
     pub fn finish(&self) {
         {
-            let mut st = self.inner.state.lock().expect("pool state poisoned");
+            let mut st = self.inner.state();
             if st.mode == Mode::Running {
                 st.mode = Mode::Finishing;
             }
@@ -161,11 +217,14 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// pulled back and returned so the caller can reject them. Joins
     /// the workers. Idempotent (a second call returns an empty list).
     pub fn drain(&self) -> Vec<T> {
-        let rejected = {
-            let mut st = self.inner.state.lock().expect("pool state poisoned");
+        let rejected: Vec<T> = {
+            let mut st = self.inner.state();
             st.mode = Mode::Draining;
             st.queue.drain(..).collect()
         };
+        self.inner
+            .in_flight
+            .fetch_sub(rejected.len(), Ordering::SeqCst);
         self.inner.available.notify_all();
         self.join_workers();
         rejected
@@ -229,6 +288,60 @@ mod tests {
         }
         release_tx.send(()).unwrap();
         pool.finish();
+    }
+
+    #[test]
+    fn a_panicking_job_keeps_its_worker_and_releases_its_slot() {
+        let done = Arc::new(Mutex::new(Vec::new()));
+        let d = Arc::clone(&done);
+        let pool = WorkerPool::new(1, 8, move |_index, n: usize| {
+            assert_ne!(n, 0, "job 0 panics");
+            d.lock().unwrap().push(n);
+        });
+        pool.unpark_on_completion(std::thread::current());
+        pool.submit(0).unwrap();
+        pool.submit(1).unwrap();
+        while pool.completed() < 2 {
+            std::thread::park();
+        }
+        assert_eq!(*done.lock().unwrap(), vec![1], "the next job still ran");
+        assert_eq!(pool.in_flight(), 0);
+        pool.finish();
+    }
+
+    #[test]
+    fn in_flight_counts_queued_and_running_jobs() {
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let pool = Arc::new(WorkerPool::new(1, 1, move |_index, n: usize| {
+            if n == 0 {
+                started_tx.send(()).unwrap();
+                release_rx.lock().unwrap().recv().unwrap();
+            }
+        }));
+        pool.submit(0).unwrap();
+        started_rx.recv().unwrap();
+        pool.submit(1).unwrap();
+        assert!(matches!(pool.submit(2), Err(SubmitError::QueueFull(2))));
+        assert_eq!(
+            pool.in_flight(),
+            2,
+            "one running, one queued, none rejected"
+        );
+        // Release job 0 only once drain() has pulled job 1 back.
+        let drainer = std::thread::spawn({
+            let pool = Arc::clone(&pool);
+            move || {
+                while pool.queued() > 0 {
+                    std::thread::yield_now();
+                }
+                release_tx.send(()).unwrap();
+            }
+        });
+        assert_eq!(pool.drain(), vec![1]);
+        drainer.join().unwrap();
+        assert_eq!((pool.in_flight(), pool.completed()), (0, 1));
     }
 
     #[test]

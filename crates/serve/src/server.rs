@@ -20,6 +20,14 @@
 //! stays blocked past its budget marks the connection dead and drops
 //! further bytes, so a stalled client cannot wedge a worker.
 //!
+//! A scan that finds nothing to do is followed by a wait set by the
+//! traffic, not by a constant. While jobs are in flight the loop parks,
+//! and every completion unparks it. For 0.5 ms after a completion, and
+//! for 2 ms after the last request or completion of an idle server, it
+//! polls every 20 µs, since a closed-loop client's next request is one
+//! loopback round trip away. Otherwise it waits 200 µs, and after 1 s
+//! without traffic its sleep doubles up to 1 ms (DESIGN §15.2).
+//!
 //! # Admission control
 //!
 //! Overload degrades predictably instead of queueing unboundedly:
@@ -49,7 +57,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::engine::Dispatcher;
@@ -66,8 +74,28 @@ const MAX_LINE_BYTES: usize = 4 << 20;
 /// declaring the client dead.
 const WRITE_BUDGET: Duration = Duration::from_secs(5);
 
-/// Event-loop sleep when an iteration made no progress.
+/// The event loop's short poll: its sleep while a request or a
+/// completion is recent.
+const SHORT_POLL: Duration = Duration::from_micros(20);
+
+/// The event loop's wait outside the short poll, and its park timeout
+/// while jobs are in flight.
 const IDLE_POLL: Duration = Duration::from_micros(200);
+
+/// Where an idle loop's doubling sleep stops.
+const MAX_IDLE_POLL: Duration = Duration::from_millis(1);
+
+/// How long after a completion the loop polls short, in flight or not:
+/// a closed-loop client's next request is one loopback round trip away.
+const FOLLOW_UP: Duration = Duration::from_micros(500);
+
+/// How long after the last request or completion an idle loop polls
+/// short.
+const LINGER: Duration = Duration::from_millis(2);
+
+/// How long without traffic before an idle loop's sleep starts
+/// doubling.
+const BACKOFF_AFTER: Duration = Duration::from_secs(1);
 
 /// Service tuning knobs. `vpd serve` sets the first three from its
 /// flags; `shed_staleness` has no flag.
@@ -111,7 +139,7 @@ fn write_line<W: Write>(writer: &Mutex<W>, response: &Response) {
     // syscall per format fragment.
     let mut line = response.to_json().to_string();
     line.push('\n');
-    let mut w = writer.lock().expect("response writer poisoned");
+    let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
     // A torn-down connection makes writes fail; that request's client
     // is gone, which is not the server's problem.
     let _ = w.write_all(line.as_bytes());
@@ -482,7 +510,7 @@ where
     let writer = Arc::into_inner(writer)
         .expect("workers joined; no writer clones remain")
         .into_inner()
-        .expect("response writer poisoned");
+        .unwrap_or_else(PoisonError::into_inner);
     Ok((writer, ended))
 }
 
@@ -559,6 +587,98 @@ impl Conn {
     }
 }
 
+/// How the event loop waits after a scan that found nothing to do.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Wait {
+    /// `park_timeout`: the next completion unparks the loop early.
+    Park(Duration),
+    /// `sleep`.
+    Sleep(Duration),
+}
+
+impl Wait {
+    fn duration(self) -> Duration {
+        match self {
+            Self::Park(d) | Self::Sleep(d) => d,
+        }
+    }
+}
+
+/// The wait after an empty scan, from the jobs in flight, the time
+/// since the last request and since the last completion, and the
+/// previous wait's length (`backoff`). Polls short right after a
+/// completion; otherwise parks while jobs are in flight; an idle loop
+/// polls short for [`LINGER`], then waits [`IDLE_POLL`], and after
+/// [`BACKOFF_AFTER`] without traffic doubles its sleep up to
+/// [`MAX_IDLE_POLL`].
+fn idle_wait(
+    in_flight: usize,
+    since_request: Duration,
+    since_completion: Duration,
+    backoff: Duration,
+) -> Wait {
+    if since_completion < FOLLOW_UP {
+        return Wait::Sleep(SHORT_POLL);
+    }
+    if in_flight > 0 {
+        return Wait::Park(IDLE_POLL);
+    }
+    let idle = since_request.min(since_completion);
+    Wait::Sleep(if idle < LINGER {
+        SHORT_POLL
+    } else if idle < BACKOFF_AFTER {
+        IDLE_POLL
+    } else {
+        (backoff * 2).clamp(IDLE_POLL, MAX_IDLE_POLL)
+    })
+}
+
+/// The event loop's wake-up state: when it last saw a request and a
+/// completion, and how long it waited last.
+struct Pacer {
+    last_request: Instant,
+    last_completion: Instant,
+    completed: u64,
+    wait: Wait,
+}
+
+impl Pacer {
+    fn new() -> Self {
+        let now = Instant::now();
+        Self {
+            last_request: now,
+            last_completion: now,
+            completed: 0,
+            wait: Wait::Sleep(IDLE_POLL),
+        }
+    }
+
+    /// Notes this scan's traffic; after a scan without progress, waits
+    /// as [`idle_wait`] says.
+    fn pace<T: Send + 'static>(&mut self, pool: &WorkerPool<T>, progress: bool) {
+        let now = Instant::now();
+        let completed = pool.completed();
+        if completed != self.completed {
+            self.completed = completed;
+            self.last_completion = now;
+        }
+        if progress {
+            self.last_request = now;
+            return;
+        }
+        self.wait = idle_wait(
+            pool.in_flight(),
+            now.duration_since(self.last_request),
+            now.duration_since(self.last_completion),
+            self.wait.duration(),
+        );
+        match self.wait {
+            Wait::Park(d) => std::thread::park_timeout(d),
+            Wait::Sleep(d) => std::thread::sleep(d),
+        }
+    }
+}
+
 /// A bound TCP service, not yet accepting.
 pub struct Server {
     listener: TcpListener,
@@ -603,6 +723,8 @@ impl Server {
         ));
         let admission = Arc::new(Admission::new(self.cfg.workers, self.cfg.shed_staleness));
         let pool: WorkerPool<Job<ConnWriter>> = build_pool(&dispatcher, &admission, &self.cfg);
+        pool.unpark_on_completion(std::thread::current());
+        let mut pacer = Pacer::new();
         let mut conns: Vec<Conn> = Vec::new();
         let mut scratch = [0u8; 64 * 1024];
         loop {
@@ -683,9 +805,7 @@ impl Server {
             // A closed connection's pending responses keep flowing:
             // workers hold the writer clone until their jobs finish.
             conns.retain(|c| !c.closed);
-            if !progress {
-                std::thread::sleep(IDLE_POLL);
-            }
+            pacer.pace(&pool, progress);
         }
     }
 }
@@ -912,6 +1032,41 @@ mod tests {
             "{}",
             out[0]
         );
+    }
+
+    #[test]
+    fn idle_wait_covers_every_branch() {
+        let us = Duration::from_micros;
+        let ms = Duration::from_millis;
+        let s = Duration::from_secs;
+        // (in flight, since request, since completion, backoff) → wait.
+        let table = [
+            // The follow-up window polls short, in flight or not.
+            ((1, s(5), us(0), IDLE_POLL), Wait::Sleep(SHORT_POLL)),
+            ((0, s(5), us(499), MAX_IDLE_POLL), Wait::Sleep(SHORT_POLL)),
+            // In flight past the window: park, however recent the request.
+            ((1, us(0), FOLLOW_UP, SHORT_POLL), Wait::Park(IDLE_POLL)),
+            ((3, s(5), s(5), MAX_IDLE_POLL), Wait::Park(IDLE_POLL)),
+            // Idle: short within LINGER of the last request or completion.
+            ((0, us(0), s(5), IDLE_POLL), Wait::Sleep(SHORT_POLL)),
+            ((0, s(5), ms(1), IDLE_POLL), Wait::Sleep(SHORT_POLL)),
+            ((0, LINGER, s(5), SHORT_POLL), Wait::Sleep(IDLE_POLL)),
+            ((0, ms(999), ms(999), IDLE_POLL), Wait::Sleep(IDLE_POLL)),
+            // Past BACKOFF_AFTER the sleep doubles from IDLE_POLL to the cap.
+            ((0, BACKOFF_AFTER, s(5), SHORT_POLL), Wait::Sleep(IDLE_POLL)),
+            ((0, s(5), BACKOFF_AFTER, IDLE_POLL), Wait::Sleep(us(400))),
+            ((0, s(5), s(5), us(400)), Wait::Sleep(us(800))),
+            ((0, s(5), s(5), us(800)), Wait::Sleep(MAX_IDLE_POLL)),
+            ((0, s(5), s(5), MAX_IDLE_POLL), Wait::Sleep(MAX_IDLE_POLL)),
+        ];
+        for ((in_flight, request, completion, backoff), wait) in table {
+            assert_eq!(
+                idle_wait(in_flight, request, completion, backoff),
+                wait,
+                "in flight {in_flight}, since request {request:?}, \
+                 since completion {completion:?}, backoff {backoff:?}"
+            );
+        }
     }
 
     #[test]

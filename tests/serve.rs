@@ -609,6 +609,72 @@ fn post_idle_requests_are_not_shed_on_a_stale_estimate() {
 }
 
 #[test]
+fn a_server_idle_past_its_back_off_still_answers() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("local addr").to_string();
+    let handle = std::thread::spawn(move || server.run());
+
+    // More than a second without traffic: the event loop's sleep has
+    // started doubling toward its 1 ms cap.
+    std::thread::sleep(std::time::Duration::from_millis(1300));
+    let ping = vec![r#"{"id":1,"kind":"ping"}"#.to_owned()];
+    let responses = vertical_power_delivery::serve::call(&addr, &ping, false).expect("ping");
+    assert!(responses[0].contains(r#""ok":true"#), "{}", responses[0]);
+
+    let _ = vertical_power_delivery::serve::call(&addr, &[], true).expect("drain");
+    handle.join().expect("server thread").expect("server run");
+}
+
+#[test]
+fn a_ping_is_answered_while_a_long_job_runs() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+
+    let cfg = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
+    let addr = server.local_addr().expect("local addr").to_string();
+    let handle = std::thread::spawn(move || server.run());
+
+    // Client A starts a long fault sweep; by the time client B's ping
+    // arrives, the event loop is waiting with a job in flight.
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    writeln!(
+        writer,
+        r#"{{"id":1,"kind":"faults","params":{{"arch":"a2","random_k":3,"count":5000}}}}"#
+    )
+    .expect("send long job");
+    writer.flush().expect("flush");
+    std::thread::sleep(Duration::from_millis(20));
+
+    let sent = Instant::now();
+    let ping = vec![r#"{"id":2,"kind":"ping"}"#.to_owned()];
+    let pong = vertical_power_delivery::serve::call(&addr, &ping, false).expect("ping");
+    let ping_rtt = sent.elapsed();
+    assert!(pong[0].contains(r#""ok":true"#), "{}", pong[0]);
+
+    let mut long = String::new();
+    reader.read_line(&mut long).expect("long job response");
+    let long_rest = sent.elapsed();
+    assert!(
+        long.contains(r#""id":1"#) && long.contains(r#""ok":true"#),
+        "{long}"
+    );
+    assert!(
+        long_rest >= ping_rtt * 10,
+        "ping took {ping_rtt:?}, the long job's remaining {long_rest:?}"
+    );
+
+    let _ = vertical_power_delivery::serve::call(&addr, &[], true).expect("drain");
+    handle.join().expect("server thread").expect("server run");
+}
+
+#[test]
 fn typed_errors_flow_end_to_end() {
     let (out, _) = serve_script(
         &[
