@@ -1015,6 +1015,26 @@ mod tests {
     }
 
     #[test]
+    fn paper_matrix_covers_all_bars() {
+        let entries = crate::explore::explore_matrix(
+            &[VrTopologyKind::Dpmih, VrTopologyKind::Dsch],
+            &SystemSpec::paper_default(),
+            &Calibration::paper_default(),
+            &AnalysisOptions::default(),
+        );
+        // A0 + 4 architectures × 2 topologies, every cell solved.
+        assert_eq!(entries.len(), 9);
+        let reports: Vec<&ArchitectureReport> = entries
+            .iter()
+            .map(|e| e.outcome.as_ref().unwrap())
+            .collect();
+        // A0 is the worst of the set.
+        assert_eq!(entries[0].architecture, Architecture::Reference);
+        let worst = reports.iter().map(|r| r.loss_percent()).fold(0.0, f64::max);
+        assert!((reports[0].loss_percent() - worst).abs() < 1e-9);
+    }
+
+    #[test]
     fn utilization_entries_present_for_proposed() {
         let a1 = run(Architecture::InterposerPeriphery, VrTopologyKind::Dsch);
         let names: Vec<&str> = a1.utilization.iter().map(|(n, _)| n.as_str()).collect();

@@ -235,13 +235,6 @@ mod tests {
                 assert!(e.outcome.is_ok(), "{} {}", e.architecture, e.topology);
             }
         }
-        // A0 is the worst bar of the set.
-        let losses: Vec<f64> = entries
-            .iter()
-            .filter_map(|e| Some(e.outcome.as_ref().ok()?.loss_percent()))
-            .collect();
-        assert_eq!(entries[0].architecture, Architecture::Reference);
-        assert_eq!(losses[0], losses.iter().copied().fold(0.0, f64::max));
     }
 
     #[test]
