@@ -4,8 +4,9 @@
 //! answer with a machine-readable rejection.
 //!
 //! Each worker runs the handler with its worker index, which addresses
-//! the worker's home cache shard. A handler that panics loses its job,
-//! not its worker: the panic is caught and counted (`serve.panics`).
+//! the worker's home cache shard. The handler must not panic: a panic
+//! ends its worker and leaves its job counted in flight. The server's
+//! handler catches its own panics, where it still has the job.
 //!
 //! The pool counts the jobs it holds ([`WorkerPool::in_flight`]) and the
 //! jobs it has finished ([`WorkerPool::completed`]), and unparks one
@@ -22,7 +23,6 @@
 //!   new submissions are refused.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{JoinHandle, Thread};
@@ -54,7 +54,7 @@ struct Inner<T> {
     depth: usize,
     /// Jobs accepted and not yet finished: queued plus running.
     in_flight: AtomicUsize,
-    /// Jobs finished, panicked ones included.
+    /// Jobs finished.
     completed: AtomicU64,
     /// The thread every finished job unparks, once registered.
     waker: OnceLock<Thread>,
@@ -67,13 +67,10 @@ impl<T> Inner<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Runs one job on worker `index`; a panic is caught and counted.
-    /// Either way the job leaves the in-flight count and wakes the
-    /// registered thread.
+    /// Runs one job on worker `index`, then takes it out of the
+    /// in-flight count and wakes the registered thread.
     fn run<F: Fn(usize, T)>(&self, handler: &F, index: usize, job: T) {
-        if catch_unwind(AssertUnwindSafe(|| handler(index, job))).is_err() {
-            vpd_obs::incr("serve.panics");
-        }
+        handler(index, job);
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
         self.completed.fetch_add(1, Ordering::SeqCst);
         if let Some(thread) = self.waker.get() {
@@ -176,7 +173,7 @@ impl<T: Send + 'static> WorkerPool<T> {
         self.inner.in_flight.load(Ordering::SeqCst)
     }
 
-    /// Jobs finished so far, panicked ones included.
+    /// Jobs finished so far.
     pub fn completed(&self) -> u64 {
         self.inner.completed.load(Ordering::SeqCst)
     }
@@ -287,25 +284,6 @@ mod tests {
             other => panic!("expected QueueFull, got {other:?}"),
         }
         release_tx.send(()).unwrap();
-        pool.finish();
-    }
-
-    #[test]
-    fn a_panicking_job_keeps_its_worker_and_releases_its_slot() {
-        let done = Arc::new(Mutex::new(Vec::new()));
-        let d = Arc::clone(&done);
-        let pool = WorkerPool::new(1, 8, move |_index, n: usize| {
-            assert_ne!(n, 0, "job 0 panics");
-            d.lock().unwrap().push(n);
-        });
-        pool.unpark_on_completion(std::thread::current());
-        pool.submit(0).unwrap();
-        pool.submit(1).unwrap();
-        while pool.completed() < 2 {
-            std::thread::park();
-        }
-        assert_eq!(*done.lock().unwrap(), vec![1], "the next job still ran");
-        assert_eq!(pool.in_flight(), 0);
         pool.finish();
     }
 

@@ -20,13 +20,14 @@
 //! stays blocked past its budget marks the connection dead and drops
 //! further bytes, so a stalled client cannot wedge a worker.
 //!
-//! A scan that finds nothing to do is followed by a wait set by the
-//! traffic, not by a constant. While jobs are in flight the loop parks,
-//! and every completion unparks it. For 0.5 ms after a completion, and
-//! for 2 ms after the last request or completion of an idle server, it
-//! polls every 20 µs, since a closed-loop client's next request is one
-//! loopback round trip away. Otherwise it waits 200 µs, and after 1 s
-//! without traffic its sleep doubles up to 1 ms (DESIGN §15.2).
+//! A scan that finds nothing to do is followed by a park whose timeout
+//! is set by the traffic, not by a constant. While jobs are in flight
+//! the loop parks for 200 µs, and every completion unparks it. For
+//! 0.5 ms after a completion it polls every 20 µs. With nothing in
+//! flight it keeps the 20 µs poll until 2 ms after the last request or
+//! completion: a request that arrives within those 2 ms is read within
+//! one short poll, and sparser traffic waits out 200 µs polls. After
+//! 1 s without traffic the loop polls every 1 ms (DESIGN §15.2).
 //!
 //! # Admission control
 //!
@@ -56,6 +57,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -74,27 +76,29 @@ const MAX_LINE_BYTES: usize = 4 << 20;
 /// declaring the client dead.
 const WRITE_BUDGET: Duration = Duration::from_secs(5);
 
-/// The event loop's short poll: its sleep while a request or a
-/// completion is recent.
+/// The event loop's short poll, while traffic is recent.
 const SHORT_POLL: Duration = Duration::from_micros(20);
 
-/// The event loop's wait outside the short poll, and its park timeout
+/// The event loop's poll outside the short one, and its park timeout
 /// while jobs are in flight.
 const IDLE_POLL: Duration = Duration::from_micros(200);
 
-/// Where an idle loop's doubling sleep stops.
+/// The event loop's poll once it has been idle for [`BACKOFF_AFTER`].
 const MAX_IDLE_POLL: Duration = Duration::from_millis(1);
 
-/// How long after a completion the loop polls short, in flight or not:
-/// a closed-loop client's next request is one loopback round trip away.
+/// How long after a completion the loop polls short even while other
+/// jobs are in flight: a closed-loop client sends its next request one
+/// loopback round trip after its response.
 const FOLLOW_UP: Duration = Duration::from_micros(500);
 
 /// How long after the last request or completion an idle loop polls
-/// short.
+/// short. Only a request that arrives within this window gains from
+/// the short poll: an open-loop stream of light requests on one
+/// connection needs more than about 350 req/s (DESIGN §15.2).
 const LINGER: Duration = Duration::from_millis(2);
 
-/// How long without traffic before an idle loop's sleep starts
-/// doubling.
+/// How long without traffic before an idle loop polls at
+/// [`MAX_IDLE_POLL`].
 const BACKOFF_AFTER: Duration = Duration::from_secs(1);
 
 /// Service tuning knobs. `vpd serve` sets the first three from its
@@ -378,6 +382,14 @@ impl Admission {
     }
 }
 
+/// Runs one job. A panic loses the job's reply, not its worker: it is
+/// caught here, where the job is at hand, and counted (`serve.panics`).
+fn contain_panic(job: impl FnOnce()) {
+    if catch_unwind(AssertUnwindSafe(job)).is_err() {
+        vpd_obs::incr("serve.panics");
+    }
+}
+
 /// Builds the worker pool around a shared dispatcher.
 fn build_pool<W: Write + Send + 'static>(
     dispatcher: &Arc<Dispatcher>,
@@ -388,7 +400,7 @@ fn build_pool<W: Write + Send + 'static>(
     let admission = Arc::clone(admission);
     WorkerPool::new(cfg.workers, cfg.queue_depth, move |worker, job: Job<W>| {
         let started = Instant::now();
-        run_job(&dispatcher, worker, job);
+        contain_panic(|| run_job(&dispatcher, worker, job));
         admission.record(started.elapsed());
     })
 }
@@ -587,59 +599,36 @@ impl Conn {
     }
 }
 
-/// How the event loop waits after a scan that found nothing to do.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Wait {
-    /// `park_timeout`: the next completion unparks the loop early.
-    Park(Duration),
-    /// `sleep`.
-    Sleep(Duration),
-}
-
-impl Wait {
-    fn duration(self) -> Duration {
-        match self {
-            Self::Park(d) | Self::Sleep(d) => d,
-        }
-    }
-}
-
-/// The wait after an empty scan, from the jobs in flight, the time
-/// since the last request and since the last completion, and the
-/// previous wait's length (`backoff`). Polls short right after a
-/// completion; otherwise parks while jobs are in flight; an idle loop
-/// polls short for [`LINGER`], then waits [`IDLE_POLL`], and after
-/// [`BACKOFF_AFTER`] without traffic doubles its sleep up to
-/// [`MAX_IDLE_POLL`].
-fn idle_wait(
-    in_flight: usize,
-    since_request: Duration,
-    since_completion: Duration,
-    backoff: Duration,
-) -> Wait {
+/// The event loop's park timeout after a scan that found nothing to
+/// do, from the jobs in flight and the time since the last request and
+/// since the last completion. Polls short right after a completion;
+/// otherwise waits [`IDLE_POLL`] while jobs are in flight (each
+/// completion unparks the loop); an idle loop polls short for
+/// [`LINGER`], then waits [`IDLE_POLL`], and [`MAX_IDLE_POLL`] once
+/// [`BACKOFF_AFTER`] has passed without traffic.
+fn idle_wait(in_flight: usize, since_request: Duration, since_completion: Duration) -> Duration {
     if since_completion < FOLLOW_UP {
-        return Wait::Sleep(SHORT_POLL);
+        return SHORT_POLL;
     }
     if in_flight > 0 {
-        return Wait::Park(IDLE_POLL);
+        return IDLE_POLL;
     }
     let idle = since_request.min(since_completion);
-    Wait::Sleep(if idle < LINGER {
+    if idle < LINGER {
         SHORT_POLL
     } else if idle < BACKOFF_AFTER {
         IDLE_POLL
     } else {
-        (backoff * 2).clamp(IDLE_POLL, MAX_IDLE_POLL)
-    })
+        MAX_IDLE_POLL
+    }
 }
 
 /// The event loop's wake-up state: when it last saw a request and a
-/// completion, and how long it waited last.
+/// completion.
 struct Pacer {
     last_request: Instant,
     last_completion: Instant,
     completed: u64,
-    wait: Wait,
 }
 
 impl Pacer {
@@ -649,12 +638,11 @@ impl Pacer {
             last_request: now,
             last_completion: now,
             completed: 0,
-            wait: Wait::Sleep(IDLE_POLL),
         }
     }
 
-    /// Notes this scan's traffic; after a scan without progress, waits
-    /// as [`idle_wait`] says.
+    /// Notes this scan's traffic; after a scan without progress, parks
+    /// for as long as [`idle_wait`] says.
     fn pace<T: Send + 'static>(&mut self, pool: &WorkerPool<T>, progress: bool) {
         let now = Instant::now();
         let completed = pool.completed();
@@ -666,16 +654,11 @@ impl Pacer {
             self.last_request = now;
             return;
         }
-        self.wait = idle_wait(
+        std::thread::park_timeout(idle_wait(
             pool.in_flight(),
             now.duration_since(self.last_request),
             now.duration_since(self.last_completion),
-            self.wait.duration(),
-        );
-        match self.wait {
-            Wait::Park(d) => std::thread::park_timeout(d),
-            Wait::Sleep(d) => std::thread::sleep(d),
-        }
+        ));
     }
 }
 
@@ -1035,36 +1018,54 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_job_keeps_its_worker_and_releases_its_slot() {
+        let done = Arc::new(Mutex::new(Vec::new()));
+        let d = Arc::clone(&done);
+        let pool = WorkerPool::new(1, 8, move |_worker, n: usize| {
+            contain_panic(|| {
+                assert_ne!(n, 0, "job 0 panics");
+                d.lock().unwrap().push(n);
+            });
+        });
+        pool.unpark_on_completion(std::thread::current());
+        pool.submit(0).unwrap();
+        pool.submit(1).unwrap();
+        while pool.completed() < 2 {
+            std::thread::park();
+        }
+        assert_eq!(*done.lock().unwrap(), vec![1], "the next job still ran");
+        assert_eq!(pool.in_flight(), 0);
+        pool.finish();
+    }
+
+    #[test]
     fn idle_wait_covers_every_branch() {
         let us = Duration::from_micros;
         let ms = Duration::from_millis;
         let s = Duration::from_secs;
-        // (in flight, since request, since completion, backoff) → wait.
+        // (in flight, since request, since completion) → park timeout.
         let table = [
             // The follow-up window polls short, in flight or not.
-            ((1, s(5), us(0), IDLE_POLL), Wait::Sleep(SHORT_POLL)),
-            ((0, s(5), us(499), MAX_IDLE_POLL), Wait::Sleep(SHORT_POLL)),
-            // In flight past the window: park, however recent the request.
-            ((1, us(0), FOLLOW_UP, SHORT_POLL), Wait::Park(IDLE_POLL)),
-            ((3, s(5), s(5), MAX_IDLE_POLL), Wait::Park(IDLE_POLL)),
+            ((1, s(5), us(0)), SHORT_POLL),
+            ((0, s(5), us(499)), SHORT_POLL),
+            // In flight past the window: IDLE_POLL, however recent the request.
+            ((1, us(0), FOLLOW_UP), IDLE_POLL),
+            ((3, s(5), s(5)), IDLE_POLL),
             // Idle: short within LINGER of the last request or completion.
-            ((0, us(0), s(5), IDLE_POLL), Wait::Sleep(SHORT_POLL)),
-            ((0, s(5), ms(1), IDLE_POLL), Wait::Sleep(SHORT_POLL)),
-            ((0, LINGER, s(5), SHORT_POLL), Wait::Sleep(IDLE_POLL)),
-            ((0, ms(999), ms(999), IDLE_POLL), Wait::Sleep(IDLE_POLL)),
-            // Past BACKOFF_AFTER the sleep doubles from IDLE_POLL to the cap.
-            ((0, BACKOFF_AFTER, s(5), SHORT_POLL), Wait::Sleep(IDLE_POLL)),
-            ((0, s(5), BACKOFF_AFTER, IDLE_POLL), Wait::Sleep(us(400))),
-            ((0, s(5), s(5), us(400)), Wait::Sleep(us(800))),
-            ((0, s(5), s(5), us(800)), Wait::Sleep(MAX_IDLE_POLL)),
-            ((0, s(5), s(5), MAX_IDLE_POLL), Wait::Sleep(MAX_IDLE_POLL)),
+            ((0, us(0), s(5)), SHORT_POLL),
+            ((0, s(5), ms(1)), SHORT_POLL),
+            ((0, LINGER, s(5)), IDLE_POLL),
+            ((0, ms(999), ms(999)), IDLE_POLL),
+            // Past BACKOFF_AFTER without traffic: MAX_IDLE_POLL.
+            ((0, BACKOFF_AFTER, s(5)), MAX_IDLE_POLL),
+            ((0, s(5), BACKOFF_AFTER), MAX_IDLE_POLL),
         ];
-        for ((in_flight, request, completion, backoff), wait) in table {
+        for ((in_flight, request, completion), wait) in table {
             assert_eq!(
-                idle_wait(in_flight, request, completion, backoff),
+                idle_wait(in_flight, request, completion),
                 wait,
                 "in flight {in_flight}, since request {request:?}, \
-                 since completion {completion:?}, backoff {backoff:?}"
+                 since completion {completion:?}"
             );
         }
     }

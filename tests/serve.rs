@@ -614,8 +614,8 @@ fn a_server_idle_past_its_back_off_still_answers() {
     let addr = server.local_addr().expect("local addr").to_string();
     let handle = std::thread::spawn(move || server.run());
 
-    // More than a second without traffic: the event loop's sleep has
-    // started doubling toward its 1 ms cap.
+    // More than a second without traffic: the event loop has backed
+    // off to its 1 ms poll.
     std::thread::sleep(std::time::Duration::from_millis(1300));
     let ping = vec![r#"{"id":1,"kind":"ping"}"#.to_owned()];
     let responses = vertical_power_delivery::serve::call(&addr, &ping, false).expect("ping");
